@@ -44,6 +44,7 @@ from .tuning import (
 from .types import (
     DataMatrix,
     GroupScheme,
+    GroupStats,
     GroupSummary,
     Interval,
     ModelSpec,
@@ -58,6 +59,7 @@ __all__ = [
     "DataMatrix",
     "EstimationWarning",
     "GroupScheme",
+    "GroupStats",
     "GroupSummary",
     "Interval",
     "ModelSpec",

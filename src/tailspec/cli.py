@@ -205,15 +205,19 @@ def parse_region(text: str, dim: int) -> tuple[Region, str]:
 # ---------------------------------------------------------------- commands
 
 
+def _parse_r(text: str) -> float:
+    try:
+        r = float(text)
+    except ValueError:
+        raise CliUsage(f"--r must be a number or 'auto', got {text!r}")
+    if not (0.0 < r < 1.0):
+        raise CliUsage(f"--r={r} outside (0,1)")
+    return r
+
+
 def _resolve_r(args, alpha_hint: float | None) -> float:
     if args.r != "auto":
-        try:
-            r = float(args.r)
-        except ValueError:
-            raise CliUsage(f"--r must be a number or 'auto', got {args.r!r}")
-        if not (0.0 < r < 1.0):
-            raise CliUsage(f"--r={r} outside (0,1)")
-        return r
+        return _parse_r(args.r)
     if alpha_hint is None:
         raise CliUsage("--r auto needs --alpha")
     beta = args.beta if args.beta is not None else tuning.DEFAULT_BETA_FACTOR * alpha_hint
@@ -233,9 +237,9 @@ def cmd_estimate(args) -> dict:
     captured: list[str] = []
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always", EstimationWarning)
-        summaries = grouping.summarize_groups(data, scheme)
-        alpha_est = estimators.estimate_alpha(summaries)
-        spectral = estimators.estimate_spectral(summaries)
+        stats = grouping.summarize_groups(data, scheme)
+        alpha_est = estimators.estimate_alpha(stats)
+        spectral = estimators.estimate_spectral(stats)
 
         alpha_used = args.alpha if args.alpha is not None else alpha_est.alpha_hat
         alpha_mode = "fixed" if args.alpha is not None else "plugin"
@@ -246,7 +250,7 @@ def cmd_estimate(args) -> dict:
                 t = float(args.t)
             except ValueError:
                 raise CliUsage(f"--t must be a number or 'auto', got {args.t!r}")
-        mass_est = estimators.estimate_total_mass(summaries, scheme.m, alpha_used, t)
+        mass_est = estimators.estimate_total_mass(stats, scheme.m, alpha_used, t)
         captured.extend(str(w.message) for w in wlist
                         if issubclass(w.category, EstimationWarning))
 
@@ -397,7 +401,7 @@ def cmd_coverage(args) -> dict:
         if not args.region:
             raise CliUsage("spectral coverage needs --region")
         region, _ = parse_region(args.region[0], model.dim)
-    r = None if args.r == "auto" else float(args.r)
+    r = None if args.r == "auto" else _parse_r(args.r)
     res = experiments.run_ci_coverage(
         model, args.n, r, args.kind, args.level, args.reps,
         SeededRng(args.seed), sampler=kind, region=region, beta=args.beta,

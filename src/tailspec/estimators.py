@@ -1,7 +1,8 @@
 """Tail-index, spectral-measure and total-mass estimators with normal CIs.
 
-Everything here consumes the per-group summaries produced by
-``grouping.summarize_groups``.  Confidence intervals are built by studentizing
+Everything here consumes the per-group statistics produced by
+``grouping.summarize_groups``; a plain sequence of GroupSummary is packed
+into the same columns first.  Confidence intervals are built by studentizing
 the underlying mean statistic (ratio of maxima, indicator mean, or mean of
 q^t) and mapping the resulting interval endpoint-wise through the monotone
 transform that defines the estimator, so interval order and coverage survive
@@ -29,16 +30,22 @@ from .errors import (
     ZeroVariance,
 )
 from .numerics import gamma_fn, normal_quantile
-from .types import GroupSummary, Interval, NormalizedStat, Region, SpectralEstimate
+from .types import (
+    GroupStats,
+    GroupSummary,
+    Interval,
+    NormalizedStat,
+    Region,
+    SpectralEstimate,
+)
 
 
-def _kappas(summaries: Sequence[GroupSummary]) -> np.ndarray:
+def _columns(summaries: Sequence[GroupSummary]) -> GroupStats:
     if len(summaries) == 0:
         raise EmptySample("no group summaries")
-    if any(s.kappa is None for s in summaries):
-        raise GroupTooSmall("kappa undefined: summaries come from m=1 groups")
-    return np.fromiter((s.kappa for s in summaries), dtype=np.float64,
-                       count=len(summaries))
+    if isinstance(summaries, GroupStats):
+        return summaries
+    return GroupStats.pack(summaries)
 
 
 def _wald(stat: NormalizedStat, level: float) -> tuple[float, float]:
@@ -68,7 +75,9 @@ def estimate_alpha(summaries: Sequence[GroupSummary]) -> AlphaEstimate:
     S_n == n (every ratio equal to one) raises AllKappaOne; S_n == 0 returns
     alpha_hat = 0 with an EstimationWarning.
     """
-    kap = _kappas(summaries)
+    kap = _columns(summaries).kappa
+    if kap is None:
+        raise GroupTooSmall("kappa undefined: summaries come from m=1 groups")
     n = kap.size
     s_n = float(kap.sum())
     # same quantity as mean(k^2) - mean(k)^2, computed mean-centered
@@ -106,9 +115,7 @@ def alpha_ci(est: AlphaEstimate, level: float = 0.95) -> Interval:
 
 def estimate_spectral(summaries: Sequence[GroupSummary]) -> SpectralEstimate:
     """Atomic measure putting weight 1/n on each group-maximum direction."""
-    if len(summaries) == 0:
-        raise EmptySample("no group summaries")
-    return SpectralEstimate(np.stack([s.theta for s in summaries]))
+    return SpectralEstimate(_columns(summaries).theta)
 
 
 def spectral_mass(est: SpectralEstimate, region: Region) -> float:
@@ -168,11 +175,6 @@ class TotalMassEstimate:
     m: int
     warnings: tuple[str, ...] = ()
 
-    @property
-    def qt_stat(self) -> NormalizedStat:
-        return NormalizedStat(self.mean_qt, max(self.mean_q2t - self.mean_qt ** 2, 0.0),
-                              self.n)
-
 
 def estimate_total_mass(summaries: Sequence[GroupSummary], m: int, alpha: float,
                         t: float) -> TotalMassEstimate:
@@ -189,9 +191,7 @@ def estimate_total_mass(summaries: Sequence[GroupSummary], m: int, alpha: float,
         raise InvalidT(f"t={t} outside (0, alpha/2) = (0, {alpha / 2.0})")
     if m < 2:
         raise GroupTooSmall(f"total mass needs m >= 2, got {m}")
-    if len(summaries) == 0:
-        raise EmptySample("no group summaries")
-    m1 = np.fromiter((s.m1 for s in summaries), dtype=np.float64, count=len(summaries))
+    m1 = _columns(summaries).m1
     n = m1.size
     q = m1 / m ** (1.0 / alpha)
     qt = q ** t

@@ -119,14 +119,14 @@ def _estimate_target(data: DataMatrix, r: float, target: str,
         # deliberately in sweeps; per-point warnings would only repeat
         warnings.simplefilter("ignore", EstimationWarning)
         scheme = grouping.plan_grouping(data.rows, r, min_group=min_group)
-        summaries = grouping.summarize_groups(data, scheme)
+        stats = grouping.summarize_groups(data, scheme)
         if target == "alpha":
-            return estimators.estimate_alpha(summaries).alpha_hat
+            return estimators.estimate_alpha(stats).alpha_hat
         if target == "rho":
-            return estimators.rho_1d(estimators.estimate_spectral(summaries))
+            return estimators.rho_1d(estimators.estimate_spectral(stats))
         if target == "mass":
             t = tuning.default_t(alpha_true, r)
-            return estimators.estimate_total_mass(summaries, scheme.m,
+            return estimators.estimate_total_mass(stats, scheme.m,
                                                   alpha_true, t).mass_hat
     raise ValueError(f"unknown target {target!r}")
 
@@ -248,17 +248,17 @@ def _coverage_rep(args) -> bool:
      alpha_mode) = args
     data = draw_sample(model, N, rep_rng, sampler, n_atoms)
     scheme = grouping.plan_grouping(N, r)
-    summaries = grouping.summarize_groups(data, scheme)
+    stats = grouping.summarize_groups(data, scheme)
     if kind == "alpha":
-        ci = estimators.alpha_ci(estimators.estimate_alpha(summaries), level)
+        ci = estimators.alpha_ci(estimators.estimate_alpha(stats), level)
     elif kind == "spectral":
-        est = estimators.estimate_spectral(summaries)
+        est = estimators.estimate_spectral(stats)
         ci = estimators.spectral_ci(est, region, level)
     else:
         alpha_used = (model.alpha if alpha_mode == "true"
-                      else estimators.estimate_alpha(summaries).alpha_hat)
+                      else estimators.estimate_alpha(stats).alpha_hat)
         t = tuning.default_t(alpha_used, r)
-        tm = estimators.estimate_total_mass(summaries, scheme.m, alpha_used, t)
+        tm = estimators.estimate_total_mass(stats, scheme.m, alpha_used, t)
         ci = estimators.total_mass_ci(tm, level)
     return ci.contains(truth)
 
@@ -324,8 +324,7 @@ def run_frechet_check(model: ModelSpec, m: int, n_groups: int,
     # record the implied exponent; the scheme is built explicitly from (n, m)
     r = min(max(math.log(max(n_groups, 2)) / math.log(N), 1e-6), 1.0 - 1e-6)
     scheme = GroupScheme(r=r, n=n_groups, m=m, discarded=0)
-    summaries = grouping.summarize_groups(data, scheme)
-    q = np.array([s.m1 for s in summaries]) / m ** (1.0 / model.alpha)
+    q = grouping.summarize_groups(data, scheme).m1 / m ** (1.0 / model.alpha)
     sigma = model.total_mass
     alpha = model.alpha
 

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .errors import DegenerateGroup, EstimationWarning, GroupTooSmall, InvalidR
-from .types import DataMatrix, GroupScheme, GroupSummary
+from .types import DataMatrix, GroupScheme, GroupStats
 
 
 def plan_grouping(N: int, r: float, *, min_group: int = 2) -> GroupScheme:
@@ -47,7 +47,7 @@ def plan_grouping(N: int, r: float, *, min_group: int = 2) -> GroupScheme:
     return GroupScheme(r=r, n=n, m=m, discarded=N - n * m)
 
 
-def summarize_groups(data: DataMatrix, scheme: GroupScheme) -> list[GroupSummary]:
+def summarize_groups(data: DataMatrix, scheme: GroupScheme) -> GroupStats:
     """Per-group (M1, M2, kappa, theta) statistics, in group-index order.
 
     Group i holds rows i*m .. (i+1)*m - 1.  theta is the maximizing vector
@@ -75,16 +75,4 @@ def summarize_groups(data: DataMatrix, scheme: GroupScheme) -> list[GroupSummary
         kappa = m2 / m1
     else:
         m2 = kappa = None
-
-    out = []
-    for i in range(n):
-        out.append(
-            GroupSummary(
-                m1=float(m1[i]),
-                m2=None if m2 is None else float(m2[i]),
-                kappa=None if kappa is None else float(kappa[i]),
-                theta=theta[i],
-                argmax_index=int(j1[i]),
-            )
-        )
-    return out
+    return GroupStats(m1=m1, m2=m2, kappa=kappa, theta=theta, argmax=j1)

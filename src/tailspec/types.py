@@ -7,8 +7,10 @@ construction, so instances can be shared freely between threads or processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+import operator
+from collections import abc
+from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,8 +27,8 @@ AngularDensity = Callable[[np.ndarray], np.ndarray]
 Region = Callable[[np.ndarray], bool]
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -133,6 +135,71 @@ class GroupSummary:
             raise InvalidModel("theta is not unit-norm")
 
 
+@dataclass(frozen=True, eq=False)
+class GroupStats(abc.Sequence):
+    """Per-group maxima statistics of n groups, one read-only column each.
+
+    ``m1``, ``m2`` and ``kappa`` have shape (n,), ``theta`` has shape (n, d)
+    and ``argmax`` holds each maximiser's row within its group.  ``m2`` and
+    ``kappa`` are None for singleton groups (m == 1).  The checks of
+    GroupSummary run once over whole columns.  As a sequence, ``stats[i]`` is
+    group i as a GroupSummary whose theta is a view of row i.
+    """
+
+    m1: np.ndarray
+    m2: np.ndarray | None
+    kappa: np.ndarray | None
+    theta: np.ndarray
+    argmax: np.ndarray
+
+    def __post_init__(self):
+        m1, theta = _frozen(self.m1), _frozen(self.theta)
+        m2, kappa = (None if c is None else _frozen(c) for c in (self.m2, self.kappa))
+        argmax = _frozen(self.argmax, np.intp)
+        n = m1.shape[0] if m1.ndim == 1 else -1
+        if (n < 0 or theta.ndim != 2 or theta.shape[0] != n or argmax.shape != (n,)
+                or any(c is not None and c.shape != (n,) for c in (m2, kappa))):
+            raise InvalidModel("group statistics need one row per group in every column")
+        if (m1 <= 0.0).any():
+            raise InvalidModel("m1 must be positive")
+        if m2 is not None and (m2 > m1).any():
+            raise InvalidModel("m2 exceeds m1")
+        norms = np.sqrt((theta * theta).sum(axis=1))
+        if (np.abs(norms - 1.0) > UNIT_NORM_TOL).any():
+            raise InvalidModel("theta is not unit-norm")
+        for name, value in (("m1", m1), ("m2", m2), ("kappa", kappa),
+                            ("theta", theta), ("argmax", argmax)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def pack(cls, summaries: Sequence[GroupSummary]) -> "GroupStats":
+        """Columns of a sequence of GroupSummary; m2 or kappa is None if any
+        group lacks it."""
+        def column(name):
+            vals = [getattr(s, name) for s in summaries]
+            return None if any(v is None for v in vals) else np.array(vals)
+
+        return cls(m1=column("m1"), m2=column("m2"), kappa=column("kappa"),
+                   theta=np.stack([s.theta for s in summaries]),
+                   argmax=column("argmax_index"))
+
+    def __len__(self) -> int:
+        return self.m1.shape[0]
+
+    def __getitem__(self, i) -> GroupSummary:
+        i = operator.index(i)
+        return GroupSummary(
+            m1=float(self.m1[i]),
+            m2=None if self.m2 is None else float(self.m2[i]),
+            kappa=None if self.kappa is None else float(self.kappa[i]),
+            theta=self.theta[i],
+            argmax_index=int(self.argmax[i]),
+        )
+
+    def __iter__(self) -> Iterator[GroupSummary]:
+        return (self[i] for i in range(len(self)))
+
+
 @dataclass(frozen=True)
 class SpectralEstimate:
     """Atomic probability measure (1/n on each of n unit directions)."""
@@ -230,8 +297,6 @@ class ModelSpec:
     beta: float = math.inf
     atoms: tuple[tuple[np.ndarray, float], ...] | None = None
     density: AngularDensity | None = None
-    c1: float | None = None
-    c2: float | None = None
 
     def __post_init__(self):
         if self.alpha <= 0.0:

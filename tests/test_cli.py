@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tailspec
 from tailspec import estimators, grouping, tuning
 from tailspec.cli import main, parse_region, read_csv, write_csv
 from tailspec.errors import CsvParseError
@@ -240,6 +245,21 @@ class TestExperimentCommands:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["reps"] == 5 and 0.0 <= doc["coverage"] <= 1.0
+
+    @pytest.mark.parametrize("r", ["abc", "1.5", "nan"])
+    def test_coverage_bad_r_exit_2_without_traceback(self, r):
+        model = json.dumps({"kind": "polar", "alpha": 1.0, "total_mass": 1.0,
+                            "atoms": [[1.0, 0.0, 1.0]]})
+        src = str(Path(tailspec.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "tailspec.cli", "coverage", "--model", model,
+             "--n", "1000", "--reps", "2", "--kind", "alpha", "--seed", "1",
+             "--r", r],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "--r" in proc.stderr
 
 
 class TestRegions:
