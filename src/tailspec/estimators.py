@@ -30,22 +30,8 @@ from .errors import (
     ZeroVariance,
 )
 from .numerics import gamma_fn, normal_quantile
-from .types import (
-    GroupStats,
-    GroupSummary,
-    Interval,
-    NormalizedStat,
-    Region,
-    SpectralEstimate,
-)
-
-
-def _columns(summaries: Sequence[GroupSummary]) -> GroupStats:
-    if len(summaries) == 0:
-        raise EmptySample("no group summaries")
-    if isinstance(summaries, GroupStats):
-        return summaries
-    return GroupStats.pack(summaries)
+from .types import (GroupStats, GroupSummary, Interval, NormalizedStat, Region,
+                    SpectralEstimate)
 
 
 def _wald(stat: NormalizedStat, level: float) -> tuple[float, float]:
@@ -75,7 +61,7 @@ def estimate_alpha(summaries: Sequence[GroupSummary]) -> AlphaEstimate:
     S_n == n (every ratio equal to one) raises AllKappaOne; S_n == 0 returns
     alpha_hat = 0 with an EstimationWarning.
     """
-    kap = _columns(summaries).kappa
+    kap = GroupStats.pack(summaries).kappa
     if kap is None:
         raise GroupTooSmall("kappa undefined: summaries come from m=1 groups")
     n = kap.size
@@ -115,7 +101,7 @@ def alpha_ci(est: AlphaEstimate, level: float = 0.95) -> Interval:
 
 def estimate_spectral(summaries: Sequence[GroupSummary]) -> SpectralEstimate:
     """Atomic measure putting weight 1/n on each group-maximum direction."""
-    return SpectralEstimate(_columns(summaries).theta)
+    return SpectralEstimate(GroupStats.pack(summaries).theta)
 
 
 def spectral_mass(est: SpectralEstimate, region: Region) -> float:
@@ -191,7 +177,7 @@ def estimate_total_mass(summaries: Sequence[GroupSummary], m: int, alpha: float,
         raise InvalidT(f"t={t} outside (0, alpha/2) = (0, {alpha / 2.0})")
     if m < 2:
         raise GroupTooSmall(f"total mass needs m >= 2, got {m}")
-    m1 = _columns(summaries).m1
+    m1 = GroupStats.pack(summaries).m1
     n = m1.size
     q = m1 / m ** (1.0 / alpha)
     qt = q ** t

@@ -14,8 +14,6 @@ import numpy as np
 
 from .errors import DomainError, EmptyInput
 
-_STANDARD_NORMAL = NormalDist()
-
 
 def gamma_fn(x: float) -> float:
     """Gamma function for x > 0."""
@@ -33,7 +31,7 @@ def normal_quantile(p: float) -> float:
     """Inverse standard normal cdf for 0 < p < 1."""
     if not (0.0 < p < 1.0) or math.isnan(p):
         raise DomainError(f"normal_quantile needs 0 < p < 1, got {p}")
-    return _STANDARD_NORMAL.inv_cdf(p)
+    return NormalDist().inv_cdf(p)
 
 
 def ks_distance(samples: Sequence[float] | np.ndarray,

@@ -10,7 +10,7 @@ import math
 import operator
 from collections import abc
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -130,7 +130,6 @@ class GroupSummary:
             raise InvalidModel("m1 must be positive")
         if self.m2 is not None and self.m2 > self.m1:
             raise InvalidModel("m2 exceeds m1")
-        # hot path: dot product beats np.linalg.norm for these tiny vectors
         if abs(math.sqrt(float(self.theta @ self.theta)) - 1.0) > UNIT_NORM_TOL:
             raise InvalidModel("theta is not unit-norm")
 
@@ -173,8 +172,13 @@ class GroupStats(abc.Sequence):
 
     @classmethod
     def pack(cls, summaries: Sequence[GroupSummary]) -> "GroupStats":
-        """Columns of a sequence of GroupSummary; m2 or kappa is None if any
-        group lacks it."""
+        """Columns of a sequence of GroupSummary, or ``summaries`` itself if
+        it is a GroupStats; m2 or kappa is None if any group lacks it."""
+        if len(summaries) == 0:
+            raise EmptySample("no group summaries")
+        if isinstance(summaries, GroupStats):
+            return summaries
+
         def column(name):
             vals = [getattr(s, name) for s in summaries]
             return None if any(v is None for v in vals) else np.array(vals)
@@ -195,9 +199,6 @@ class GroupStats(abc.Sequence):
             theta=self.theta[i],
             argmax_index=int(self.argmax[i]),
         )
-
-    def __iter__(self) -> Iterator[GroupSummary]:
-        return (self[i] for i in range(len(self)))
 
 
 @dataclass(frozen=True)
