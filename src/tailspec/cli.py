@@ -20,14 +20,19 @@ from .errors import (
     CsvParseError,
     EmptySample,
     EstimationWarning,
+    InvalidModel,
     NonFiniteEntry,
     TailspecError,
 )
 from .simulation import SeededRng
-from .types import DataMatrix, ModelSpec, Region, validate_data
+from .types import (Arc, DataMatrix, Halfspace, ModelSpec, NamedDensity, Region,
+                    validate_data)
 
 SCHEMA = "tailspec/1"
 _CDF_GRID = 128  # angles reported by `estimate` for d=2 input
+# rows formatted per write by write_csv; a small block keeps the Python row
+# lists and strings it builds (about 200 bytes a row) out of peak memory
+_WRITE_CHUNK = 1 << 10
 
 
 class CliUsage(Exception):
@@ -38,7 +43,34 @@ class CliUsage(Exception):
 
 
 def read_csv(path: str | Path, skip_header: bool = False) -> DataMatrix:
-    """Parse a comma-separated numeric matrix; errors carry 1-based lines."""
+    """Parse a comma-separated numeric matrix; errors carry 1-based lines.
+
+    numpy parses the whole file in one pass.  Text it rejects goes through
+    the line reader, which either raises CsvParseError at the first bad line
+    or parses what float() accepts and numpy does not (whitespace-only lines,
+    ``1_0``, non-ASCII digits).  Whatever numpy accepts, float() reads as
+    the same value.
+    """
+    # numpy gets an open file, not the path: it resolves a path through its
+    # DataSource, which fetches URLs, falls back to a compressed sibling
+    # (path.gz, ...) and reports a missing file in its own words
+    with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                UserWarning)
+        try:
+            values = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2,
+                                comments=None, skiprows=int(skip_header))
+        except ValueError:
+            values = None
+    if values is None:
+        return _read_csv_lines(path, skip_header)
+    if values.shape[0] == 0:
+        raise EmptySample(f"{path}: no data rows")
+    return DataMatrix(values)
+
+
+def _read_csv_lines(path: str | Path, skip_header: bool) -> DataMatrix:
+    """read_csv line by line with float(), for text numpy rejects."""
     rows: list[list[float]] = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -68,9 +100,11 @@ def read_csv(path: str | Path, skip_header: bool = False) -> DataMatrix:
 def write_csv(path: str | Path, values: np.ndarray) -> None:
     """Write rows with 17 significant digits (lossless float64 round-trip)."""
     a = np.atleast_2d(np.asarray(values))
+    line = ",".join(["%.17g"] * a.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        for row in a:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        for lo in range(0, a.shape[0], _WRITE_CHUNK):
+            rows = a[lo:lo + _WRITE_CHUNK].tolist()
+            fh.write("".join(map(line.__mod__, map(tuple, rows))))
 
 
 # ------------------------------------------------------------- JSON plumbing
@@ -95,14 +129,6 @@ def _emit(doc: dict, out: str | None) -> None:
 
 
 # ---------------------------------------------------------------- model spec
-
-_NAMED_DENSITIES = {
-    # |cos 2 theta| / 4 integrates to 1 over [0, 2*pi)
-    "abscos2t": lambda total: (lambda th: total * np.abs(np.cos(2.0 * th)) / 4.0),
-    "uniform": lambda total: (lambda th: np.full_like(np.asarray(th, dtype=float),
-                                                      total / (2.0 * math.pi))),
-}
-
 
 def parse_model(text: str) -> tuple[ModelSpec, str, int]:
     """Parse the --model JSON into (ModelSpec, sampler kind, density cells).
@@ -152,13 +178,12 @@ def parse_model(text: str) -> tuple[ModelSpec, str, int]:
         model = ModelSpec(alpha=alpha, total_mass=total, beta=beta,
                           atoms=tuple(atoms))
     else:
-        name = cfg["density"]
-        if name not in _NAMED_DENSITIES:
-            raise CliUsage(
-                f"unknown density {name!r}; choices: {sorted(_NAMED_DENSITIES)}"
-            )
+        try:
+            density = NamedDensity(cfg["density"], total)
+        except InvalidModel as e:  # an unknown name
+            raise CliUsage(str(e))
         model = ModelSpec(alpha=alpha, total_mass=total, beta=beta,
-                          density=_NAMED_DENSITIES[name](total))
+                          density=density)
     return model, kind, n_atoms
 
 
@@ -167,7 +192,8 @@ def parse_model(text: str) -> tuple[ModelSpec, str, int]:
 
 def parse_region(text: str, dim: int) -> tuple[Region, str]:
     """Region syntax: arc:START:END (d=2, [START,END) radians, wraps) or
-    halfspace:u1,...,ud:c meaning <theta,u> > c."""
+    halfspace:u1,...,ud:c meaning <theta,u> > c; parsed to an Arc or a
+    Halfspace."""
     parts = text.split(":")
     if parts[0] == "arc":
         if dim != 2:
@@ -175,30 +201,21 @@ def parse_region(text: str, dim: int) -> tuple[Region, str]:
         if len(parts) != 3:
             raise CliUsage(f"bad arc region {text!r}")
         try:
-            start, end = float(parts[1]), float(parts[2])
+            return Arc(float(parts[1]), float(parts[2])), text
         except ValueError:
             raise CliUsage(f"bad arc region {text!r}")
-        start %= 2.0 * math.pi
-        end %= 2.0 * math.pi
-
-        def region(v: np.ndarray) -> bool:
-            a = math.atan2(v[1], v[0]) % (2.0 * math.pi)
-            if start <= end:
-                return start <= a < end
-            return a >= start or a < end
-
-        return region, text
     if parts[0] == "halfspace":
         if len(parts) != 3:
             raise CliUsage(f"bad halfspace region {text!r}")
         try:
-            u = np.asarray([float(x) for x in parts[1].split(",")], dtype=float)
-            c = float(parts[2])
+            region = Halfspace(tuple(float(x) for x in parts[1].split(",")),
+                               float(parts[2]))
         except ValueError:
             raise CliUsage(f"bad halfspace region {text!r}")
-        if u.shape[0] != dim:
-            raise CliUsage(f"halfspace direction has {u.shape[0]} components, data has {dim}")
-        return (lambda v: float(np.dot(v, u)) > c), text
+        if len(region.u) != dim:
+            raise CliUsage(f"halfspace direction has {len(region.u)} components, "
+                           f"data has {dim}")
+        return region, text
     raise CliUsage(f"unknown region syntax {text!r}")
 
 

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .numerics import gamma_fn, normal_quantile
 from .types import (GroupStats, GroupSummary, Interval, NormalizedStat, Region,
-                    SpectralEstimate)
+                    SpectralEstimate, region_mask)
 
 
 def _wald(stat: NormalizedStat, level: float) -> tuple[float, float]:
@@ -105,9 +105,9 @@ def estimate_spectral(summaries: Sequence[GroupSummary]) -> SpectralEstimate:
 
 
 def spectral_mass(est: SpectralEstimate, region: Region) -> float:
-    """Fraction of atoms inside the region (a total membership predicate)."""
-    hits = sum(1 for atom in est.atoms if region(atom))
-    return hits / est.n
+    """Fraction of atoms inside the region (a total membership predicate;
+    an Arc or Halfspace tests all atoms at once)."""
+    return int(np.count_nonzero(region_mask(region, est.atoms))) / est.n
 
 
 def spectral_cdf_2d(est: SpectralEstimate,

@@ -275,8 +275,9 @@ def run_ci_coverage(model: ModelSpec, N: int, r: float | None, kind: str,
 
     kind is alpha, spectral (needs a region) or mass.  r=None selects the
     kind's optimal exponent with beta defaulting to 2*alpha.  The mass CI uses
-    the model's alpha unless alpha_mode="plugin".  With workers > 1 the region
-    must be picklable (a module-level function, not a lambda).
+    the model's alpha unless alpha_mode="plugin".  With workers > 1 the model
+    and the region are pickled into the workers: an Arc, a Halfspace, a
+    NamedDensity or a module-level function works, a lambda does not.
     """
     if reps < 1:
         raise EmptyExperiment("reps must be >= 1")

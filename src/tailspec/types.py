@@ -1,7 +1,9 @@
 """Shared domain types: samples, grouping plans, per-group maxima and models.
 
-All containers are frozen dataclasses; ndarray fields are marked read-only at
-construction, so instances can be shared freely between threads or processes.
+All containers are frozen dataclasses; ndarray fields are read-only views made
+at construction (the caller's own array stays writable and is not copied), so
+instances can be shared freely between threads or processes.  Regions and
+named densities are plain data too, so they pickle into worker processes.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ Region = Callable[[np.ndarray], bool]
 
 
 def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=dtype)
+    a = np.ascontiguousarray(a, dtype=dtype).view()
     a.setflags(write=False)
     return a
 
@@ -279,6 +281,132 @@ class Interval:
         return (self.hi - self.lo) / 2.0
 
 
+_TWO_PI = 2.0 * math.pi
+
+# Arc.mask recomputes with the scalar rule every atom whose vectorized angle
+# lies within this distance of start, end, 0 or 2*pi.  numpy's arctan2 (SIMD
+# code documented within 4 ulp) and libm's atan2 (within 1 ulp) differ by at
+# most 5 ulp(pi) = 2.2e-15 on a raw angle in [-pi, pi], and moving a negative
+# angle up by 2*pi rounds each once more, by at most ulp(2*pi)/2 = 4.4e-16.
+# The two reduced angles therefore differ by less than 3.2e-15, i.e. 3.6
+# ulp(2*pi), so an atom farther than 16 ulp(2*pi) from start and end falls on
+# the same side of both either way.  Raw angles of opposite sign lie within
+# that bound of 0 and reduce to next to 0 or next to 2*pi, hence the wrap.
+_ARC_GUARD = 16 * math.ulp(_TWO_PI)
+
+
+@dataclass(frozen=True)
+class Arc:
+    """Directions whose planar angle lies in [start, end) within [0, 2*pi),
+    wrapping through 0 when start > end (d=2).  Both ends are reduced mod
+    2*pi at construction; an angle exactly on start is inside, on end out."""
+
+    start: float
+    end: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "start", float(self.start) % _TWO_PI)
+        object.__setattr__(self, "end", float(self.end) % _TWO_PI)
+
+    def __call__(self, v: np.ndarray) -> bool:
+        a = math.atan2(v[1], v[0]) % _TWO_PI
+        if self.start <= self.end:
+            return self.start <= a < self.end
+        return a >= self.start or a < self.end
+
+    def mask(self, atoms: np.ndarray) -> np.ndarray:
+        """``[self(v) for v in atoms]`` as a bool array, for (n, 2) atoms."""
+        atoms = np.asarray(atoms, dtype=np.float64)
+        a = np.mod(np.arctan2(atoms[:, 1], atoms[:, 0]), _TWO_PI)
+        if self.start <= self.end:
+            inside = (self.start <= a) & (a < self.end)
+        else:
+            inside = (a >= self.start) | (a < self.end)
+        gap = np.minimum.reduce([np.abs(a - self.start), np.abs(a - self.end),
+                                 a, _TWO_PI - a])
+        # "not gap > guard" also sends NaN angles to the scalar rule
+        for i in np.flatnonzero(~(gap > _ARC_GUARD)):
+            inside[i] = self(atoms[i])
+        return inside
+
+
+@dataclass(frozen=True)
+class Halfspace:
+    """Directions v with <v, u> > c."""
+
+    u: tuple[float, ...]
+    c: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "u", tuple(float(x) for x in self.u))
+        object.__setattr__(self, "c", float(self.c))
+
+    def __call__(self, v: np.ndarray) -> bool:
+        return float(np.dot(v, self.u)) > self.c
+
+    def mask(self, atoms: np.ndarray) -> np.ndarray:
+        """``[self(v) for v in atoms]`` as a bool array, for (n, d) atoms."""
+        atoms = np.asarray(atoms, dtype=np.float64)
+        u = np.asarray(self.u)
+        dots = atoms @ u
+        inside = dots > self.c
+        # Every evaluation order of a d-term dot product, fused multiply-adds
+        # or not, lies within gamma_d * sum|v_i u_i| of the exact value, with
+        # gamma_d = d*2^-53 / (1 - d*2^-53), plus less than the smallest normal
+        # number for products that underflow.  The matrix product and the
+        # scalar np.dot thus differ by under twice that, which the guard
+        # bounds with room to spare; rows farther than it from c compare the
+        # same way under both, and the rest (NaN included) use the scalar rule.
+        d = len(self.u)
+        guard = (4.0 * d * 2.0**-53 * (np.abs(atoms) @ np.abs(u))
+                 + np.finfo(np.float64).tiny)
+        for i in np.flatnonzero(~(np.abs(dots - self.c) > guard)):
+            inside[i] = self(atoms[i])
+        return inside
+
+
+def region_mask(region: Region, atoms: np.ndarray) -> np.ndarray:
+    """Membership of each row of ``atoms`` as a bool array.
+
+    Uses ``region.mask`` when the region has one (Arc, Halfspace).  Any other
+    predicate is called once per row: a plain ``lambda v: v[0] > v[1]`` would
+    mean something else if handed the whole array.
+    """
+    mask = getattr(region, "mask", None)
+    if mask is not None:
+        return mask(atoms)
+    return np.fromiter((bool(region(v)) for v in atoms), dtype=bool, count=len(atoms))
+
+
+def _abscos2t(theta, total: float):
+    # |cos 2 theta| / 4 integrates to 1 over [0, 2*pi)
+    return total * np.abs(np.cos(2.0 * theta)) / 4.0
+
+
+def _uniform(theta, total: float):
+    return np.full_like(np.asarray(theta, dtype=float), total / (2.0 * math.pi))
+
+
+# named angular density shapes, each integrating to ``total`` over [0, 2*pi)
+_DENSITY_SHAPES = {"abscos2t": _abscos2t, "uniform": _uniform}
+
+
+@dataclass(frozen=True)
+class NamedDensity:
+    """The registered density shape ``name`` scaled to integrate to ``total``."""
+
+    name: str
+    total: float
+
+    def __post_init__(self):
+        if not isinstance(self.name, str) or self.name not in _DENSITY_SHAPES:
+            raise InvalidModel(
+                f"unknown density {self.name!r}; choices: {sorted(_DENSITY_SHAPES)}")
+
+    def __call__(self, theta: np.ndarray) -> np.ndarray:
+        return _DENSITY_SHAPES[self.name](theta, self.total)
+
+
 # number of midpoint nodes used when integrating an angular density
 _DENSITY_QUAD_CELLS = 1 << 15
 
@@ -358,12 +486,12 @@ class ModelSpec:
     def normalized_mass(self, region: Region) -> float:
         """sigma~(B) = sigma(B)/sigma(S) for a membership predicate B."""
         if self.atoms is not None:
-            hit = sum(w for v, w in self.atoms if region(v))
+            inside = region_mask(region, np.stack([v for v, _ in self.atoms]))
+            hit = sum(w for (_, w), is_in in zip(self.atoms, inside) if is_in)
             return hit / self.total_mass
         mids, step = _density_grid()
         vals = np.asarray(self.density(mids), dtype=np.float64)
-        dirs = np.c_[np.cos(mids), np.sin(mids)]
-        inside = np.fromiter((region(d) for d in dirs), dtype=bool, count=len(mids))
+        inside = region_mask(region, np.c_[np.cos(mids), np.sin(mids)])
         return float((vals * inside).sum() * step / self.total_mass)
 
     def spectral_cdf(self, angles: Sequence[float]) -> np.ndarray:

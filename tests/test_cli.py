@@ -198,6 +198,13 @@ class TestSimulateCommand:
         assert main(["simulate", "--model", model, "--n", "5",
                      "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("density", ['"triangle"', '["abscos2t"]'])
+    def test_unknown_density_exit_2(self, tmp_path, capsys, density):
+        model = '{"kind": "polar", "alpha": 1.0, "density": %s}' % density
+        assert main(["simulate", "--model", model, "--n", "5", "--seed", "1",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert "unknown density" in capsys.readouterr().err
+
     def test_bad_model_json_exit_2(self, tmp_path):
         assert main(["simulate", "--model", "{not json", "--n", "5",
                      "--seed", "1", "--out", str(tmp_path / "x.csv")]) == 2
@@ -260,6 +267,28 @@ class TestExperimentCommands:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "--r" in proc.stderr
+
+
+    @pytest.mark.parametrize("model, extra", [
+        ('{"kind":"polar","alpha":1.5,"density":"uniform"}', ["--kind", "alpha"]),
+        ('{"kind":"polar","alpha":1.5,"atoms":[[0.6,0.8,0.5],[-0.6,0.8,0.5]]}',
+         ["--kind", "spectral", "--region", "halfspace:1,0:0"]),
+    ])
+    def test_coverage_workers_match_serial(self, model, extra):
+        # regions and named densities reach the worker processes by pickle
+        src = str(Path(tailspec.__file__).resolve().parents[1])
+        hits = []
+        for workers in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "tailspec.cli", "coverage", "--model", model,
+                 "--n", "2000", "--reps", "4", "--seed", "3", "--r", "0.5",
+                 "--workers", workers, *extra],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": src})
+            assert proc.returncode == 0, proc.stderr
+            assert "Traceback" not in proc.stderr
+            hits.append(json.loads(proc.stdout)["hits"])
+        assert hits[0] == hits[1]
 
 
 class TestRegions:

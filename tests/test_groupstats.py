@@ -142,3 +142,12 @@ def test_columns_and_views_are_read_only():
     with pytest.raises(ValueError):
         stats[0].theta[0] = 1.0
     assert np.shares_memory(stats[1].theta, stats.theta)
+
+
+def test_callers_columns_stay_writable():
+    cols = dict(m1=np.full(3, 2.0), m2=np.ones(3), kappa=np.full(3, 0.5),
+                theta=np.tile([0.6, 0.8], (3, 1)), argmax=np.zeros(3, dtype=np.intp))
+    stats = GroupStats(**cols)
+    for name, col in cols.items():
+        assert col.flags.writeable
+        assert not getattr(stats, name).flags.writeable

@@ -53,6 +53,13 @@ class TestDataMatrix:
         with pytest.raises(ValueError):
             d.values[0, 0] = 7.0
 
+    def test_callers_array_stays_writable(self):
+        a = np.ones((4, 2))
+        d = DataMatrix(a)
+        assert a.flags.writeable
+        assert not d.values.flags.writeable
+        assert np.shares_memory(a, d.values)  # a read-only view, not a copy
+
 
 class TestGroupScheme:
     def test_accounting_enforced(self):
