@@ -73,7 +73,9 @@ def _read_csv_lines(path: str | Path, skip_header: bool) -> DataMatrix:
     """read_csv line by line with float(), for text numpy rejects."""
     rows: list[list[float]] = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    # bytes that are not UTF-8 decode to lone surrogates, which float()
+    # rejects, so such a line fails with its own number
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if lineno == 1 and skip_header:
                 continue
@@ -84,7 +86,12 @@ def _read_csv_lines(path: str | Path, skip_header: bool) -> DataMatrix:
             try:
                 row = [float(p) for p in parts]
             except ValueError:
-                raise CsvParseError(lineno, f"cannot parse {line!r}")
+                message = f"cannot parse {line!r}"
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    message = "line is not valid UTF-8"
+                raise CsvParseError(lineno, message)
             if width is None:
                 width = len(row)
             elif len(row) != width:
@@ -148,26 +155,21 @@ def parse_model(text: str) -> tuple[ModelSpec, str, int]:
     kind = cfg.get("kind", "polar")
     if kind not in ("polar", "stable"):
         raise CliUsage(f"model kind must be polar or stable, got {kind!r}")
-    try:
-        alpha = float(cfg["alpha"])
-    except KeyError:
+    if "alpha" not in cfg:
         raise CliUsage("--model needs an alpha")
-    total = float(cfg.get("total_mass", 1.0))
-    beta = float(cfg["beta"]) if "beta" in cfg else math.inf
-    n_atoms = int(cfg.get("n_atoms", experiments.DEFAULT_STABLE_ATOMS))
+    alpha = _model_number(cfg, "alpha")
+    total = _model_number(cfg, "total_mass", 1.0)
+    beta = _model_number(cfg, "beta", math.inf)
+    n_atoms = _model_number(cfg, "n_atoms", experiments.DEFAULT_STABLE_ATOMS, int)
 
     sources = [k for k in ("atoms", "rho", "density") if k in cfg]
     if len(sources) != 1:
         raise CliUsage("--model needs exactly one of atoms, rho, density")
     if "atoms" in cfg:
-        atoms = []
-        for row in cfg["atoms"]:
-            vec, w = np.asarray(row[:-1], dtype=float), float(row[-1])
-            atoms.append((vec, w))
         model = ModelSpec(alpha=alpha, total_mass=total, beta=beta,
-                          atoms=tuple(atoms))
+                          atoms=_model_atoms(cfg["atoms"]))
     elif "rho" in cfg:
-        rho = float(cfg["rho"])
+        rho = _model_number(cfg, "rho")
         if not (-1.0 <= rho <= 1.0):
             raise CliUsage(f"rho={rho} outside [-1,1]")
         atoms = []
@@ -185,6 +187,38 @@ def parse_model(text: str) -> tuple[ModelSpec, str, int]:
         model = ModelSpec(alpha=alpha, total_mass=total, beta=beta,
                           density=density)
     return model, kind, n_atoms
+
+
+def _model_number(cfg: dict, key: str, default=None, cast=float):
+    """cfg[key], or default when it is absent, as a number; only beta may be
+    infinite and nothing may be NaN."""
+    value = cfg.get(key, default)
+    try:
+        number = cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise CliUsage(f"--model {key} must be a number, got {value!r}")
+    if math.isnan(number) or (math.isinf(number) and key != "beta"):
+        raise CliUsage(f"--model {key} must be finite, got {value!r}")
+    return number
+
+
+def _model_atoms(rows) -> tuple[tuple[np.ndarray, float], ...]:
+    """The --model atoms, rows [x1, ..., xd, w], as (direction, weight) pairs."""
+    bad = CliUsage("--model atoms must be a list of [x1, ..., xd, w] rows of finite numbers")
+    if not isinstance(rows, list):
+        raise bad
+    atoms = []
+    for row in rows:
+        if not isinstance(row, list) or len(row) < 2:
+            raise bad
+        try:
+            values = [float(x) for x in row]
+        except (TypeError, ValueError, OverflowError):
+            raise bad
+        if not all(math.isfinite(x) for x in values):
+            raise bad
+        atoms.append((np.array(values[:-1]), values[-1]))
+    return tuple(atoms)
 
 
 # ---------------------------------------------------------------- regions

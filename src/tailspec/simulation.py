@@ -6,12 +6,21 @@ primitive drawn.  Identical (seed, stream) therefore reproduces identical
 samples across runs, platforms and process boundaries; replications use
 distinct streams derived with splitmix64 (test vectors in the suite pin both
 the mixer and the generator output).
+
+`sample_stable_vector` splits its rows across up to one thread per available
+CPU (one thread inside a process-pool worker).  Each thread reads the fixed positions of the Philox stream that the
+serial draw order assigns to its rows, by setting the generator's counter
+(`SeededRng.uniforms`), so the output does not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -37,10 +46,21 @@ class SeededRng:
     seed: int
     stream: int = 0
 
+    def _key(self) -> np.ndarray:
+        return np.array([self.seed & _MASK64, self.stream & _MASK64],
+                        dtype=np.uint64)
+
     def generator(self) -> np.random.Generator:
-        key = np.array([self.seed & _MASK64, self.stream & _MASK64],
-                       dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=self._key()))
+
+    def uniforms(self, start: int, count: int) -> np.ndarray:
+        """Doubles start .. start+count-1 of generator().random's sequence.
+
+        Philox-4x64 yields four doubles per counter step, so the draw starts
+        at counter start // 4 and drops the first start % 4 doubles.
+        """
+        bits = np.random.Philox(key=self._key(), counter=start // 4)
+        return np.random.Generator(bits).random(start % 4 + count)[start % 4:]
 
     def split(self, *keys: int) -> "SeededRng":
         """Derive an independent stream from integer keys (e.g. experiment id,
@@ -141,29 +161,81 @@ def sample_stable_1d(alpha: float, rho: float, total_mass: float, N: int,
     return DataMatrix(scale * _cms(alpha, rho, u1, u2))
 
 
+# rows a thread needs before splitting pays: 2 threads on 16384 rows took
+# 0.13-0.14 s against 0.18-0.23 s serial, on 8192 rows 0.079-0.098 s against
+# 0.075-0.094 s (100 atoms, 2-CPU x86 VM)
+_ROWS_PER_THREAD = 8192
+
+
+def _available_cpus() -> int:
+    """CPUs the sampler may fill with threads.
+
+    One inside a multiprocessing child, e.g. a run_r_sweep or
+    run_ci_coverage pool worker: its sibling workers already use the other
+    CPUs.  Such a child always has multiprocessing imported, so looking it up
+    costs other processes no import.
+    """
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.parent_process() is not None:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _add_atom_terms(out: np.ndarray, alpha: float, terms, rng: SeededRng,
+                    lo: int, hi: int) -> None:
+    """Add every atom's term, in atom order, to rows [lo, hi) of out.
+
+    The serial draw order is u1 then u2 for each atom in turn, N doubles
+    each, so atom k's u1 for row lo sits at 2*N*k + lo and its u2 at
+    2*N*k + N + lo.
+    """
+    N = out.shape[0]
+    for k, (v, scale) in enumerate(terms):
+        u1 = rng.uniforms(2 * N * k + lo, hi - lo)
+        u2 = rng.uniforms(2 * N * k + N + lo, hi - lo)
+        # z stays bound until the next atom's z exists; freeing it at once
+        # lets malloc trim the heap every atom and fault the pages back in
+        # (about 60x the minor page faults, 20% slower at N=5e4)
+        z = scale * _cms(alpha, 1.0, u1, u2)
+        out[lo:hi] += z[:, None] * v[None, :]
+
+
 def sample_stable_vector(alpha: float, atoms, N: int, rng: SeededRng) -> DataMatrix:
     """Strictly stable vectors with spectral measure sum_j w_j delta_{s_j}.
 
     X = sum_j s_j Z_j with Z_j independent positive (totally skewed) stable
     scalars scaled so each term contributes tail weight w_j along s_j.
     Needs 0 < alpha < 1 so the summands are positive.
+
+    Draw order: for each atom, N uniforms u1 then N uniforms u2.  Threads
+    fill row ranges from their rows' positions of that order, so the result
+    does not depend on the thread count.
     """
     if not (0.0 < alpha < 1.0):
         raise UnsupportedAlpha(f"need 0 < alpha < 1, got {alpha}")
     atoms = list(atoms)
     if not atoms:
         raise InvalidModel("need at least one atom")
-    g = rng.generator()
     c_alpha = stable_tail_constant(alpha)
     dim = np.atleast_1d(np.asarray(atoms[0][0])).shape[0]
-    out = np.zeros((N, dim))
+    terms = []
     for vec, weight in atoms:
-        v = np.atleast_1d(np.asarray(vec, dtype=np.float64))
         if weight <= 0.0:
             raise InvalidModel("atom weights must be positive")
-        z = (weight / c_alpha) ** (1.0 / alpha) * _cms(alpha, 1.0, g.random(N),
-                                                       g.random(N))
-        out += z[:, None] * v[None, :]
+        terms.append((np.atleast_1d(np.asarray(vec, dtype=np.float64)),
+                      (weight / c_alpha) ** (1.0 / alpha)))
+    out = np.zeros((N, dim))
+    parts = max(1, min(_available_cpus(), N // _ROWS_PER_THREAD))
+    if parts == 1:
+        _add_atom_terms(out, alpha, terms, rng, 0, N)
+    else:
+        cuts = [N * i // parts for i in range(parts + 1)]
+        # a pool per call, so no thread outlives it into a later fork
+        fill = partial(_add_atom_terms, out, alpha, terms, rng)
+        with ThreadPoolExecutor(max_workers=parts) as pool:
+            list(pool.map(fill, cuts[:-1], cuts[1:]))
     return DataMatrix(out)
 
 

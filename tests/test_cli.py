@@ -48,6 +48,23 @@ class TestCsvIo:
         with pytest.raises(CsvParseError):
             read_csv(p)
 
+    @pytest.mark.parametrize("raw, line", [
+        (b"\xff,1\n2,3\n", 1),
+        (b"1,2\r\n3,4\r\n5,\xe9\r\n", 3),
+        (b"1,2\n\xed\xa0\x80,4\n", 2),  # an encoded surrogate is not UTF-8
+    ])
+    def test_non_utf8_line_named(self, tmp_path, raw, line):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(raw)
+        with pytest.raises(CsvParseError, match="not valid UTF-8") as e:
+            read_csv(p)
+        assert e.value.line == line
+
+    def test_non_utf8_header_skipped(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"caf\xe9,x\n1,2\n")
+        assert read_csv(p, skip_header=True).values.tolist() == [[1.0, 2.0]]
+
     def test_skip_header(self, tmp_path):
         p = tmp_path / "h.csv"
         p.write_text("x,y\n1,2\n")
@@ -208,6 +225,48 @@ class TestSimulateCommand:
     def test_bad_model_json_exit_2(self, tmp_path):
         assert main(["simulate", "--model", "{not json", "--n", "5",
                      "--seed", "1", "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def run_cli(*argv):
+    src = str(Path(tailspec.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "tailspec.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
+class TestBadInputsWithoutTraceback:
+    @pytest.mark.parametrize("model", [
+        '{"alpha": "x", "rho": 0.5}',
+        '{"alpha": null, "rho": 0.5}',
+        '{"alpha": NaN, "rho": 0.5}',
+        '{"alpha": 1.0, "rho": "x"}',
+        '{"alpha": 1.0, "rho": 0.5, "total_mass": "heavy"}',
+        '{"alpha": 1.0, "rho": 0.5, "total_mass": 1e400}',
+        '{"alpha": 1.0, "rho": 0.5, "beta": [3]}',
+        '{"kind": "stable", "alpha": 0.5, "density": "uniform", "n_atoms": "x"}',
+        '{"alpha": 1.0, "atoms": 5}',
+        '{"alpha": 1.0, "atoms": "1,0,1"}',
+        '{"alpha": 1.0, "atoms": [5]}',
+        '{"alpha": 1.0, "atoms": [[1.0]]}',
+        '{"alpha": 1.0, "atoms": [[1.0, "y", 1.0]]}',
+        '{"alpha": 1.0, "atoms": [[1.0, [0.0], 1.0]]}',
+        '{"alpha": 1.5, "atoms": [[1.0, NaN]]}',
+        '{"alpha": 1.5, "atoms": [[Infinity, 0, 1]]}',
+    ])
+    def test_bad_model_exit_2(self, tmp_path, model):
+        proc = run_cli("simulate", "--model", model, "--n", "5", "--seed", "1",
+                       "--out", str(tmp_path / "x.csv"))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "error[usage]: --model" in proc.stderr
+
+    def test_non_utf8_csv_exit_3(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"\xff,1\n2,3\n")
+        proc = run_cli("estimate", "--input", str(p), "--r", "0.5")
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "error[CsvParseError]: line 1: line is not valid UTF-8" in proc.stderr
 
 
 class TestExperimentCommands:

@@ -1,14 +1,22 @@
 """Generator correctness: reproducibility contract, tails, and scale mappings."""
 
+import hashlib
 import math
+import platform
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tailspec import simulation
 from tailspec.errors import InvalidDensity, InvalidModel, UnsupportedAlpha
 from tailspec.numerics import ks_distance
 from tailspec.simulation import (
     SeededRng,
+    _add_atom_terms,
+    _cms,
     discretize_angular_density,
     sample_polar,
     sample_polar_block_maxima,
@@ -17,7 +25,7 @@ from tailspec.simulation import (
     splitmix64,
     stable_tail_constant,
 )
-from tailspec.types import ModelSpec
+from tailspec.types import ModelSpec, NamedDensity
 
 
 class TestRngContract:
@@ -45,6 +53,22 @@ class TestRngContract:
 
     def test_streams_independent_of_construction_order(self):
         assert SeededRng(7).split(3, 5).stream == SeededRng(7).split(3).split(5).stream
+
+    @pytest.mark.parametrize("rng", [SeededRng(42), SeededRng(7).split(3, 5)])
+    @pytest.mark.parametrize("start", [0, 1, 2, 3, 4, 5, 6, 7, 1001])
+    def test_uniforms_read_the_generator_sequence(self, rng, start):
+        want = rng.generator().random(start + 11)[start:]
+        got = rng.uniforms(start, 11)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("start", [2**33 + 2, 2**66 + 3])
+    def test_uniforms_far_into_the_stream(self, start):
+        rng = SeededRng(7).split(3, 5)
+        g = rng.generator()
+        g.bit_generator.advance(start // 4)  # four doubles per Philox step
+        want = g.random(start % 4 + 5)[start % 4:]
+        got = rng.uniforms(start, 5)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def one_atom_model(alpha=1.0, total=1.0):
@@ -178,6 +202,103 @@ class TestStableVector:
         a = sample_stable_vector(0.5, atoms, 32, SeededRng(11))
         b = sample_stable_vector(0.5, atoms, 32, SeededRng(11))
         assert (a.values == b.values).all()
+
+    def test_bad_weight_rejected(self):
+        atoms = [(np.array([1.0, 0.0]), 1.0), (np.array([0.0, 1.0]), 0.0)]
+        with pytest.raises(InvalidModel, match="weights"):
+            sample_stable_vector(0.5, atoms, 10**5, SeededRng(1))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    def test_output_independent_of_cpu_count(self, monkeypatch, cpus):
+        atoms = [(np.array([1.0, 0.0, 0.0]), 0.5), (np.array([0.0, 0.6, 0.8]), 1.25)]
+        N = 5 * simulation._ROWS_PER_THREAD + 5  # up to 5 threads on any machine
+        rng = SeededRng(5, 9)
+        want = serial_stable_vector(0.6, _terms(0.6, atoms), N, rng)
+        monkeypatch.setattr(simulation, "_available_cpus", lambda: cpus)
+        got = sample_stable_vector(0.6, atoms, N, rng).values
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_pool_workers_sample_serially(self):
+        # the pool already spreads its workers over the CPUs
+        assert simulation._available_cpus() >= 1
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(simulation._available_cpus).result() == 1
+
+    def test_golden_digest(self):
+        env = (np.__version__, platform.machine(), _numpy_dispatches_avx512())
+        if env not in _GOLDEN_ABSCOS2T:
+            pytest.skip(f"no digest recorded for numpy {env[0]} on {env[1]} "
+                        f"(AVX-512 dispatch: {env[2]}); the CPU-count tests "
+                        "still check the threaded path against the serial loop")
+        atoms = discretize_angular_density(NamedDensity("abscos2t", 1.0), 1.0, 100)
+        v = sample_stable_vector(0.75, atoms, 50001, SeededRng(3, 17)).values
+        assert hashlib.sha256(v.tobytes()).hexdigest() == _GOLDEN_ABSCOS2T[env]
+
+
+# SHA-256 of sample_stable_vector's output above, recorded with the serial
+# per-atom sampler before rows were split across threads.  numpy's float64
+# sin/cos/log1p/power kernels round differently across numpy releases, CPU
+# architectures and SIMD dispatch (AVX-512 or its libm fallback), so each
+# digest is keyed by (numpy version, machine, AVX-512 dispatch) and the test
+# skips where none has been recorded.
+_GOLDEN_ABSCOS2T = {
+    ("2.4.6", "x86_64", True):
+        "c08a9e702b3b43b4af4ae0ce903d37e60fc7c8ef29f759e94858917ff832262e",
+    ("2.4.6", "x86_64", False):
+        "d67e5b7129aecbb41d5103c1c0a7147ed0bfc3c0aa215ad210f722c1fdd0299e",
+}
+
+
+def _numpy_dispatches_avx512():
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return bool(__cpu_features__.get("AVX512_SKX"))
+
+
+def _terms(alpha, atoms):
+    c_alpha = stable_tail_constant(alpha)
+    return [(np.asarray(v, dtype=np.float64), (w / c_alpha) ** (1.0 / alpha))
+            for v, w in atoms]
+
+
+def serial_stable_vector(alpha, terms, N, rng):
+    """The single-threaded per-atom loop: u1 then u2 for each atom in turn."""
+    g = rng.generator()
+    out = np.zeros((N, terms[0][0].shape[0]))
+    for v, scale in terms:
+        z = scale * _cms(alpha, 1.0, g.random(N), g.random(N))
+        out += z[:, None] * v[None, :]
+    return out
+
+
+@st.composite
+def row_split(draw):
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
+    unit = st.lists(st.floats(-1, 1), min_size=d, max_size=d).filter(
+        lambda x: math.hypot(*x) > 0.1)
+    atoms = [(np.array(x) / math.hypot(*x), draw(st.floats(0.01, 10.0)))
+             for x in draw(st.lists(unit, min_size=k, max_size=k))]
+    N = draw(st.integers(1, 300))
+    cuts = sorted(draw(st.lists(st.integers(0, N), max_size=6)))
+    return atoms, N, [0, *cuts, N]
+
+
+@given(split=row_split(), alpha=st.floats(0.05, 0.95),
+       seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**64 - 1))
+@settings(max_examples=150, deadline=None)
+def test_row_ranges_match_serial_loop(split, alpha, seed, stream):
+    atoms, N, cuts = split
+    rng = SeededRng(seed, stream)
+    terms = _terms(alpha, atoms)
+    want = serial_stable_vector(alpha, terms, N, rng)
+    out = np.zeros_like(want)
+    # ranges filled last to first: no range depends on another
+    for lo, hi in reversed(list(zip(cuts[:-1], cuts[1:]))):
+        _add_atom_terms(out, alpha, terms, rng, lo, hi)
+    assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
 
 
 class TestDiscretize:
