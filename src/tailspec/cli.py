@@ -23,6 +23,7 @@ from .errors import (
     InvalidModel,
     NonFiniteEntry,
     TailspecError,
+    ZeroVariance,
 )
 from .simulation import SeededRng
 from .types import (Arc, DataMatrix, Halfspace, ModelSpec, NamedDensity, Region,
@@ -105,13 +106,19 @@ def _read_csv_lines(path: str | Path, skip_header: bool) -> DataMatrix:
 
 
 def write_csv(path: str | Path, values: np.ndarray) -> None:
-    """Write rows with 17 significant digits (lossless float64 round-trip)."""
+    """Write rows with 17 significant digits (lossless float64 round-trip).
+
+    Each block of _WRITE_CHUNK rows is formatted by one % with the row
+    format repeated once per row.
+    """
     a = np.atleast_2d(np.asarray(values))
     line = ",".join(["%.17g"] * a.shape[1]) + "\n"
+    block = line * _WRITE_CHUNK
     with open(path, "w", encoding="utf-8") as fh:
         for lo in range(0, a.shape[0], _WRITE_CHUNK):
-            rows = a[lo:lo + _WRITE_CHUNK].tolist()
-            fh.write("".join(map(line.__mod__, map(tuple, rows))))
+            rows = a[lo:lo + _WRITE_CHUNK]
+            fmt = block if rows.shape[0] == _WRITE_CHUNK else line * rows.shape[0]
+            fh.write(fmt % tuple(rows.ravel().tolist()))
 
 
 # ------------------------------------------------------------- JSON plumbing
@@ -125,6 +132,16 @@ def _num(x: float):
 
 def _interval_doc(ci) -> dict:
     return {"lo": _num(ci.lo), "hi": _num(ci.hi), "level": ci.level}
+
+
+def _ci_doc(name: str, interval, est, level: float, notes: list[str]):
+    """interval(est, level) as a JSON object, or None with a warning naming
+    the interval when its plug-in variance is zero."""
+    try:
+        return _interval_doc(interval(est, level))
+    except ZeroVariance as e:
+        notes.append(f"{name} ci is null: {e}")
+        return None
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -207,6 +224,8 @@ def _model_atoms(rows) -> tuple[tuple[np.ndarray, float], ...]:
     bad = CliUsage("--model atoms must be a list of [x1, ..., xd, w] rows of finite numbers")
     if not isinstance(rows, list):
         raise bad
+    if not rows:
+        raise CliUsage("--model atoms needs at least one [x1, ..., xd, w] row")
     atoms = []
     for row in rows:
         if not isinstance(row, list) or len(row) < 2:
@@ -305,6 +324,7 @@ def cmd_estimate(args) -> dict:
         captured.extend(str(w.message) for w in wlist
                         if issubclass(w.category, EstimationWarning))
 
+    undefined: list[str] = []
     doc = {
         "schema": SCHEMA,
         "version": __version__,
@@ -316,7 +336,8 @@ def cmd_estimate(args) -> dict:
             "hat": alpha_est.alpha_hat,
             "s_n": alpha_est.s_n,
             "kappa_var": alpha_est.kappa_var,
-            "ci": _interval_doc(estimators.alpha_ci(alpha_est, args.level)),
+            "ci": _ci_doc("alpha", estimators.alpha_ci, alpha_est, args.level,
+                          undefined),
         },
         "mass": {
             "hat": mass_est.mass_hat,
@@ -324,11 +345,13 @@ def cmd_estimate(args) -> dict:
             "alpha_used": alpha_used,
             "alpha_mode": alpha_mode,
             "mean_qt": mass_est.mean_qt,
-            "ci": _interval_doc(estimators.total_mass_ci(mass_est, args.level)),
+            "ci": _ci_doc("mass", estimators.total_mass_ci, mass_est, args.level,
+                          undefined),
         },
         "spectral": {},
         # attached estimate warnings were also caught live; keep one copy
-        "warnings": captured + [w for w in mass_est.warnings if w not in captured],
+        "warnings": captured + [w for w in mass_est.warnings if w not in captured]
+                    + undefined,
     }
     if alpha_mode == "plugin":
         doc["warnings"].append("mass estimate uses plug-in alpha_hat")

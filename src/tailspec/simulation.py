@@ -5,7 +5,11 @@ counter-based Philox-4x64 bit generator keyed by (seed, stream), the only
 primitive drawn.  Identical (seed, stream) therefore reproduces identical
 samples across runs, platforms and process boundaries; replications use
 distinct streams derived with splitmix64 (test vectors in the suite pin both
-the mixer and the generator output).
+the mixer and the generator output).  One exception to "platforms": the
+stable samplers transform the uniforms with numpy's float64 sin, cos, log1p
+and power, which round differently under numpy's AVX-512 dispatch than in
+its libm fallback, so their samples are bit-identical only between machines
+on which numpy takes the same path.
 
 `sample_stable_vector` splits its rows across up to one thread per available
 CPU (one thread inside a process-pool worker).  Each thread reads the fixed positions of the Philox stream that the
@@ -84,16 +88,40 @@ def stable_tail_constant(alpha: float) -> float:
 def _cms(alpha: float, skew: float, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """Chambers-Mallows-Stuck variates, strictly stable, unit scale, alpha != 1.
 
-    Tail: x^alpha P(X > x) -> C_alpha (1+skew)/2.
+    Tail: x^alpha P(X > x) -> C_alpha (1+skew)/2.  Consumes u1 and u2: the
+    steps run in place in them and in one scratch array, and the variates
+    are returned in u1.  Each step is the same operation on the same
+    operands as the one-expression form
+        sin(alpha*(phi+b)) / (cos(alpha*b)*cos(phi))**(1/alpha)
+        * (cos(alpha*b + (alpha-1)*phi) / w)**((1-alpha)/alpha),
+    so the result is bit-identical to it.
     """
-    phi = math.pi * (u1 - 0.5)
-    w = np.fmax(-np.log1p(-u2), 1e-300)  # Exp(1); floor avoids division by zero
     b = math.atan(skew * math.tan(math.pi * alpha / 2.0)) / alpha
-    return (
-        np.sin(alpha * (phi + b))
-        / (math.cos(alpha * b) * np.cos(phi)) ** (1.0 / alpha)
-        * (np.cos(alpha * b + (alpha - 1.0) * phi) / w) ** ((1.0 - alpha) / alpha)
-    )
+    phi = u1
+    phi -= 0.5
+    phi *= math.pi
+    w = u2
+    np.negative(w, out=w)
+    np.log1p(w, out=w)
+    np.negative(w, out=w)
+    np.fmax(w, 1e-300, out=w)  # Exp(1); floor avoids division by zero
+    # t3 = (cos(alpha*b + (alpha-1)*phi) / w) ** ((1-alpha)/alpha), into w
+    t = phi * (alpha - 1.0)
+    t += alpha * b
+    np.cos(t, out=t)
+    np.divide(t, w, out=w)
+    w **= (1.0 - alpha) / alpha
+    # den = (cos(alpha*b) * cos(phi)) ** (1/alpha), into t
+    np.cos(phi, out=t)
+    t *= math.cos(alpha * b)
+    t **= 1.0 / alpha
+    # num = sin(alpha*(phi+b)), into phi; then num / den * t3
+    phi += b
+    phi *= alpha
+    np.sin(phi, out=phi)
+    phi /= t
+    phi *= w
+    return phi
 
 
 def _atom_arrays(model: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -158,6 +186,11 @@ def sample_stable_1d(alpha: float, rho: float, total_mass: float, N: int,
     u1 = g.random(N)
     u2 = g.random(N)
     scale = (total_mass / stable_tail_constant(alpha)) ** (1.0 / alpha)
+    # not in place: a result allocated after the kernel's buffers leaves them
+    # as a hole for the caller's next arrays.  Returning u1 let malloc trim
+    # the freed u2 and scratch off the heap top, and an r-sweep replication
+    # (N=1e5) took about 8000 minor page faults instead of 1200, and 1.4x
+    # the time, refaulting them in summarize_groups.
     return DataMatrix(scale * _cms(alpha, rho, u1, u2))
 
 
@@ -198,8 +231,12 @@ def _add_atom_terms(out: np.ndarray, alpha: float, terms, rng: SeededRng,
         # z stays bound until the next atom's z exists; freeing it at once
         # lets malloc trim the heap every atom and fault the pages back in
         # (about 60x the minor page faults, 20% slower at N=5e4)
-        z = scale * _cms(alpha, 1.0, u1, u2)
-        out[lo:hi] += z[:, None] * v[None, :]
+        z = _cms(alpha, 1.0, u1, u2)
+        z *= scale
+        # one column at a time: a (n, 1) * (1, d) broadcast with d = 2
+        # costs more than the log1p and both powers of _cms
+        for j in range(out.shape[1]):
+            out[lo:hi, j] += z * v[j]
 
 
 def sample_stable_vector(alpha: float, atoms, N: int, rng: SeededRng) -> DataMatrix:

@@ -437,6 +437,8 @@ class ModelSpec:
         if (self.atoms is None) == (self.density is None):
             raise InvalidModel("specify exactly one of atoms or density")
         if self.atoms is not None:
+            if len(self.atoms) == 0:
+                raise InvalidModel("need at least one atom")
             cooked = []
             for vec, w in self.atoms:
                 v = np.atleast_1d(np.asarray(vec, dtype=np.float64))

@@ -142,6 +142,31 @@ class TestEstimateCommand:
         p.write_text("0,0\n0,0\n0,0\n0,0\n")
         assert main(["estimate", "--input", str(p), "--r", "0.4"]) == 4
 
+    def test_undefined_intervals_are_null(self, tmp_path, capsys):
+        # every group is a (2, 0) or (0, 2) maximum over a half-size second
+        # row: all ratios are 1/2 and all maxima 2, so alpha.hat = 1 is
+        # defined while both Wald intervals have zero plug-in variance
+        p = tmp_path / "ties.csv"
+        p.write_text("2,0\n1,0\n0,2\n0,1\n" * 100)
+        assert main(["estimate", "--input", str(p), "--r", "0.885",
+                     "--alpha", "1.0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["scheme"]["m"] == 2
+        assert doc["alpha"]["hat"] == 1.0
+        assert doc["alpha"]["ci"] is None and doc["mass"]["ci"] is None
+        assert [w for w in doc["warnings"] if "ci is null" in w] == [
+            "alpha ci is null: all group ratios identical; interval undefined",
+            "mass ci is null: q^t values are numerically constant",
+        ]
+
+    def test_all_ties_exit_4(self, tmp_path, capsys):
+        # every ratio is one: alpha.hat itself is undefined
+        p = tmp_path / "ties.csv"
+        p.write_text("2,0\n0,2\n" * 200)
+        assert main(["estimate", "--input", str(p), "--r", "0.885",
+                     "--alpha", "1.0"]) == 4
+        assert "error[AllKappaOne]" in capsys.readouterr().err
+
     def test_auto_r_uses_alpha_rule(self, tmp_path, capsys):
         rng = np.random.Generator(np.random.Philox(key=np.array([22, 0], np.uint64)))
         p = tmp_path / "d.csv"
@@ -252,6 +277,7 @@ class TestBadInputsWithoutTraceback:
         '{"alpha": 1.0, "atoms": [[1.0, [0.0], 1.0]]}',
         '{"alpha": 1.5, "atoms": [[1.0, NaN]]}',
         '{"alpha": 1.5, "atoms": [[Infinity, 0, 1]]}',
+        '{"kind": "stable", "alpha": 0.5, "atoms": []}',
     ])
     def test_bad_model_exit_2(self, tmp_path, model):
         proc = run_cli("simulate", "--model", model, "--n", "5", "--seed", "1",

@@ -148,6 +148,8 @@ def test_read_csv_missing_file_raises_os_error(tmp_path):
     np.empty((0, 2)),
     np.empty((3, 0)),
     np.float32([[0.1, 1e-3]]),
+    # two full 1024-row blocks of a wider row, then a partial one
+    np.random.default_rng(5).standard_normal((2500, 3)) * 1e5,
 ])
 def test_write_csv_bytes_match_per_value_writer(tmp_path, values):
     write_csv(tmp_path / "new.csv", values)

@@ -263,14 +263,60 @@ def _terms(alpha, atoms):
             for v, w in atoms]
 
 
+def reference_cms(alpha, skew, u1, u2):
+    """The one-expression CMS formula that the in-place _cms replaced."""
+    phi = math.pi * (u1 - 0.5)
+    w = np.fmax(-np.log1p(-u2), 1e-300)
+    b = math.atan(skew * math.tan(math.pi * alpha / 2.0)) / alpha
+    return (
+        np.sin(alpha * (phi + b))
+        / (math.cos(alpha * b) * np.cos(phi)) ** (1.0 / alpha)
+        * (np.cos(alpha * b + (alpha - 1.0) * phi) / w) ** ((1.0 - alpha) / alpha)
+    )
+
+
 def serial_stable_vector(alpha, terms, N, rng):
     """The single-threaded per-atom loop: u1 then u2 for each atom in turn."""
     g = rng.generator()
     out = np.zeros((N, terms[0][0].shape[0]))
     for v, scale in terms:
-        z = scale * _cms(alpha, 1.0, g.random(N), g.random(N))
+        z = scale * reference_cms(alpha, 1.0, g.random(N), g.random(N))
         out += z[:, None] * v[None, :]
     return out
+
+
+# uniforms where the formula's edges sit: 0 and doubles below 1e-300, where
+# w = -log1p(-u2) takes its 1e-300 floor; 0.5 and its neighbours, where
+# phi = 0; and the largest doubles below 1, where w is largest
+_EDGE_UNIFORMS = [0.0, 5e-324, 1e-310, 2.0**-53, 0.5, 0.5 - 2.0**-54,
+                  0.5 + 2.0**-53, 1.0 - 2.0**-53, 1.0 - 2.0**-52, 1.0 - 2.0**-40]
+
+
+@given(alpha=st.one_of(st.floats(0.01, 1.99).filter(lambda a: a != 1.0),
+                       st.sampled_from([0.5, 2.0 / 3.0, 0.75, 1.5, 1.75, 1.99])),
+       skew=st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, 0.0, 1.0])),
+       u=st.lists(st.tuples(st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                                      st.sampled_from(_EDGE_UNIFORMS)),
+                            st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                                      st.sampled_from(_EDGE_UNIFORMS))),
+                  min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_cms_matches_one_expression_formula(alpha, skew, u):
+    u1, u2 = (np.array(c) for c in zip(*u))
+    with np.errstate(all="ignore"):  # extreme inputs overflow to inf or nan
+        want = reference_cms(alpha, skew, u1, u2)
+        got = _cms(alpha, skew, u1.copy(), u2.copy())
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 64, 1001, 8193])
+def test_stable_1d_matches_one_expression_formula(N):
+    alpha, rho, total = 1.75, 0.5, 1.3
+    g = SeededRng(12, N).generator()
+    scale = (total / stable_tail_constant(alpha)) ** (1.0 / alpha)
+    want = scale * reference_cms(alpha, rho, g.random(N), g.random(N))
+    got = sample_stable_1d(alpha, rho, total, N, SeededRng(12, N)).values[:, 0]
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @st.composite

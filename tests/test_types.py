@@ -130,6 +130,10 @@ class TestModelSpec:
         with pytest.raises(InvalidModel):
             ModelSpec(alpha=1.0, total_mass=1.0)
 
+    def test_empty_atoms_rejected(self):
+        with pytest.raises(InvalidModel, match="need at least one atom"):
+            ModelSpec(alpha=1.0, total_mass=1.0, atoms=())
+
     def test_density_integral_checked(self):
         with pytest.raises(InvalidModel):
             ModelSpec(alpha=1.0, total_mass=2.0,
