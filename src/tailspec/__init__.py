@@ -46,7 +46,6 @@ from .types import (
     DataMatrix,
     GroupScheme,
     GroupStats,
-    GroupSummary,
     Halfspace,
     Interval,
     ModelSpec,
@@ -63,7 +62,6 @@ __all__ = [
     "EstimationWarning",
     "GroupScheme",
     "GroupStats",
-    "GroupSummary",
     "Halfspace",
     "Interval",
     "ModelSpec",

@@ -155,14 +155,12 @@ def _emit(doc: dict, out: str | None) -> None:
 # ---------------------------------------------------------------- model spec
 
 def parse_model(text: str) -> tuple[ModelSpec, str, int]:
-    """Parse the --model JSON into (ModelSpec, sampler kind, density cells).
+    """Parse the --model JSON text into (ModelSpec, sampler kind, density cells).
 
     Schema: {"kind": "polar"|"stable", "alpha": a, "total_mass": s,
              "beta": b?, "atoms": [[x1..xd, w], ...] | "rho": r |
              "density": "abscos2t"|"uniform", "n_atoms": K?}
     """
-    if text.startswith("@"):
-        text = Path(text[1:]).read_text(encoding="utf-8")
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as e:
@@ -390,8 +388,7 @@ def cmd_simulate(args) -> dict:
         "version": __version__,
         "command": "simulate",
         "seed": args.seed,
-        "model": json.loads(args.model if not args.model.startswith("@")
-                            else Path(args.model[1:]).read_text()),
+        "model": json.loads(args.model),
         "N": args.n,
         "d": data.dim,
         "out": str(args.out),
@@ -569,6 +566,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "model", "").startswith("@"):
+            # read once, so everything a command records matches what it parsed
+            args.model = Path(args.model[1:]).read_text(encoding="utf-8")
         doc = args.fn(args)
     except CliUsage as e:
         print(f"error[usage]: {e}", file=sys.stderr)

@@ -1,12 +1,11 @@
 """Tail-index, spectral-measure and total-mass estimators with normal CIs.
 
 Everything here consumes the per-group statistics produced by
-``grouping.summarize_groups``; a plain sequence of GroupSummary is packed
-into the same columns first.  Confidence intervals are built by studentizing
-the underlying mean statistic (ratio of maxima, indicator mean, or mean of
-q^t) and mapping the resulting interval endpoint-wise through the monotone
-transform that defines the estimator, so interval order and coverage survive
-the mapping.
+``grouping.summarize_groups``, one GroupStats of columns.  Confidence
+intervals are built by studentizing the underlying mean statistic (ratio of
+maxima, indicator mean, or mean of q^t) and mapping the resulting interval
+endpoint-wise through the monotone transform that defines the estimator, so
+interval order and coverage survive the mapping.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ from .errors import (
     ZeroVariance,
 )
 from .numerics import gamma_fn, normal_quantile
-from .types import (GroupStats, GroupSummary, Interval, NormalizedStat, Region,
-                    SpectralEstimate, region_mask)
+from .types import (GroupStats, Interval, NormalizedStat, Region, SpectralEstimate,
+                    region_mask)
 
 
 def _wald(stat: NormalizedStat, level: float) -> tuple[float, float]:
@@ -55,15 +54,15 @@ class AlphaEstimate:
         return NormalizedStat(self.s_n / self.n, self.kappa_var, self.n)
 
 
-def estimate_alpha(summaries: Sequence[GroupSummary]) -> AlphaEstimate:
+def estimate_alpha(stats: GroupStats) -> AlphaEstimate:
     """alpha_hat = S_n / (n - S_n) with S_n the sum of per-group ratios.
 
     S_n == n (every ratio equal to one) raises AllKappaOne; S_n == 0 returns
     alpha_hat = 0 with an EstimationWarning.
     """
-    kap = GroupStats.pack(summaries).kappa
+    kap = stats.kappa
     if kap is None:
-        raise GroupTooSmall("kappa undefined: summaries come from m=1 groups")
+        raise GroupTooSmall("kappa undefined: statistics come from m=1 groups")
     n = kap.size
     s_n = float(kap.sum())
     # same quantity as mean(k^2) - mean(k)^2, computed mean-centered
@@ -99,9 +98,9 @@ def alpha_ci(est: AlphaEstimate, level: float = 0.95) -> Interval:
     return Interval(lo=lo, hi=hi, level=level)
 
 
-def estimate_spectral(summaries: Sequence[GroupSummary]) -> SpectralEstimate:
+def estimate_spectral(stats: GroupStats) -> SpectralEstimate:
     """Atomic measure putting weight 1/n on each group-maximum direction."""
-    return SpectralEstimate(GroupStats.pack(summaries).theta)
+    return SpectralEstimate(stats.theta)
 
 
 def spectral_mass(est: SpectralEstimate, region: Region) -> float:
@@ -162,7 +161,7 @@ class TotalMassEstimate:
     warnings: tuple[str, ...] = ()
 
 
-def estimate_total_mass(summaries: Sequence[GroupSummary], m: int, alpha: float,
+def estimate_total_mass(stats: GroupStats, m: int, alpha: float,
                         t: float) -> TotalMassEstimate:
     """mass_hat = (mean of q^t / Gamma(1 - t/alpha)) ^ (alpha/t).
 
@@ -177,7 +176,7 @@ def estimate_total_mass(summaries: Sequence[GroupSummary], m: int, alpha: float,
         raise InvalidT(f"t={t} outside (0, alpha/2) = (0, {alpha / 2.0})")
     if m < 2:
         raise GroupTooSmall(f"total mass needs m >= 2, got {m}")
-    m1 = GroupStats.pack(summaries).m1
+    m1 = stats.m1
     n = m1.size
     q = m1 / m ** (1.0 / alpha)
     qt = q ** t

@@ -51,28 +51,22 @@ def summarize_groups(data: DataMatrix, scheme: GroupScheme) -> GroupStats:
     """Per-group (M1, M2, kappa, theta) statistics, in group-index order.
 
     Group i holds rows i*m .. (i+1)*m - 1.  theta is the maximizing vector
-    divided by the stored M1 (never re-normalized).  Raises DegenerateGroup
-    if any group consists entirely of zero vectors.
+    divided by the stored M1 (never re-normalized).  The groups' norms are a
+    view of the sample's cached row norms; M2 and kappa are computed from
+    them when first read.  Raises DegenerateGroup if any group consists
+    entirely of zero vectors.
     """
     if data.rows != scheme.total_rows:
         raise ValueError(
             f"scheme is for {scheme.total_rows} rows, data has {data.rows}"
         )
     n, m = scheme.n, scheme.m
-    blocks = data.values[: n * m].reshape(n, m, data.dim)
-    norms = np.sqrt((blocks * blocks).sum(axis=2))
+    norms = data.norms[: n * m].reshape(n, m)
     rows = np.arange(n)
     j1 = norms.argmax(axis=1)  # argmax returns the lowest index on ties
     m1 = norms[rows, j1]
     if (m1 == 0.0).any():
         bad = int(np.nonzero(m1 == 0.0)[0][0])
         raise DegenerateGroup(f"group {bad} has zero maximum norm")
-    theta = blocks[rows, j1, :] / m1[:, None]
-    if m >= 2:
-        rest = norms.copy()
-        rest[rows, j1] = -np.inf
-        m2 = rest.max(axis=1)
-        kappa = m2 / m1
-    else:
-        m2 = kappa = None
-    return GroupStats(m1=m1, m2=m2, kappa=kappa, theta=theta, argmax=j1)
+    theta = data.values[rows * m + j1] / m1[:, None]
+    return GroupStats(m1=m1, theta=theta, argmax=j1, norms=norms)

@@ -187,10 +187,11 @@ def sample_stable_1d(alpha: float, rho: float, total_mass: float, N: int,
     u2 = g.random(N)
     scale = (total_mass / stable_tail_constant(alpha)) ** (1.0 / alpha)
     # not in place: a result allocated after the kernel's buffers leaves them
-    # as a hole for the caller's next arrays.  Returning u1 let malloc trim
+    # as a hole for the caller's next arrays.  Returning u1 lets malloc trim
     # the freed u2 and scratch off the heap top, and an r-sweep replication
-    # (N=1e5) took about 8000 minor page faults instead of 1200, and 1.4x
-    # the time, refaulting them in summarize_groups.
+    # (N=1e5) takes about 1830 minor page faults instead of 1210, refaulting
+    # them for the row norms and group statistics (8000 and 1.4x the time
+    # while summarize_groups recomputed the norms at every r).
     return DataMatrix(scale * _cms(alpha, rho, u1, u2))
 
 

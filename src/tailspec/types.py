@@ -1,17 +1,17 @@
 """Shared domain types: samples, grouping plans, per-group maxima and models.
 
 All containers are frozen dataclasses; ndarray fields are read-only views made
-at construction (the caller's own array stays writable and is not copied), so
-instances can be shared freely between threads or processes.  Regions and
-named densities are plain data too, so they pickle into worker processes.
+at construction (the caller's own array stays writable and is not copied), and
+columns computed on first read are read-only too, so instances can be shared
+freely between threads or processes.  Regions and named densities are plain
+data too, so they pickle into worker processes.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from collections import abc
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,7 +40,9 @@ class DataMatrix:
     """An N x d sample of real vectors.
 
     ``values`` is coerced to a read-only float64 array of shape (N, d);
-    1-D input is treated as a single-column (d=1) sample.
+    1-D input is treated as a single-column (d=1) sample.  ``norms``, the
+    Euclidean norm of each row, is computed on first read and kept, so
+    groupings of one sample at several r share one norm pass.
     """
 
     values: np.ndarray
@@ -63,8 +65,10 @@ class DataMatrix:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def scaled(self, c: float) -> "DataMatrix":
-        return DataMatrix(self.values * float(c))
+    @cached_property
+    def norms(self) -> np.ndarray:
+        v = self.values
+        return _frozen(np.sqrt((v * v).sum(axis=1)))
 
 
 def validate_data(data: DataMatrix) -> DataMatrix:
@@ -112,95 +116,66 @@ class GroupScheme:
         return self.n * self.m + self.discarded
 
 
-@dataclass(frozen=True)
-class GroupSummary:
-    """Largest/second-largest norms, their ratio and the maximiser direction.
-
-    ``m2`` and ``kappa`` are None for singleton groups (m == 1), where the
-    second-largest norm does not exist.
-    """
-
-    m1: float
-    m2: float | None
-    kappa: float | None
-    theta: np.ndarray
-    argmax_index: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", _frozen(np.atleast_1d(self.theta)))
-        if self.m1 <= 0.0:
-            raise InvalidModel("m1 must be positive")
-        if self.m2 is not None and self.m2 > self.m1:
-            raise InvalidModel("m2 exceeds m1")
-        if abs(math.sqrt(float(self.theta @ self.theta)) - 1.0) > UNIT_NORM_TOL:
-            raise InvalidModel("theta is not unit-norm")
-
-
-@dataclass(frozen=True, eq=False)
-class GroupStats(abc.Sequence):
+@dataclass(frozen=True, eq=False, init=False)
+class GroupStats:
     """Per-group maxima statistics of n groups, one read-only column each.
 
-    ``m1``, ``m2`` and ``kappa`` have shape (n,), ``theta`` has shape (n, d)
-    and ``argmax`` holds each maximiser's row within its group.  ``m2`` and
-    ``kappa`` are None for singleton groups (m == 1).  The checks of
-    GroupSummary run once over whole columns.  As a sequence, ``stats[i]`` is
-    group i as a GroupSummary whose theta is a view of row i.
+    ``m1`` has shape (n,), ``theta`` (n, d), and ``argmax`` holds each
+    maximiser's row within its group.  ``m2`` and ``kappa`` have shape (n,),
+    or are None for singleton groups (m == 1).  They are either given as
+    columns or, when the (n, m) row norms of the groups are given as
+    ``norms`` instead, computed from them on first read and kept: only the
+    tail-index estimator reads them.  The checks run once over whole columns.
     """
 
     m1: np.ndarray
-    m2: np.ndarray | None
-    kappa: np.ndarray | None
     theta: np.ndarray
     argmax: np.ndarray
+    norms: np.ndarray | None
 
-    def __post_init__(self):
-        m1, theta = _frozen(self.m1), _frozen(self.theta)
-        m2, kappa = (None if c is None else _frozen(c) for c in (self.m2, self.kappa))
-        argmax = _frozen(self.argmax, np.intp)
+    def __init__(self, *, m1, theta, argmax, m2=None, kappa=None, norms=None):
+        m1, theta = _frozen(m1), _frozen(theta)
+        m2, kappa, norms = (None if c is None else _frozen(c) for c in (m2, kappa, norms))
+        argmax = _frozen(argmax, np.intp)
         n = m1.shape[0] if m1.ndim == 1 else -1
         if (n < 0 or theta.ndim != 2 or theta.shape[0] != n or argmax.shape != (n,)
-                or any(c is not None and c.shape != (n,) for c in (m2, kappa))):
+                or any(c is not None and c.shape != (n,) for c in (m2, kappa))
+                or norms is not None and (norms.ndim != 2 or norms.shape[0] != n)):
             raise InvalidModel("group statistics need one row per group in every column")
+        if n == 0:
+            raise EmptySample("no groups")
+        if norms is not None and (m2 is not None or kappa is not None):
+            raise InvalidModel("give either the group norms or m2 and kappa")
         if (m1 <= 0.0).any():
             raise InvalidModel("m1 must be positive")
         if m2 is not None and (m2 > m1).any():
             raise InvalidModel("m2 exceeds m1")
-        norms = np.sqrt((theta * theta).sum(axis=1))
-        if (np.abs(norms - 1.0) > UNIT_NORM_TOL).any():
+        theta_norms = np.sqrt((theta * theta).sum(axis=1))
+        if (np.abs(theta_norms - 1.0) > UNIT_NORM_TOL).any():
             raise InvalidModel("theta is not unit-norm")
-        for name, value in (("m1", m1), ("m2", m2), ("kappa", kappa),
-                            ("theta", theta), ("argmax", argmax)):
+        for name, value in (("m1", m1), ("theta", theta), ("argmax", argmax),
+                            ("norms", norms)):
             object.__setattr__(self, name, value)
+        if norms is None:  # explicit columns fill the caches m2 and kappa read
+            self.__dict__.update(m2=m2, kappa=kappa)
 
-    @classmethod
-    def pack(cls, summaries: Sequence[GroupSummary]) -> "GroupStats":
-        """Columns of a sequence of GroupSummary, or ``summaries`` itself if
-        it is a GroupStats; m2 or kappa is None if any group lacks it."""
-        if len(summaries) == 0:
-            raise EmptySample("no group summaries")
-        if isinstance(summaries, GroupStats):
-            return summaries
+    @cached_property
+    def m2(self) -> np.ndarray | None:
+        """Second-largest norm of each group: one maximiser removed, so a
+        tied maximum gives m2 == m1."""
+        if self.norms.shape[1] < 2:
+            return None
+        # faster than np.partition(norms, m - 2, axis=1)[:, -2] at every m,
+        # 5-10x at m >= 100; both select the same value
+        rest = self.norms.copy()
+        rest[np.arange(rest.shape[0]), self.argmax] = -np.inf
+        return _frozen(rest.max(axis=1))
 
-        def column(name):
-            vals = [getattr(s, name) for s in summaries]
-            return None if any(v is None for v in vals) else np.array(vals)
-
-        return cls(m1=column("m1"), m2=column("m2"), kappa=column("kappa"),
-                   theta=np.stack([s.theta for s in summaries]),
-                   argmax=column("argmax_index"))
-
-    def __len__(self) -> int:
-        return self.m1.shape[0]
-
-    def __getitem__(self, i) -> GroupSummary:
-        i = operator.index(i)
-        return GroupSummary(
-            m1=float(self.m1[i]),
-            m2=None if self.m2 is None else float(self.m2[i]),
-            kappa=None if self.kappa is None else float(self.kappa[i]),
-            theta=self.theta[i],
-            argmax_index=int(self.argmax[i]),
-        )
+    @cached_property
+    def kappa(self) -> np.ndarray | None:
+        """m2 / m1 of each group."""
+        m2 = self.m2
+        return None if m2 is None else _frozen(m2 / self.m1)
 
 
 @dataclass(frozen=True)

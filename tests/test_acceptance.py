@@ -252,9 +252,9 @@ def test_criterion_7_exact_identities():
         summaries = grouping.summarize_groups(
             DataMatrix(vals), GroupScheme(r=0.5, n=n, m=m, discarded=0))
         norms = np.linalg.norm(vals.reshape(n, m, d), axis=2)
-        for i, g in enumerate(summaries):
+        for i in range(n):
             top = np.sort(norms[i])[::-1]
-            if g.m1 != top[0] or g.m2 != top[1]:
+            if summaries.m1[i] != top[0] or summaries.m2[i] != top[1]:
                 sort_ok = False
 
     ok = (alpha_same and atoms_same and mass_scaling_ok and continuity_ok
@@ -290,7 +290,7 @@ def test_criterion_8_bias_decay():
 
         summaries = grouping.summarize_groups(
             data, GroupScheme(r=0.5, n=500, m=100, discarded=0))
-        q = np.array([s.m1 for s in summaries]) / 100.0
+        q = summaries.m1 / 100.0
         acc.append(float(np.mean(q ** t)))
     pipeline_mean = float(np.mean(acc))
     target = gamma_fn(1.0 - t)

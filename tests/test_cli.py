@@ -286,6 +286,23 @@ class TestBadInputsWithoutTraceback:
         assert "Traceback" not in proc.stderr
         assert "error[usage]: --model" in proc.stderr
 
+    def test_model_file_read_once_as_utf8(self, tmp_path):
+        cfg = {"kind": "polar", "alpha": 1.0, "rho": 0.5, "note": "Fréchet σ ≥ 0"}
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(cfg, ensure_ascii=False), encoding="utf-8")
+        out = tmp_path / "x.csv"
+        src = str(Path(tailspec.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "tailspec.cli", "simulate", "--model", f"@{model}", "--n", "20",
+             "--seed", "1", "--out", str(out)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        meta = json.loads(Path(str(out) + ".meta.json").read_text(encoding="utf-8"))
+        assert meta["model"] == cfg
+
     def test_non_utf8_csv_exit_3(self, tmp_path):
         p = tmp_path / "latin1.csv"
         p.write_bytes(b"\xff,1\n2,3\n")

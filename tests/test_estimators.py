@@ -33,26 +33,24 @@ from tailspec.estimators import (
 from tailspec.grouping import plan_grouping, summarize_groups
 from tailspec.numerics import gamma_fn
 from tailspec.simulation import SeededRng, sample_polar
-from tailspec.types import GroupSummary, ModelSpec, SpectralEstimate
+from tailspec.types import DataMatrix, GroupStats, ModelSpec, SpectralEstimate
 
 
 def summaries_from_kappas(kappas, theta=None):
-    out = []
-    for k in kappas:
-        out.append(GroupSummary(m1=1.0, m2=float(k), kappa=float(k),
-                                theta=np.array([1.0]) if theta is None else theta,
-                                argmax_index=0))
-    return out
+    kap = np.array(kappas, dtype=float)
+    n = kap.size
+    return GroupStats(m1=np.ones(n), m2=kap, kappa=kap,
+                      theta=np.tile(np.array([1.0]) if theta is None else theta, (n, 1)),
+                      argmax=np.zeros(n, dtype=np.intp))
 
 
 def summaries_from_m1(m1s, dim=1):
     vec = np.zeros(dim)
     vec[0] = 1.0
-    return [
-        GroupSummary(m1=float(v), m2=float(v) / 2, kappa=0.5, theta=vec,
-                     argmax_index=0)
-        for v in m1s
-    ]
+    m1 = np.array(m1s, dtype=float)
+    n = m1.size
+    return GroupStats(m1=m1, m2=m1 / 2, kappa=np.full(n, 0.5),
+                      theta=np.tile(vec, (n, 1)), argmax=np.zeros(n, dtype=np.intp))
 
 
 class TestEstimateAlpha:
@@ -82,8 +80,8 @@ class TestEstimateAlpha:
         assert est.kappa_var == pytest.approx(explicit, rel=1e-12)
 
     def test_m1_groups_rejected(self):
-        s = [GroupSummary(m1=1.0, m2=None, kappa=None, theta=np.array([1.0]),
-                          argmax_index=0)]
+        s = GroupStats(m1=np.ones(1), m2=None, kappa=None, theta=np.array([[1.0]]),
+                       argmax=np.zeros(1, dtype=np.intp))
         with pytest.raises(GroupTooSmall):
             estimate_alpha(s)
 
@@ -130,10 +128,9 @@ class TestSpectral:
         assert spectral_mass(est, lambda v: v[0] > 0.5) == 1.0
 
     def test_two_atoms_half_each(self):
-        s = [
-            GroupSummary(1.0, 0.5, 0.5, np.array([1.0, 0.0]), 0),
-            GroupSummary(1.0, 0.5, 0.5, np.array([0.0, 1.0]), 0),
-        ]
+        s = GroupStats(m1=np.ones(2), m2=np.full(2, 0.5), kappa=np.full(2, 0.5),
+                       theta=np.array([[1.0, 0.0], [0.0, 1.0]]),
+                       argmax=np.zeros(2, dtype=np.intp))
         est = estimate_spectral(s)
         assert spectral_mass(est, lambda v: v[0] > 0.5) == pytest.approx(0.5)
 
@@ -284,7 +281,7 @@ class TestPipelineStatistics:
         from tailspec.types import GroupScheme
 
         scheme = GroupScheme(r=0.667, n=10**4, m=100, discarded=0)
-        kap = np.array([s.kappa for s in summarize_groups(data, scheme)])
+        kap = summarize_groups(data, scheme).kappa
         se = kap.std(ddof=1) / math.sqrt(kap.size)
         assert abs(kap.mean() - 0.5) <= 4.0 * se
 
@@ -292,7 +289,7 @@ class TestPipelineStatistics:
         data = sample_polar(polar_unit_model(), 5000, SeededRng(5))
         scheme = plan_grouping(5000, 0.5)
         base = summarize_groups(data, scheme)
-        scaled = summarize_groups(data.scaled(4.0), scheme)
+        scaled = summarize_groups(DataMatrix(data.values * 4.0), scheme)
         a0, a1 = estimate_alpha(base), estimate_alpha(scaled)
         assert a0.alpha_hat == a1.alpha_hat  # exact
         s0, s1 = estimate_spectral(base), estimate_spectral(scaled)

@@ -65,21 +65,20 @@ class TestSummarizeGroups:
     def test_hand_example(self):
         data = DataMatrix(np.array([[3.0, 4.0], [0.0, 1.0], [-6.0, 8.0]]))
         s = summarize_groups(data, single_group(3))
-        assert len(s) == 1
-        g = s[0]
-        assert g.m1 == pytest.approx(10.0)
-        assert g.m2 == pytest.approx(5.0)
-        assert g.kappa == pytest.approx(0.5)
-        assert g.theta == pytest.approx([-0.6, 0.8])
-        assert g.argmax_index == 2
+        assert s.m1.shape == (1,)
+        assert s.m1[0] == pytest.approx(10.0)
+        assert s.m2[0] == pytest.approx(5.0)
+        assert s.kappa[0] == pytest.approx(0.5)
+        assert s.theta[0] == pytest.approx([-0.6, 0.8])
+        assert s.argmax[0] == 2
 
     def test_tie_break_lowest_index(self):
         data = DataMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        g = summarize_groups(data, single_group(2))[0]
-        assert g.m1 == g.m2 == 1.0
-        assert g.kappa == 1.0
-        assert g.theta == pytest.approx([1.0, 0.0])
-        assert g.argmax_index == 0
+        s = summarize_groups(data, single_group(2))
+        assert s.m1[0] == s.m2[0] == 1.0
+        assert s.kappa[0] == 1.0
+        assert s.theta[0] == pytest.approx([1.0, 0.0])
+        assert s.argmax[0] == 0
 
     def test_all_zero_group(self):
         data = DataMatrix(np.zeros((2, 2)))
@@ -89,21 +88,21 @@ class TestSummarizeGroups:
     def test_second_max_removes_one_vector_only(self):
         # duplicated maximal vectors: M2 must equal M1
         data = DataMatrix(np.array([[5.0, 0.0], [5.0, 0.0], [1.0, 0.0]]))
-        g = summarize_groups(data, single_group(3))[0]
-        assert g.m1 == g.m2 == 5.0
+        s = summarize_groups(data, single_group(3))
+        assert s.m1[0] == s.m2[0] == 5.0
 
     def test_trailing_rows_dropped(self):
         # last row has the largest norm but falls into the discarded tail
         vals = np.c_[np.arange(1.0, 8.0), np.zeros(7)]
         scheme = plan_grouping(7, 0.5)  # n=2, m=3, discarded=1
         s = summarize_groups(DataMatrix(vals), scheme)
-        assert [g.m1 for g in s] == [3.0, 6.0]
+        assert s.m1.tolist() == [3.0, 6.0]
 
     def test_singleton_groups_have_no_kappa(self):
         data = DataMatrix(np.array([[1.0], [2.0], [-3.0]]))
         s = summarize_groups(data, GroupScheme(r=0.9, n=3, m=1, discarded=0))
-        assert all(g.m2 is None and g.kappa is None for g in s)
-        assert [g.theta[0] for g in s] == [1.0, 1.0, -1.0]
+        assert s.m2 is None and s.kappa is None
+        assert s.theta[:, 0].tolist() == [1.0, 1.0, -1.0]
 
     def test_within_group_permutation_invariance(self):
         rng = np.random.Generator(np.random.Philox(key=np.array([8, 0], np.uint64)))
@@ -115,8 +114,8 @@ class TestSummarizeGroups:
             block = shuffled[i * 4:(i + 1) * 4]
             shuffled[i * 4:(i + 1) * 4] = block[rng.permutation(4)]
         perm = summarize_groups(DataMatrix(shuffled), scheme)
-        for a, b in zip(base, perm):
-            assert a.m1 == b.m1 and a.m2 == b.m2 and a.kappa == b.kappa
+        for name in ("m1", "m2", "kappa"):
+            assert (getattr(base, name) == getattr(perm, name)).all()
 
     def test_scale_equivariance_power_of_two(self):
         rng = np.random.Generator(np.random.Philox(key=np.array([9, 0], np.uint64)))
@@ -124,11 +123,10 @@ class TestSummarizeGroups:
         scheme = plan_grouping(40, 0.4)
         base = summarize_groups(DataMatrix(data), scheme)
         scaled = summarize_groups(DataMatrix(data * 4.0), scheme)
-        for a, b in zip(base, scaled):
-            assert b.m1 == 4.0 * a.m1
-            assert b.m2 == 4.0 * a.m2
-            assert b.kappa == a.kappa  # bit-identical
-            assert (b.theta == a.theta).all()
+        assert (scaled.m1 == 4.0 * base.m1).all()
+        assert (scaled.m2 == 4.0 * base.m2).all()
+        assert (scaled.kappa == base.kappa).all()  # bit-identical
+        assert (scaled.theta == base.theta).all()
 
     def test_oracle_full_sort_equivalence(self):
         # (M1, M2) must equal the top two entries of the sorted norm list
@@ -143,7 +141,7 @@ class TestSummarizeGroups:
             scheme = GroupScheme(r=0.5, n=n, m=m, discarded=0)
             summaries = summarize_groups(DataMatrix(vals), scheme)
             norms = np.linalg.norm(vals.reshape(n, m, d), axis=2)
-            for i, g in enumerate(summaries):
+            for i in range(n):
                 top = np.sort(norms[i])[::-1]
-                assert g.m1 == top[0]
-                assert g.m2 == top[1]
+                assert summaries.m1[i] == top[0]
+                assert summaries.m2[i] == top[1]
