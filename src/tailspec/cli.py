@@ -414,6 +414,9 @@ def cmd_sweep(args) -> dict:
             raise CliUsage(f"bad --grid {args.grid!r}")
     else:
         r_grid = experiments.default_r_grid(args.n, args.target)
+        if not r_grid:
+            raise CliUsage(f"no r in the default grid is feasible for --n {args.n} "
+                           f"and --target {args.target}")
     res = experiments.run_r_sweep(model, args.n, r_grid, args.reps, args.target,
                                   SeededRng(args.seed), sampler=kind,
                                   n_atoms=n_atoms, workers=args.workers)
@@ -569,6 +572,8 @@ def main(argv=None) -> int:
         if getattr(args, "model", "").startswith("@"):
             # read once, so everything a command records matches what it parsed
             args.model = Path(args.model[1:]).read_text(encoding="utf-8")
+        if getattr(args, "n", 1) < 1:
+            raise CliUsage(f"--n must be at least 1, got {args.n}")
         doc = args.fn(args)
     except CliUsage as e:
         print(f"error[usage]: {e}", file=sys.stderr)

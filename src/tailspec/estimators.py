@@ -118,7 +118,8 @@ def spectral_cdf_2d(est: SpectralEstimate,
     grid = np.asarray(angles, dtype=np.float64)
     if grid.size and (np.diff(grid) < 0).any():
         raise ValueError("angle grid must be sorted ascending")
-    atom_angles = np.sort(est.angles_2d())
+    atom_angles = est.angles_2d()
+    atom_angles.sort()
     cdf = np.searchsorted(atom_angles, grid, side="right") / est.n
     return list(zip(grid.tolist(), cdf.tolist()))
 
@@ -178,10 +179,10 @@ def estimate_total_mass(stats: GroupStats, m: int, alpha: float,
         raise GroupTooSmall(f"total mass needs m >= 2, got {m}")
     m1 = stats.m1
     n = m1.size
-    q = m1 / m ** (1.0 / alpha)
-    qt = q ** t
+    qt = m1 / m ** (1.0 / alpha)  # q, raised to the power t in place
+    qt **= t
     mean_qt = float(qt.mean())
-    mean_q2t = float((qt * qt).mean())
+    mean_q2t = float(np.multiply(qt, qt, out=qt).mean())
     mass_hat = (mean_qt / gamma_fn(1.0 - t / alpha)) ** (alpha / t)
 
     notes: tuple[str, ...] = ()

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -160,6 +159,9 @@ def run_r_sweep(model: ModelSpec, N: int, r_grid: Sequence[float], reps: int,
         for rep in range(reps)
     ]
     if workers > 1:
+        # imported where a pool starts: it loads multiprocessing, socket and
+        # logging, which serial runs never use
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_rep = list(pool.map(_sweep_rep, jobs))
     else:
@@ -300,6 +302,7 @@ def run_ci_coverage(model: ModelSpec, N: int, r: float | None, kind: str,
         for rep in range(reps)
     ]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             flags = list(pool.map(_coverage_rep, jobs))
     else:

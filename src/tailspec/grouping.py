@@ -68,5 +68,8 @@ def summarize_groups(data: DataMatrix, scheme: GroupScheme) -> GroupStats:
     if (m1 == 0.0).any():
         bad = int(np.nonzero(m1 == 0.0)[0][0])
         raise DegenerateGroup(f"group {bad} has zero maximum norm")
-    theta = data.values[rows * m + j1] / m1[:, None]
+    rows *= m
+    rows += j1  # each maximizer's row in the sample
+    theta = data.values[rows]
+    theta /= m1[:, None]
     return GroupStats(m1=m1, theta=theta, argmax=j1, norms=norms)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -270,7 +269,10 @@ def sample_stable_vector(alpha: float, atoms, N: int, rng: SeededRng) -> DataMat
         _add_atom_terms(out, alpha, terms, rng, 0, N)
     else:
         cuts = [N * i // parts for i in range(parts + 1)]
-        # a pool per call, so no thread outlives it into a later fork
+        # a pool per call, so no thread outlives it into a later fork;
+        # imported here, as concurrent.futures loads multiprocessing,
+        # socket and logging, which a serial run never uses
+        from concurrent.futures import ThreadPoolExecutor
         fill = partial(_add_atom_terms, out, alpha, terms, rng)
         with ThreadPoolExecutor(max_workers=parts) as pool:
             list(pool.map(fill, cuts[:-1], cuts[1:]))

@@ -5,6 +5,12 @@ at construction (the caller's own array stays writable and is not copied), and
 columns computed on first read are read-only too, so instances can be shared
 freely between threads or processes.  Regions and named densities are plain
 data too, so they pickle into worker processes.
+
+Kernels that read every row (row norms, the unit-norm checks, second maxima
+and region masks) run over blocks of _BLOCK_ROWS rows and write each block's
+result into its slice of the output: their scratch is a fixed number of
+rows, not a copy of the sample, and every row gets the same bits as the
+one-shot formula.
 """
 
 from __future__ import annotations
@@ -25,6 +31,12 @@ from .errors import (
 
 UNIT_NORM_TOL = 1e-12
 
+# Rows per block of the blocked kernels.  8192 rows of a bivariate sample are
+# 128 kB of float64, so a block and its temporaries stay in a core's L2 cache,
+# and 10^5 rows take 13 blocks: the Python loop costs microseconds per call
+# while the scratch no longer grows with N.
+_BLOCK_ROWS = 8192
+
 AngularDensity = Callable[[np.ndarray], np.ndarray]
 Region = Callable[[np.ndarray], bool]
 
@@ -33,6 +45,31 @@ def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=dtype).view()
     a.setflags(write=False)
     return a
+
+
+def _by_blocks(kernel, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``kernel(a[lo:hi], out[lo:hi])`` over consecutive blocks of
+    _BLOCK_ROWS rows; returns ``out``."""
+    for lo in range(0, a.shape[0], _BLOCK_ROWS):
+        kernel(a[lo:lo + _BLOCK_ROWS], out[lo:lo + _BLOCK_ROWS])
+    return out
+
+
+def _norms_kernel(b: np.ndarray, out: np.ndarray) -> None:
+    np.sqrt((b * b).sum(axis=1, out=out), out=out)
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D float64 array,
+    ``sqrt((v*v).sum(axis=1))`` bit for bit, computed by blocks."""
+    return _by_blocks(_norms_kernel, v, np.empty(v.shape[0]))
+
+
+def _unit_norm_error(a: np.ndarray) -> float:
+    """Largest |norm - 1| over the rows of ``a`` whose norm is not NaN."""
+    err = _row_norms(a)
+    err -= 1.0
+    return float(np.fmax.reduce(np.abs(err, out=err)))
 
 
 @dataclass(frozen=True)
@@ -67,8 +104,7 @@ class DataMatrix:
 
     @cached_property
     def norms(self) -> np.ndarray:
-        v = self.values
-        return _frozen(np.sqrt((v * v).sum(axis=1)))
+        return _frozen(_row_norms(self.values))
 
 
 def validate_data(data: DataMatrix) -> DataMatrix:
@@ -81,10 +117,11 @@ def validate_data(data: DataMatrix) -> DataMatrix:
     a = data.values
     if a.shape[0] < 1:
         raise EmptySample("no rows")
-    finite = np.isfinite(a)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise NonFiniteEntry(int(row), int(col))
+    for lo in range(0, a.shape[0], _BLOCK_ROWS):
+        finite = np.isfinite(a[lo:lo + _BLOCK_ROWS])
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            raise NonFiniteEntry(lo + int(row), int(col))
     return data
 
 
@@ -150,8 +187,7 @@ class GroupStats:
             raise InvalidModel("m1 must be positive")
         if m2 is not None and (m2 > m1).any():
             raise InvalidModel("m2 exceeds m1")
-        theta_norms = np.sqrt((theta * theta).sum(axis=1))
-        if (np.abs(theta_norms - 1.0) > UNIT_NORM_TOL).any():
+        if _unit_norm_error(theta) > UNIT_NORM_TOL:
             raise InvalidModel("theta is not unit-norm")
         for name, value in (("m1", m1), ("theta", theta), ("argmax", argmax),
                             ("norms", norms)):
@@ -163,13 +199,19 @@ class GroupStats:
     def m2(self) -> np.ndarray | None:
         """Second-largest norm of each group: one maximiser removed, so a
         tied maximum gives m2 == m1."""
-        if self.norms.shape[1] < 2:
+        n, m = self.norms.shape
+        if m < 2:
             return None
         # faster than np.partition(norms, m - 2, axis=1)[:, -2] at every m,
-        # 5-10x at m >= 100; both select the same value
-        rest = self.norms.copy()
-        rest[np.arange(rest.shape[0]), self.argmax] = -np.inf
-        return _frozen(rest.max(axis=1))
+        # 5-10x at m >= 100; both select the same value.  Each block copies
+        # the norms of whole groups, about _BLOCK_ROWS of them and at least m.
+        step = max(1, _BLOCK_ROWS // m)
+        m2 = np.empty(n)
+        for lo in range(0, n, step):
+            rest = self.norms[lo:lo + step].copy()
+            rest[np.arange(len(rest)), self.argmax[lo:lo + step]] = -np.inf
+            rest.max(axis=1, out=m2[lo:lo + step])
+        return _frozen(m2)
 
     @cached_property
     def kappa(self) -> np.ndarray | None:
@@ -190,8 +232,7 @@ class SpectralEstimate:
             a = a.reshape(-1, 1)
         if a.shape[0] < 1:
             raise EmptySample("spectral estimate needs at least one atom")
-        norms = np.sqrt((a * a).sum(axis=1))
-        if np.abs(norms - 1.0).max() > UNIT_NORM_TOL:
+        if _unit_norm_error(a) > UNIT_NORM_TOL:
             raise InvalidModel("atoms must be unit vectors")
         object.__setattr__(self, "atoms", _frozen(a))
 
@@ -212,7 +253,7 @@ class SpectralEstimate:
         if self.dim != 2:
             raise DimensionMismatch(f"angles need d=2, have d={self.dim}")
         a = np.arctan2(self.atoms[:, 1], self.atoms[:, 0])
-        return np.mod(a, 2.0 * math.pi)
+        return np.mod(a, 2.0 * math.pi, out=a)
 
 
 @dataclass(frozen=True)
@@ -292,17 +333,22 @@ class Arc:
     def mask(self, atoms: np.ndarray) -> np.ndarray:
         """``[self(v) for v in atoms]`` as a bool array, for (n, 2) atoms."""
         atoms = np.asarray(atoms, dtype=np.float64)
-        a = np.mod(np.arctan2(atoms[:, 1], atoms[:, 0]), _TWO_PI)
+        return _by_blocks(self._mask_rows, atoms, np.empty(atoms.shape[0], bool))
+
+    def _mask_rows(self, atoms: np.ndarray, inside: np.ndarray) -> None:
+        a = np.arctan2(atoms[:, 1], atoms[:, 0])
+        np.mod(a, _TWO_PI, out=a)
         if self.start <= self.end:
-            inside = (self.start <= a) & (a < self.end)
+            np.logical_and(self.start <= a, a < self.end, out=inside)
         else:
-            inside = (a >= self.start) | (a < self.end)
-        gap = np.minimum.reduce([np.abs(a - self.start), np.abs(a - self.end),
-                                 a, _TWO_PI - a])
+            np.logical_or(a >= self.start, a < self.end, out=inside)
+        gap = np.abs(a - self.start)
+        np.minimum(gap, np.abs(a - self.end), out=gap)
+        np.minimum(gap, a, out=gap)
+        np.minimum(gap, _TWO_PI - a, out=gap)
         # "not gap > guard" also sends NaN angles to the scalar rule
         for i in np.flatnonzero(~(gap > _ARC_GUARD)):
             inside[i] = self(atoms[i])
-        return inside
 
 
 @dataclass(frozen=True)
@@ -322,9 +368,12 @@ class Halfspace:
     def mask(self, atoms: np.ndarray) -> np.ndarray:
         """``[self(v) for v in atoms]`` as a bool array, for (n, d) atoms."""
         atoms = np.asarray(atoms, dtype=np.float64)
+        return _by_blocks(self._mask_rows, atoms, np.empty(atoms.shape[0], bool))
+
+    def _mask_rows(self, atoms: np.ndarray, inside: np.ndarray) -> None:
         u = np.asarray(self.u)
         dots = atoms @ u
-        inside = dots > self.c
+        np.greater(dots, self.c, out=inside)
         # Every evaluation order of a d-term dot product, fused multiply-adds
         # or not, lies within gamma_d * sum|v_i u_i| of the exact value, with
         # gamma_d = d*2^-53 / (1 - d*2^-53), plus less than the smallest normal
@@ -337,7 +386,6 @@ class Halfspace:
                  + np.finfo(np.float64).tiny)
         for i in np.flatnonzero(~(np.abs(dots - self.c) > guard)):
             inside[i] = self(atoms[i])
-        return inside
 
 
 def region_mask(region: Region, atoms: np.ndarray) -> np.ndarray:

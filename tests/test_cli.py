@@ -259,6 +259,18 @@ def run_cli(*argv):
                           env={**os.environ, "PYTHONPATH": src})
 
 
+def test_import_loads_no_pool_modules():
+    """concurrent.futures loads multiprocessing, socket and logging; only a
+    run that starts a pool imports it."""
+    src = str(Path(tailspec.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, tailspec.cli, tailspec.experiments; "
+         "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestBadInputsWithoutTraceback:
     @pytest.mark.parametrize("model", [
         '{"alpha": "x", "rho": 0.5}',
@@ -285,6 +297,34 @@ class TestBadInputsWithoutTraceback:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "error[usage]: --model" in proc.stderr
+
+    STABLE_2D = '{"kind":"stable","alpha":0.75,"total_mass":1.0,"density":"abscos2t"}'
+    STABLE_1D = '{"kind":"stable","alpha":1.75,"rho":0.5,"total_mass":1.0,"beta":3.5}'
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--model", STABLE_2D, "--n", "-3", "--seed", "1", "--out", "x.csv"],
+        ["simulate", "--model", STABLE_2D, "--n", "0", "--seed", "1", "--out", "x.csv"],
+        ["simulate", "--model", '{"alpha": 1.0, "rho": 0.5}', "--n", "-3", "--seed", "1",
+         "--out", "x.csv"],
+        ["ecdf", "--model", STABLE_2D, "--n", "-3", "--seed", "1"],
+        ["coverage", "--model", STABLE_1D, "--n", "-3", "--seed", "1", "--kind", "alpha"],
+        ["sweep", "--model", STABLE_1D, "--n", "0", "--seed", "1", "--target", "rho"],
+        ["sweep", "--model", STABLE_1D, "--n", "-3", "--seed", "1", "--target", "rho"],
+    ])
+    def test_nonpositive_n_exit_2(self, tmp_path, argv):
+        argv = [str(tmp_path / a) if a == "x.csv" else a for a in argv]
+        proc = run_cli(*argv)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "error[usage]: --n must be at least 1" in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_sweep_without_feasible_r_exit_2(self):
+        proc = run_cli("sweep", "--model", self.STABLE_1D, "--n", "3", "--seed", "1",
+                       "--target", "alpha")
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "error[usage]: no r in the default grid" in proc.stderr
 
     def test_model_file_read_once_as_utf8(self, tmp_path):
         cfg = {"kind": "polar", "alpha": 1.0, "rho": 0.5, "note": "Fréchet σ ≥ 0"}
