@@ -34,6 +34,7 @@ _CDF_GRID = 128  # angles reported by `estimate` for d=2 input
 # rows formatted per write by write_csv; a small block keeps the Python row
 # lists and strings it builds (about 200 bytes a row) out of peak memory
 _WRITE_CHUNK = 1 << 10
+_PACKED = (".bz2", ".gz", ".xz", ".lzma")  # names numpy would decompress
 
 
 class CliUsage(Exception):
@@ -46,21 +47,21 @@ class CliUsage(Exception):
 def read_csv(path: str | Path, skip_header: bool = False) -> DataMatrix:
     """Parse a comma-separated numeric matrix; errors carry 1-based lines.
 
-    numpy parses the whole file in one pass.  Text it rejects goes through
-    the line reader, which either raises CsvParseError at the first bad line
-    or parses what float() accepts and numpy does not (whitespace-only lines,
-    ``1_0``, non-ASCII digits).  Whatever numpy accepts, float() reads as
-    the same value.
+    numpy parses the whole file in one pass, reading it in chunks.  Text it
+    rejects goes through the line reader, which either raises CsvParseError
+    at the first bad line or parses what float() accepts and numpy does not
+    (whitespace-only lines, ``1_0``, non-ASCII digits).  Whatever numpy
+    accepts, float() reads as the same value.
     """
-    # numpy gets an open file, not the path: it resolves a path through its
-    # DataSource, which fetches URLs, falls back to a compressed sibling
-    # (path.gz, ...) and reports a missing file in its own words
     with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                UserWarning)
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        # open() above raised any OSError.  numpy reads a str path in chunks,
+        # an open file by lines; an absolute path never looks like a URL to its
+        # DataSource, and a name it would decompress gets fh (gzip: not UTF-8)
+        src = fh if Path(path).suffix in _PACKED else str(Path(path).absolute())
         try:
-            values = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2,
-                                comments=None, skiprows=int(skip_header))
+            values = np.loadtxt(src, delimiter=",", dtype=np.float64, ndmin=2,
+                                comments=None, skiprows=int(skip_header), encoding="utf-8")
         except ValueError:
             values = None
     if values is None:
@@ -360,8 +361,7 @@ def cmd_estimate(args) -> dict:
         mass = estimators.spectral_mass(spectral, region)
         entry = {"spec": label, "mass": mass}
         if 0.0 < mass < 1.0:
-            entry["ci"] = _interval_doc(
-                estimators.spectral_ci(spectral, region, args.level))
+            entry["ci"] = _interval_doc(estimators._proportion_ci(mass, spectral.n, args.level))
         regions.append(entry)
     doc["spectral"]["regions"] = regions
     if data.dim == 1:
@@ -574,6 +574,12 @@ def main(argv=None) -> int:
             args.model = Path(args.model[1:]).read_text(encoding="utf-8")
         if getattr(args, "n", 1) < 1:
             raise CliUsage(f"--n must be at least 1, got {args.n}")
+        if getattr(args, "grid_size", 2) < 2:
+            raise CliUsage(f"--grid-size must be at least 2, got {args.grid_size}")
+        if not 0.0 < args.level < 1.0:
+            raise CliUsage(f"--level={args.level} outside (0,1)")
+        if getattr(args, "r", None) == "auto" and not 0.0 < args.epsilon < 0.5:
+            raise CliUsage(f"--epsilon={args.epsilon} outside (0,1/2) with --r auto")
         doc = args.fn(args)
     except CliUsage as e:
         print(f"error[usage]: {e}", file=sys.stderr)
@@ -584,15 +590,12 @@ def main(argv=None) -> int:
     except (FileNotFoundError, OSError) as e:
         print(f"error[io]: {e}", file=sys.stderr)
         return 3
-    except TailspecError as e:
+    except (TailspecError, OverflowError) as e:  # float ** can overflow
         print(f"error[{type(e).__name__}]: {e}", file=sys.stderr)
         return 4
     # estimate/coverage write their JSON doc to --out; the other commands
     # write files inside their handlers and echo the summary to stdout
-    if args.command in ("estimate", "coverage"):
-        _emit(doc, args.out)
-    else:
-        _emit(doc, None)
+    _emit(doc, args.out if args.command in ("estimate", "coverage") else None)
     return 0
 
 

@@ -100,7 +100,7 @@ def alpha_ci(est: AlphaEstimate, level: float = 0.95) -> Interval:
 
 def estimate_spectral(stats: GroupStats) -> SpectralEstimate:
     """Atomic measure putting weight 1/n on each group-maximum direction."""
-    return SpectralEstimate(stats.theta)
+    return SpectralEstimate._of_unit_rows(stats.theta)  # GroupStats checked theta
 
 
 def spectral_mass(est: SpectralEstimate, region: Region) -> float:
@@ -133,10 +133,13 @@ def spectral_ci(est: SpectralEstimate, region: Region, level: float = 0.95) -> I
     """
     if est.n < 2:
         raise EmptySample("need n >= 2 atoms for an interval")
-    p = spectral_mass(est, region)
+    return _proportion_ci(spectral_mass(est, region), est.n, level)
+
+
+def _proportion_ci(p: float, n: int, level: float) -> Interval:
     if p <= 0.0 or p >= 1.0:
         raise DegenerateProportion(f"empirical mass {p} admits no interval")
-    lo, hi = _wald(NormalizedStat(p, p * (1.0 - p), est.n), level)
+    lo, hi = _wald(NormalizedStat(p, p * (1.0 - p), n), level)
     return Interval(lo=max(lo, 0.0), hi=min(hi, 1.0), level=level)
 
 
@@ -171,8 +174,8 @@ def estimate_total_mass(stats: GroupStats, m: int, alpha: float,
     consistency range t < alpha*r/2 (r inferred from n and m), the estimate is
     still returned, carrying a warning.
     """
-    if alpha <= 0.0:
-        raise InvalidAlpha(f"alpha={alpha} must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise InvalidAlpha(f"alpha={alpha} must be positive and finite")
     if not (0.0 < t < alpha / 2.0):
         raise InvalidT(f"t={t} outside (0, alpha/2) = (0, {alpha / 2.0})")
     if m < 2:
@@ -182,6 +185,8 @@ def estimate_total_mass(stats: GroupStats, m: int, alpha: float,
     qt = m1 / m ** (1.0 / alpha)  # q, raised to the power t in place
     qt **= t
     mean_qt = float(qt.mean())
+    if not math.isfinite(mean_qt):
+        raise InvalidT(f"q^t overflows at t={t}")
     mean_q2t = float(np.multiply(qt, qt, out=qt).mean())
     mass_hat = (mean_qt / gamma_fn(1.0 - t / alpha)) ** (alpha / t)
 

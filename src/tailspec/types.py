@@ -236,6 +236,12 @@ class SpectralEstimate:
             raise InvalidModel("atoms must be unit vectors")
         object.__setattr__(self, "atoms", _frozen(a))
 
+    @classmethod
+    def _of_unit_rows(cls, atoms: np.ndarray) -> SpectralEstimate:
+        est = object.__new__(cls)
+        object.__setattr__(est, "atoms", atoms)
+        return est
+
     @property
     def n(self) -> int:
         return self.atoms.shape[0]

@@ -1,14 +1,19 @@
 """CLI behavior: hand-checked estimates, round-trips, exit codes, schemas."""
 
+import gzip
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tailspec
 from tailspec import estimators, grouping, tuning
@@ -70,6 +75,43 @@ class TestCsvIo:
         p.write_text("x,y\n1,2\n")
         d = read_csv(p, skip_header=True)
         assert d.rows == 1
+
+    def test_compressed_name_read_as_text(self, tmp_path):
+        # numpy would decompress a path ending in .gz; read_csv reads the text
+        p = tmp_path / "x.csv.gz"
+        p.write_text("1,2\n3,4\n", encoding="utf-8")
+        assert read_csv(p).values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_gzip_file_exit_3(self, tmp_path, capsys):
+        p = tmp_path / "x.csv.gz"
+        p.write_bytes(gzip.compress(b"1,2\n3,4\n"))
+        assert main(["estimate", "--input", str(p), "--r", "0.5"]) == 3
+        assert "line 1: line is not valid UTF-8" in capsys.readouterr().err
+
+    def test_relative_path_and_path_give_same_bits(self, tmp_path, monkeypatch):
+        vals = np.random.default_rng(8).standard_cauchy((300, 2))
+        write_csv(tmp_path / "rel.csv", vals)
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        for path in ("rel.csv", Path("rel.csv"), str(tmp_path / "rel.csv"),
+                     Path("sub") / ".." / "rel.csv"):
+            assert read_csv(path).values.tobytes() == vals.tobytes()
+
+    def test_url_like_relative_path_is_a_local_file(self, tmp_path, monkeypatch):
+        import urllib.request
+
+        def no_fetch(*args, **kwargs):
+            raise AssertionError("read_csv tried to fetch a URL")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_fetch)
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        (tmp_path / "http:" / "host" / "x.csv").write_text("1,2\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert read_csv("http://host/x.csv").values.tolist() == [[1.0, 2.0]]
+
+    def test_directory_raises_os_error(self, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            read_csv(tmp_path)
 
 
 class TestEstimateCommand:
@@ -319,6 +361,40 @@ class TestBadInputsWithoutTraceback:
         assert "error[usage]: --n must be at least 1" in proc.stderr
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["ecdf", "--model", STABLE_2D, "--n", "50", "--seed", "1", "--grid-size", "1"],
+         "error[usage]: --grid-size must be at least 2"),
+        (["ecdf", "--model", STABLE_2D, "--n", "50", "--seed", "1", "--grid-size", "0"],
+         "error[usage]: --grid-size must be at least 2"),
+        (["ecdf", "--model", STABLE_2D, "--n", "50", "--seed", "1", "--epsilon", "5"],
+         "error[usage]: --epsilon=5.0 outside (0,1/2)"),
+        (["coverage", "--model", STABLE_1D, "--n", "50", "--seed", "1", "--kind", "alpha",
+          "--epsilon", "-1"], "error[usage]: --epsilon=-1.0 outside (0,1/2)"),
+        (["estimate", "--input", "six.csv", "--alpha", "0.75", "--epsilon", "5"],
+         "error[usage]: --epsilon=5.0 outside (0,1/2)"),
+        (["estimate", "--input", "six.csv", "--r", "0.5", "--level", "nan"],
+         "error[usage]: --level=nan outside (0,1)"),
+        (["estimate", "--input", "six.csv", "--r", "0.5", "--level", "0"],
+         "error[usage]: --level=0.0 outside (0,1)"),
+        (["coverage", "--model", STABLE_1D, "--n", "50", "--seed", "1", "--kind", "alpha",
+          "--level", "1.5"], "error[usage]: --level=1.5 outside (0,1)"),
+    ])
+    def test_flag_out_of_range_exit_2(self, six_row_csv, capsys, argv, message):
+        argv = [str(six_row_csv) if a == "six.csv" else a for a in argv]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--alpha", "inf"], "error[InvalidAlpha]: alpha=inf must be positive and finite"),
+        (["--alpha", "1000"], "error[OverflowError]:"),
+        (["--alpha", "1000", "--t", "100"], "error[InvalidT]: q^t overflows at t=100.0"),
+    ])
+    def test_mass_overflow_exit_4(self, tmp_path, capsys, flags, message):
+        p = tmp_path / "in.csv"
+        write_csv(p, np.random.default_rng(6).standard_cauchy((400, 2)) * 1e3)
+        assert main(["estimate", "--input", str(p), "--r", "0.5", *flags]) == 4
+        assert message in capsys.readouterr().err
+
     def test_sweep_without_feasible_r_exit_2(self):
         proc = run_cli("sweep", "--model", self.STABLE_1D, "--n", "3", "--seed", "1",
                        "--target", "alpha")
@@ -342,6 +418,18 @@ class TestBadInputsWithoutTraceback:
         assert "Traceback" not in proc.stderr
         meta = json.loads(Path(str(out) + ".meta.json").read_text(encoding="utf-8"))
         assert meta["model"] == cfg
+
+    def test_estimate_reads_csv_as_utf8(self, tmp_path):
+        p = tmp_path / "in.csv"
+        write_csv(p, np.random.default_rng(2).standard_cauchy((200, 2)))
+        src = str(Path(tailspec.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "tailspec.cli", "estimate", "--input", str(p), "--r", "0.5"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["input"]["N"] == 200
 
     def test_non_utf8_csv_exit_3(self, tmp_path):
         p = tmp_path / "latin1.csv"
@@ -455,3 +543,97 @@ class TestRegions:
 
         with pytest.raises(CliUsage):
             parse_region("disc:0.3", 2)
+
+
+# ---------------------------------------------------------------- argv fuzz
+
+FUZZ_MODELS = [
+    '{"kind":"stable","alpha":1.75,"rho":0.5,"total_mass":1.0,"beta":3.5}',
+    '{"kind":"stable","alpha":0.75,"density":"abscos2t","n_atoms":8}',
+    '{"kind":"polar","alpha":1.5,"atoms":[[0.6,0.8,0.5],[-0.6,0.8,0.5]]}',
+    '{"kind":"polar","alpha":1.0,"rho":1.0}',
+]
+BAD_MODELS = ['{"kind":"stable","alpha":2.5,"rho":0.0}', '{"alpha":-1,"rho":0.5}',
+              '{"alpha":1.0}', "{not json"]
+FUZZ_REGIONS = (["arc:0:1.5707963267948966", "arc:3:1", "halfspace:1,0:0", "halfspace:0,1:2",
+                 "halfspace:1:0"], ["arc:x:1", "disc:1", "halfspace:1,0,0:0"])
+# flag: (valid values, invalid or edge values)
+FUZZ_FLAGS = {
+    "--seed": (["1", "7"], ["-1", "x"]),
+    "--level": (["0.9", "0.5"], ["0", "1", "-1", "nan", "inf", "2"]),
+    "--epsilon": (["0.05", "0.3"], ["0", "0.5", "-1", "5", "nan"]),
+    "--beta": (["3.5", "1.5"], ["0.5", "-1", "inf", "nan"]),
+    "--r": (["auto", "0.5", "0.8"], ["0", "1", "1.5", "nan", "x"]),
+    "--alpha": (["0.75", "1.5"], ["0", "-1", "nan", "inf", "1000"]),
+    "--t": (["auto", "0.1"], ["0", "-1", "5", "100", "x"]),
+    "--n": (["40", "300"], ["1", "2", "0", "-3"]),
+    "--reps": (["1", "2"], ["0", "-1"]),
+    "--grid-size": (["2", "16"], ["-1", "0", "1"]),
+    "--grid": (["0.5", "0.3,0.6"], ["0.99", "2", "x"]),
+    "--target": (["alpha", "rho", "mass"], []),
+    "--kind": (["alpha", "spectral", "mass"], []),
+}
+# command: (flags it requires, optional flags)
+FUZZ_COMMANDS = {
+    "estimate": (["--r"], ["--seed", "--level", "--epsilon", "--beta", "--alpha", "--t"]),
+    "simulate": (["--seed", "--n"], ["--level", "--epsilon"]),
+    "sweep": (["--seed", "--n", "--target"], ["--reps", "--grid", "--level"]),
+    "ecdf": (["--seed", "--n"], ["--r", "--grid-size", "--epsilon", "--beta", "--level"]),
+    "coverage": (["--seed", "--n", "--kind"], ["--reps", "--r", "--level", "--epsilon",
+                                                "--beta"]),
+}
+
+
+def _mostly(valid, invalid):
+    """Mostly a valid value, now and then an invalid one."""
+    if not invalid:
+        return st.sampled_from(valid)
+    return st.integers(0, 7).flatmap(lambda k: st.sampled_from(invalid if k == 0 else valid))
+
+
+@st.composite
+def cli_argv(draw):
+    """An argument vector for one command: its required flags and some of its
+    optional ones, each with a value that is mostly valid."""
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    required, optional = FUZZ_COMMANDS[command]
+    argv = [command]
+    if command == "estimate":
+        argv += ["--input", draw(_mostly(["fuzz2.csv", "fuzz1.csv"], ["missing.csv"]))]
+        if draw(st.integers(0, 3)) == 0:
+            argv.append("--shuffle")
+    else:
+        argv += ["--model", draw(_mostly(FUZZ_MODELS, BAD_MODELS))]
+    if command in ("estimate", "coverage"):
+        for _ in range(draw(st.integers(0, 2))):
+            argv += ["--region", draw(_mostly(*FUZZ_REGIONS))]
+    flags = required + [f for f in optional if draw(st.booleans())]
+    for flag in flags:
+        argv += [flag, draw(_mostly(*FUZZ_FLAGS[flag]))]
+    if command != "coverage":
+        argv += ["--out", "out.csv"]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    g = np.random.default_rng(4)
+    write_csv(d / "fuzz2.csv", g.standard_cauchy((400, 2)))
+    write_csv(d / "fuzz1.csv", g.standard_cauchy((400, 1)))
+    return d
+
+
+@given(argv=cli_argv())
+@settings(max_examples=200, deadline=None)
+def test_cli_argv_fuzz_exits_cleanly(fuzz_dir, argv):
+    """Every argument vector ends in exit 0, 2, 3 or 4, never an exception."""
+    argv = [str(fuzz_dir / a) if a.endswith(".csv") else a for a in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            rc = main(argv)
+        except SystemExit as e:  # argparse rejects a flag value
+            rc = e.code
+    assert rc in (0, 2, 3, 4), (argv, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()
