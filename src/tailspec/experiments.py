@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .errors import (
 from .numerics import gamma_fn, ks_distance
 from .simulation import (
     SeededRng,
+    _available_cpus,
     discretize_angular_density,
     sample_polar,
     sample_polar_block_maxima,
@@ -130,8 +132,20 @@ def _estimate_target(data: DataMatrix, r: float, target: str,
     raise ValueError(f"unknown target {target!r}")
 
 
-def _sweep_rep(args) -> np.ndarray:
-    model, N, r_grid, target, rep_rng, sampler, n_atoms = args
+def _run_reps(rep: Callable, rngs: Sequence[SeededRng], workers: int) -> list:
+    """``[rep(rng) for rng in rngs]``, in order, serially or on a pool of at
+    most one process per available CPU and per replication."""
+    workers = min(workers, len(rngs), _available_cpus())
+    if workers <= 1:
+        return [rep(rng) for rng in rngs]
+    # imported where a pool starts: it loads multiprocessing, socket and
+    # logging, which serial runs never use
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(rep, rngs))
+
+
+def _sweep_rep(model, N, r_grid, target, sampler, n_atoms, rep_rng) -> np.ndarray:
     data = draw_sample(model, N, rep_rng, sampler, n_atoms)
     alpha_true = model.alpha
     return np.array(
@@ -154,18 +168,8 @@ def run_r_sweep(model: ModelSpec, N: int, r_grid: Sequence[float], reps: int,
     r_grid = list(r_grid)
     if not r_grid:
         raise ValueError("empty r grid")
-    jobs = [
-        (model, N, r_grid, target, rng.split(_EXP_SWEEP, rep), sampler, n_atoms)
-        for rep in range(reps)
-    ]
-    if workers > 1:
-        # imported where a pool starts: it loads multiprocessing, socket and
-        # logging, which serial runs never use
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_rep = list(pool.map(_sweep_rep, jobs))
-    else:
-        per_rep = [_sweep_rep(j) for j in jobs]
+    per_rep = _run_reps(partial(_sweep_rep, model, N, r_grid, target, sampler, n_atoms),
+                        [rng.split(_EXP_SWEEP, rep) for rep in range(reps)], workers)
     table = np.stack(per_rep)  # (reps, n_r), replication order
     one_minus_r = 1.0 - np.asarray(r_grid, dtype=np.float64)
     order = np.argsort(one_minus_r, kind="stable")
@@ -245,9 +249,8 @@ def _auto_r(kind: str, alpha: float, beta: float | None, epsilon: float) -> floa
     raise ValueError(f"unknown estimator kind {kind!r}")
 
 
-def _coverage_rep(args) -> bool:
-    (model, N, r, kind, level, rep_rng, sampler, n_atoms, region, truth,
-     alpha_mode) = args
+def _coverage_rep(model, N, r, kind, level, sampler, n_atoms, region, truth,
+                  alpha_mode, rep_rng) -> bool:
     data = draw_sample(model, N, rep_rng, sampler, n_atoms)
     scheme = grouping.plan_grouping(N, r)
     stats = grouping.summarize_groups(data, scheme)
@@ -296,17 +299,10 @@ def run_ci_coverage(model: ModelSpec, N: int, r: float | None, kind: str,
     if r is None:
         r = _auto_r(kind, model.alpha, beta, epsilon)
     kind_id = _COVERAGE_KIND_IDS[kind]
-    jobs = [
-        (model, N, r, kind, level, rng.split(_EXP_COVERAGE, kind_id, rep),
-         sampler, n_atoms, region, truth, alpha_mode)
-        for rep in range(reps)
-    ]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            flags = list(pool.map(_coverage_rep, jobs))
-    else:
-        flags = [_coverage_rep(j) for j in jobs]
+    flags = _run_reps(partial(_coverage_rep, model, N, r, kind, level, sampler, n_atoms,
+                              region, truth, alpha_mode),
+                      [rng.split(_EXP_COVERAGE, kind_id, rep) for rep in range(reps)],
+                      workers)
     return CoverageResult(kind=kind, level=level, reps=reps,
                           hits=int(sum(flags)), truth=truth)
 

@@ -201,7 +201,8 @@ _ROWS_PER_THREAD = 8192
 
 
 def _available_cpus() -> int:
-    """CPUs the sampler may fill with threads.
+    """CPUs the sampler may fill with threads, and the most processes a
+    replication pool starts.
 
     One inside a multiprocessing child, e.g. a run_r_sweep or
     run_ci_coverage pool worker: its sibling workers already use the other

@@ -110,13 +110,9 @@ class DataMatrix:
 def validate_data(data: DataMatrix) -> DataMatrix:
     """Return ``data`` unchanged after checking every entry is finite.
 
-    Raises NonFiniteEntry with the 0-based position of the first bad entry,
-    or EmptySample for a 0-row matrix (already impossible post-construction,
-    kept for callers passing raw arrays through DataMatrix).
+    Raises NonFiniteEntry with the 0-based position of the first bad entry.
     """
     a = data.values
-    if a.shape[0] < 1:
-        raise EmptySample("no rows")
     for lo in range(0, a.shape[0], _BLOCK_ROWS):
         finite = np.isfinite(a[lo:lo + _BLOCK_ROWS])
         if not finite.all():
@@ -153,47 +149,39 @@ class GroupScheme:
         return self.n * self.m + self.discarded
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class GroupStats:
     """Per-group maxima statistics of n groups, one read-only column each.
 
-    ``m1`` has shape (n,), ``theta`` (n, d), and ``argmax`` holds each
-    maximiser's row within its group.  ``m2`` and ``kappa`` have shape (n,),
-    or are None for singleton groups (m == 1).  They are either given as
-    columns or, when the (n, m) row norms of the groups are given as
-    ``norms`` instead, computed from them on first read and kept: only the
-    tail-index estimator reads them.  The checks run once over whole columns.
+    ``m1`` has shape (n,), ``theta`` (n, d), ``argmax`` holds each
+    maximiser's row within its group and ``norms`` the (n, m) row norms of
+    the groups.  ``m2`` and ``kappa`` have shape (n,), or are None for
+    singleton groups (m == 1); only the tail-index estimator reads them, so
+    they are computed from ``norms`` on first read and kept.  The checks run
+    once over whole columns.
     """
 
     m1: np.ndarray
     theta: np.ndarray
     argmax: np.ndarray
-    norms: np.ndarray | None
+    norms: np.ndarray
 
-    def __init__(self, *, m1, theta, argmax, m2=None, kappa=None, norms=None):
-        m1, theta = _frozen(m1), _frozen(theta)
-        m2, kappa, norms = (None if c is None else _frozen(c) for c in (m2, kappa, norms))
-        argmax = _frozen(argmax, np.intp)
+    def __post_init__(self):
+        m1, theta, norms = _frozen(self.m1), _frozen(self.theta), _frozen(self.norms)
+        argmax = _frozen(self.argmax, np.intp)
         n = m1.shape[0] if m1.ndim == 1 else -1
         if (n < 0 or theta.ndim != 2 or theta.shape[0] != n or argmax.shape != (n,)
-                or any(c is not None and c.shape != (n,) for c in (m2, kappa))
-                or norms is not None and (norms.ndim != 2 or norms.shape[0] != n)):
+                or norms.ndim != 2 or norms.shape[0] != n):
             raise InvalidModel("group statistics need one row per group in every column")
         if n == 0:
             raise EmptySample("no groups")
-        if norms is not None and (m2 is not None or kappa is not None):
-            raise InvalidModel("give either the group norms or m2 and kappa")
         if (m1 <= 0.0).any():
             raise InvalidModel("m1 must be positive")
-        if m2 is not None and (m2 > m1).any():
-            raise InvalidModel("m2 exceeds m1")
         if _unit_norm_error(theta) > UNIT_NORM_TOL:
             raise InvalidModel("theta is not unit-norm")
         for name, value in (("m1", m1), ("theta", theta), ("argmax", argmax),
                             ("norms", norms)):
             object.__setattr__(self, name, value)
-        if norms is None:  # explicit columns fill the caches m2 and kappa read
-            self.__dict__.update(m2=m2, kappa=kappa)
 
     @cached_property
     def m2(self) -> np.ndarray | None:

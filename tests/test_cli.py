@@ -395,6 +395,18 @@ class TestBadInputsWithoutTraceback:
         assert main(["estimate", "--input", str(p), "--r", "0.5", *flags]) == 4
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-160])
+    def test_squares_out_of_range_exit_4(self, tmp_path, scale):
+        # finite entries whose squares overflow (or underflow) give row norms
+        # of inf (or rounded subnormals); only the unit-norm check on the
+        # group directions stops them
+        p = tmp_path / "in.csv"
+        write_csv(p, np.random.default_rng(6).standard_cauchy((400, 2)) * scale)
+        proc = run_cli("estimate", "--input", str(p), "--r", "0.5")
+        assert proc.returncode == 4, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "error[InvalidModel]: theta is not unit-norm" in proc.stderr
+
     def test_sweep_without_feasible_r_exit_2(self):
         proc = run_cli("sweep", "--model", self.STABLE_1D, "--n", "3", "--seed", "1",
                        "--target", "alpha")

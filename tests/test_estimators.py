@@ -39,7 +39,8 @@ from tailspec.types import DataMatrix, GroupStats, ModelSpec, SpectralEstimate
 def summaries_from_kappas(kappas, theta=None):
     kap = np.array(kappas, dtype=float)
     n = kap.size
-    return GroupStats(m1=np.ones(n), m2=kap, kappa=kap,
+    # row maxima 1 in column 0, so m2 is kap and kappa kap / 1.0, bit for bit
+    return GroupStats(m1=np.ones(n), norms=np.c_[np.ones(n), kap],
                       theta=np.tile(np.array([1.0]) if theta is None else theta, (n, 1)),
                       argmax=np.zeros(n, dtype=np.intp))
 
@@ -49,7 +50,7 @@ def summaries_from_m1(m1s, dim=1):
     vec[0] = 1.0
     m1 = np.array(m1s, dtype=float)
     n = m1.size
-    return GroupStats(m1=m1, m2=m1 / 2, kappa=np.full(n, 0.5),
+    return GroupStats(m1=m1, norms=np.c_[m1, m1 / 2],
                       theta=np.tile(vec, (n, 1)), argmax=np.zeros(n, dtype=np.intp))
 
 
@@ -80,7 +81,7 @@ class TestEstimateAlpha:
         assert est.kappa_var == pytest.approx(explicit, rel=1e-12)
 
     def test_m1_groups_rejected(self):
-        s = GroupStats(m1=np.ones(1), m2=None, kappa=None, theta=np.array([[1.0]]),
+        s = GroupStats(m1=np.ones(1), norms=np.ones((1, 1)), theta=np.array([[1.0]]),
                        argmax=np.zeros(1, dtype=np.intp))
         with pytest.raises(GroupTooSmall):
             estimate_alpha(s)
@@ -128,7 +129,7 @@ class TestSpectral:
         assert spectral_mass(est, lambda v: v[0] > 0.5) == 1.0
 
     def test_two_atoms_half_each(self):
-        s = GroupStats(m1=np.ones(2), m2=np.full(2, 0.5), kappa=np.full(2, 0.5),
+        s = GroupStats(m1=np.ones(2), norms=np.c_[np.ones(2), np.full(2, 0.5)],
                        theta=np.array([[1.0, 0.0], [0.0, 1.0]]),
                        argmax=np.zeros(2, dtype=np.intp))
         est = estimate_spectral(s)

