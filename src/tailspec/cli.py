@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -137,12 +138,18 @@ def _interval_doc(ci) -> dict:
 
 def _ci_doc(name: str, interval, est, level: float, notes: list[str]):
     """interval(est, level) as a JSON object, or None with a warning naming
-    the interval when its plug-in variance is zero."""
+    the interval when its plug-in variance is zero or there is one group."""
     try:
         return _interval_doc(interval(est, level))
-    except ZeroVariance as e:
+    except (ZeroVariance, EmptySample) as e:
         notes.append(f"{name} ci is null: {e}")
         return None
+
+
+def _doc(args, **fields) -> dict:
+    """A JSON document: the schema header, then fields in the order given."""
+    return {"schema": SCHEMA, "version": __version__, "command": args.command,
+            **fields}
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -150,7 +157,7 @@ def _emit(doc: dict, out: str | None) -> None:
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
     else:
-        print(text)
+        print(text, flush=True)  # a closed stdout fails here, inside main
 
 
 # ---------------------------------------------------------------- model spec
@@ -175,7 +182,7 @@ def parse_model(text: str) -> tuple[ModelSpec, str, int]:
         raise CliUsage("--model needs an alpha")
     alpha = _model_number(cfg, "alpha")
     total = _model_number(cfg, "total_mass", 1.0)
-    beta = _model_number(cfg, "beta", math.inf)
+    beta = _model_number(cfg, "beta") if "beta" in cfg else None
     n_atoms = _model_number(cfg, "n_atoms", experiments.DEFAULT_STABLE_ATOMS, int)
 
     sources = [k for k in ("atoms", "rho", "density") if k in cfg]
@@ -284,13 +291,13 @@ def _parse_r(text: str) -> float:
     return r
 
 
-def _resolve_r(args, alpha_hint: float | None) -> float:
+def _resolve_r(args, kind: str, alpha: float | None, beta: float | None) -> float:
+    """--r as given, or for auto the exponent tuning.auto_r picks for kind."""
     if args.r != "auto":
         return _parse_r(args.r)
-    if alpha_hint is None:
+    if alpha is None:
         raise CliUsage("--r auto needs --alpha")
-    beta = args.beta if args.beta is not None else tuning.DEFAULT_BETA_FACTOR * alpha_hint
-    return tuning.optimal_r_alpha(alpha_hint, beta, args.epsilon)
+    return tuning.auto_r(kind, alpha, beta, args.epsilon)
 
 
 def cmd_estimate(args) -> dict:
@@ -300,12 +307,12 @@ def cmd_estimate(args) -> dict:
             raise CliUsage("--shuffle needs --seed")
         g = SeededRng(args.seed, stream=0xD47A).generator()
         data = DataMatrix(data.values[g.permutation(data.rows)])
-    r = _resolve_r(args, args.alpha)
-    scheme = grouping.plan_grouping(data.rows, r)
+    r = _resolve_r(args, "alpha", args.alpha, args.beta)
 
     captured: list[str] = []
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always", EstimationWarning)
+        scheme = grouping.plan_grouping(data.rows, r)
         stats = grouping.summarize_groups(data, scheme)
         alpha_est = estimators.estimate_alpha(stats)
         spectral = estimators.estimate_spectral(stats)
@@ -324,21 +331,18 @@ def cmd_estimate(args) -> dict:
                         if issubclass(w.category, EstimationWarning))
 
     undefined: list[str] = []
-    doc = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": "estimate",
-        "input": {"path": str(args.input), "N": data.rows, "d": data.dim},
-        "scheme": {"r": r, "n": scheme.n, "m": scheme.m,
-                   "discarded": scheme.discarded},
-        "alpha": {
+    doc = _doc(
+        args,
+        input={"path": str(args.input), "N": data.rows, "d": data.dim},
+        scheme={"r": r, "n": scheme.n, "m": scheme.m, "discarded": scheme.discarded},
+        alpha={
             "hat": alpha_est.alpha_hat,
             "s_n": alpha_est.s_n,
             "kappa_var": alpha_est.kappa_var,
             "ci": _ci_doc("alpha", estimators.alpha_ci, alpha_est, args.level,
                           undefined),
         },
-        "mass": {
+        mass={
             "hat": mass_est.mass_hat,
             "t": t,
             "alpha_used": alpha_used,
@@ -347,11 +351,9 @@ def cmd_estimate(args) -> dict:
             "ci": _ci_doc("mass", estimators.total_mass_ci, mass_est, args.level,
                           undefined),
         },
-        "spectral": {},
-        # attached estimate warnings were also caught live; keep one copy
-        "warnings": captured + [w for w in mass_est.warnings if w not in captured]
-                    + undefined,
-    }
+        spectral={},
+        warnings=captured + undefined,
+    )
     if alpha_mode == "plugin":
         doc["warnings"].append("mass estimate uses plug-in alpha_hat")
 
@@ -376,23 +378,13 @@ def cmd_estimate(args) -> dict:
 
 def cmd_simulate(args) -> dict:
     model, kind, n_atoms = parse_model(args.model)
-    if args.seed is None:
-        raise CliUsage("simulate needs --seed")
     if args.out is None:
         raise CliUsage("simulate needs --out")
     data = experiments.draw_sample(model, args.n, SeededRng(args.seed), kind,
                                    n_atoms)
     write_csv(args.out, data.values)
-    meta = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": "simulate",
-        "seed": args.seed,
-        "model": json.loads(args.model),
-        "N": args.n,
-        "d": data.dim,
-        "out": str(args.out),
-    }
+    meta = _doc(args, seed=args.seed, model=json.loads(args.model), N=args.n,
+                d=data.dim, out=str(args.out))
     Path(str(args.out) + ".meta.json").write_text(
         json.dumps(meta, indent=2) + "\n", encoding="utf-8")
     return meta
@@ -405,8 +397,6 @@ def _summary_path(out: str) -> Path:
 
 def cmd_sweep(args) -> dict:
     model, kind, n_atoms = parse_model(args.model)
-    if args.seed is None:
-        raise CliUsage("sweep needs --seed")
     if args.grid:
         try:
             r_grid = [float(x) for x in args.grid.split(",")]
@@ -420,16 +410,8 @@ def cmd_sweep(args) -> dict:
     res = experiments.run_r_sweep(model, args.n, r_grid, args.reps, args.target,
                                   SeededRng(args.seed), sampler=kind,
                                   n_atoms=n_atoms, workers=args.workers)
-    doc = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": "sweep",
-        "seed": args.seed,
-        "target": args.target,
-        "N": args.n,
-        "reps": res.reps,
-        "rows": res.rows(),
-    }
+    doc = _doc(args, seed=args.seed, target=args.target, N=args.n, reps=res.reps,
+               rows=res.rows())
     if args.out:
         write_csv(args.out, np.array(
             [[o, m, s, res.reps] for o, m, s, _ in res.rows()]))
@@ -440,23 +422,12 @@ def cmd_sweep(args) -> dict:
 
 def cmd_ecdf(args) -> dict:
     model, kind, n_atoms = parse_model(args.model)
-    if args.seed is None:
-        raise CliUsage("ecdf needs --seed")
-    r = _resolve_r(args, model.alpha)
+    r = _resolve_r(args, "alpha", model.alpha, model.beta)
     res = experiments.run_ecdf_compare(model, args.n, r, args.grid_size,
                                        SeededRng(args.seed), sampler=kind,
                                        n_atoms=n_atoms)
-    doc = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": "ecdf",
-        "seed": args.seed,
-        "N": args.n,
-        "r": r,
-        "grid_size": args.grid_size,
-        "sup_distance": res.sup_distance,
-        "n_atoms_estimate": res.n_atoms_estimate,
-    }
+    doc = _doc(args, seed=args.seed, N=args.n, r=r, grid_size=args.grid_size,
+               sup_distance=res.sup_distance, n_atoms_estimate=res.n_atoms_estimate)
     if args.out:
         write_csv(args.out, np.array(res.rows()))
         _summary_path(args.out).write_text(json.dumps(doc, indent=2) + "\n",
@@ -468,33 +439,38 @@ def cmd_ecdf(args) -> dict:
 
 def cmd_coverage(args) -> dict:
     model, kind, n_atoms = parse_model(args.model)
-    if args.seed is None:
-        raise CliUsage("coverage needs --seed")
+    if len(args.region or ()) > 1:
+        raise CliUsage(f"coverage reads one --region, got {len(args.region)}")
     region = None
     if args.kind == "spectral":
         if not args.region:
             raise CliUsage("spectral coverage needs --region")
         region, _ = parse_region(args.region[0], model.dim)
-    r = None if args.r == "auto" else _parse_r(args.r)
+    r = _resolve_r(args, args.kind, model.alpha, model.beta)
     res = experiments.run_ci_coverage(
         model, args.n, r, args.kind, args.level, args.reps,
-        SeededRng(args.seed), sampler=kind, region=region, beta=args.beta,
-        epsilon=args.epsilon, n_atoms=n_atoms, workers=args.workers)
-    return {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": "coverage",
-        "seed": args.seed,
-        "kind": res.kind,
-        "level": res.level,
-        "reps": res.reps,
-        "hits": res.hits,
-        "coverage": res.coverage,
-        "truth": res.truth,
-    }
+        SeededRng(args.seed), sampler=kind, region=region, n_atoms=n_atoms,
+        workers=args.workers)
+    return _doc(args, seed=args.seed, kind=res.kind, level=res.level, reps=res.reps,
+                hits=res.hits, coverage=res.coverage, truth=res.truth)
 
 
 # ---------------------------------------------------------------- parser
+
+
+_MODEL_COMMANDS = ("simulate", "sweep", "ecdf", "coverage")
+_R_COMMANDS = ("estimate", "ecdf", "coverage")
+# flags more than one command reads: flag -> (those commands, add_argument keywords)
+_FLAGS = {
+    "--seed": (("estimate",) + _MODEL_COMMANDS, dict(type=int, default=None)),
+    "--out": (("estimate",) + _MODEL_COMMANDS, dict(default=None)),
+    "--model": (_MODEL_COMMANDS, dict(required=True, help="model JSON or @file.json")),
+    "--n": (_MODEL_COMMANDS, dict(type=int, required=True)),
+    "--r": (_R_COMMANDS, dict(default="auto")),
+    "--epsilon": (_R_COMMANDS, dict(type=float, default=tuning.DEFAULT_EPSILON)),
+    "--level": (("estimate", "coverage"), dict(type=float, default=0.95)),
+    "--workers": (("sweep", "coverage"), dict(type=int, default=1)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -506,62 +482,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, model=False, data=False):
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--level", type=float, default=0.95)
-        sp.add_argument("--epsilon", type=float, default=tuning.DEFAULT_EPSILON)
-        sp.add_argument("--beta", type=float, default=None)
-        if model:
-            sp.add_argument("--model", required=True,
-                            help="model JSON or @file.json")
-        if data:
-            sp.add_argument("--input", required=True)
-            sp.add_argument("--skip-header", action="store_true")
-            sp.add_argument("--shuffle", action="store_true",
-                            help="seeded row permutation before grouping")
+    def command(fn, help):
+        name = fn.__name__.removeprefix("cmd_")
+        sp = sub.add_parser(name, help=help)
+        for flag, (commands, kwargs) in _FLAGS.items():
+            if name in commands:
+                sp.add_argument(flag, **kwargs)
+        sp.set_defaults(fn=fn)
+        return sp
 
-    est = sub.add_parser("estimate", help="run all estimators on a CSV sample")
-    common(est, data=True)
-    est.add_argument("--r", default="auto")
+    est = command(cmd_estimate, "run all estimators on a CSV sample")
+    est.add_argument("--input", required=True)
+    est.add_argument("--skip-header", action="store_true")
+    est.add_argument("--shuffle", action="store_true",
+                     help="seeded row permutation before grouping")
     est.add_argument("--t", default="auto")
     est.add_argument("--alpha", type=float, default=None,
                      help="fixed tail index for the mass estimator (default: plug-in)")
+    est.add_argument("--beta", type=float, default=None,
+                     help="second-order exponent for --r auto (default: 2*alpha)")
     est.add_argument("--region", action="append",
                      help="arc:START:END or halfspace:u1,..,ud:c (repeatable)")
-    est.set_defaults(fn=cmd_estimate)
 
-    sim = sub.add_parser("simulate", help="write a simulated CSV sample")
-    common(sim, model=True)
-    sim.add_argument("--n", type=int, required=True)
-    sim.set_defaults(fn=cmd_simulate)
+    command(cmd_simulate, "write a simulated CSV sample")
 
-    sw = sub.add_parser("sweep", help="estimator-vs-r Monte Carlo sweep")
-    common(sw, model=True)
-    sw.add_argument("--n", type=int, required=True)
+    sw = command(cmd_sweep, "estimator-vs-r Monte Carlo sweep")
     sw.add_argument("--reps", type=int, default=50)
     sw.add_argument("--target", choices=("alpha", "rho", "mass"), required=True)
     sw.add_argument("--grid", default=None, help="comma-separated r values")
-    sw.add_argument("--workers", type=int, default=1)
-    sw.set_defaults(fn=cmd_sweep)
 
-    ec = sub.add_parser("ecdf", help="estimated vs exact spectral cdf (d=2)")
-    common(ec, model=True)
-    ec.add_argument("--n", type=int, required=True)
-    ec.add_argument("--r", default="auto")
+    ec = command(cmd_ecdf, "estimated vs exact spectral cdf (d=2)")
     ec.add_argument("--grid-size", type=int, default=256)
-    ec.set_defaults(fn=cmd_ecdf)
 
-    cov = sub.add_parser("coverage", help="CI coverage study")
-    common(cov, model=True)
-    cov.add_argument("--n", type=int, required=True)
+    cov = command(cmd_coverage, "CI coverage study")
     cov.add_argument("--reps", type=int, default=200)
-    cov.add_argument("--kind", choices=("alpha", "spectral", "mass"),
-                     required=True)
-    cov.add_argument("--r", default="auto")
-    cov.add_argument("--region", action="append")
-    cov.add_argument("--workers", type=int, default=1)
-    cov.set_defaults(fn=cmd_coverage)
+    cov.add_argument("--kind", choices=("alpha", "spectral", "mass"), required=True)
+    cov.add_argument("--region", action="append", help="one region, for --kind spectral")
 
     return p
 
@@ -576,26 +532,31 @@ def main(argv=None) -> int:
             raise CliUsage(f"--n must be at least 1, got {args.n}")
         if getattr(args, "grid_size", 2) < 2:
             raise CliUsage(f"--grid-size must be at least 2, got {args.grid_size}")
-        if not 0.0 < args.level < 1.0:
+        if not 0.0 < getattr(args, "level", 0.5) < 1.0:
             raise CliUsage(f"--level={args.level} outside (0,1)")
         if getattr(args, "r", None) == "auto" and not 0.0 < args.epsilon < 0.5:
             raise CliUsage(f"--epsilon={args.epsilon} outside (0,1/2) with --r auto")
+        if args.command in _MODEL_COMMANDS and args.seed is None:
+            raise CliUsage(f"{args.command} needs --seed")
         doc = args.fn(args)
+        # estimate/coverage write their JSON doc to --out; the other commands
+        # write files inside their handlers and echo the summary to stdout
+        _emit(doc, args.out if args.command in ("estimate", "coverage") else None)
     except CliUsage as e:
         print(f"error[usage]: {e}", file=sys.stderr)
         return 2
     except (CsvParseError, NonFiniteEntry, EmptySample) as e:
         print(f"error[{type(e).__name__}]: {e}", file=sys.stderr)
         return 3
-    except (FileNotFoundError, OSError) as e:
+    except OSError as e:  # also a reader closing stdout early (BrokenPipeError)
         print(f"error[io]: {e}", file=sys.stderr)
+        if isinstance(e, BrokenPipeError):
+            # the interpreter flushes stdout at exit; let that flush go nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 3
     except (TailspecError, OverflowError) as e:  # float ** can overflow
         print(f"error[{type(e).__name__}]: {e}", file=sys.stderr)
         return 4
-    # estimate/coverage write their JSON doc to --out; the other commands
-    # write files inside their handlers and echo the summary to stdout
-    _emit(doc, args.out if args.command in ("estimate", "coverage") else None)
     return 0
 
 

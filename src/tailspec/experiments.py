@@ -233,22 +233,6 @@ class CoverageResult:
         return self.hits / self.reps
 
 
-def _auto_r(kind: str, alpha: float, beta: float | None, epsilon: float) -> float:
-    if beta is None:
-        beta = tuning.DEFAULT_BETA_FACTOR * alpha
-    if kind == "alpha":
-        return tuning.optimal_r_alpha(alpha, beta, epsilon)
-    if kind == "spectral":
-        return tuning.optimal_r_spectral(alpha, beta, epsilon)
-    if kind == "mass":
-        # Theorem-style mass rule needs beta > alpha + 1; otherwise reuse the
-        # tail-index rule (same grouping, still consistent)
-        if beta > alpha + 1.0:
-            return tuning.optimal_r_mass(alpha, beta, epsilon)
-        return tuning.optimal_r_alpha(alpha, beta, epsilon)
-    raise ValueError(f"unknown estimator kind {kind!r}")
-
-
 def _coverage_rep(model, N, r, kind, level, sampler, n_atoms, region, truth,
                   alpha_mode, rep_rng) -> bool:
     data = draw_sample(model, N, rep_rng, sampler, n_atoms)
@@ -271,18 +255,17 @@ def _coverage_rep(model, N, r, kind, level, sampler, n_atoms, region, truth,
 def run_ci_coverage(model: ModelSpec, N: int, r: float | None, kind: str,
                     level: float, reps: int, rng: SeededRng,
                     sampler: str = "polar", region: Region | None = None,
-                    beta: float | None = None,
-                    epsilon: float = tuning.DEFAULT_EPSILON,
                     alpha_mode: str = "true",
                     n_atoms: int = DEFAULT_STABLE_ATOMS,
                     workers: int = 1) -> CoverageResult:
     """Fraction of replications whose CI contains the model truth.
 
     kind is alpha, spectral (needs a region) or mass.  r=None selects the
-    kind's optimal exponent with beta defaulting to 2*alpha.  The mass CI uses
-    the model's alpha unless alpha_mode="plugin".  With workers > 1 the model
-    and the region are pickled into the workers: an Arc, a Halfspace, a
-    NamedDensity or a module-level function works, a lambda does not.
+    kind's exponent from the model's alpha and beta (tuning.auto_r).  The
+    mass CI uses the model's alpha unless alpha_mode="plugin".  With
+    workers > 1 the model and the region are pickled into the workers: an
+    Arc, a Halfspace, a NamedDensity or a module-level function works, a
+    lambda does not.
     """
     if reps < 1:
         raise EmptyExperiment("reps must be >= 1")
@@ -297,7 +280,7 @@ def run_ci_coverage(model: ModelSpec, N: int, r: float | None, kind: str,
     else:
         truth = model.total_mass
     if r is None:
-        r = _auto_r(kind, model.alpha, beta, epsilon)
+        r = tuning.auto_r(kind, model.alpha, model.beta)
     kind_id = _COVERAGE_KIND_IDS[kind]
     flags = _run_reps(partial(_coverage_rep, model, N, r, kind, level, sampler, n_atoms,
                               region, truth, alpha_mode),

@@ -88,6 +88,25 @@ def optimal_r_mass(alpha: float, beta: float, epsilon: float = DEFAULT_EPSILON) 
     return r
 
 
+def auto_r(kind: str, alpha: float, beta: float | None = None,
+           epsilon: float = DEFAULT_EPSILON) -> float:
+    """The ``--r auto`` exponent for estimator kind alpha, spectral or mass.
+
+    beta=None means 2*alpha.  The mass rule needs beta > alpha + 1; below
+    that the tail-index rule gives the grouping (same grouping, still
+    consistent).
+    """
+    if beta is None:
+        beta = DEFAULT_BETA_FACTOR * alpha
+    if kind == "alpha" or (kind == "mass" and beta <= alpha + 1.0):
+        return optimal_r_alpha(alpha, beta, epsilon)
+    if kind == "spectral":
+        return optimal_r_spectral(alpha, beta, epsilon)
+    if kind == "mass":
+        return optimal_r_mass(alpha, beta, epsilon)
+    raise ValueError(f"unknown estimator kind {kind!r}")
+
+
 @dataclass(frozen=True)
 class AdmissibleT:
     t_max: float

@@ -435,12 +435,13 @@ class ModelSpec:
     Exactly one of ``atoms`` (list of (unit vector, positive weight) pairs,
     weights summing to ``total_mass``) or ``density`` (angular density on
     [0, 2*pi) integrating to ``total_mass``, d=2 only) must be given.  The
-    slowly varying factor is the constant 1 throughout.
+    slowly varying factor is the constant 1 throughout.  ``beta`` is the
+    second-order exponent that tunes r (tuning.auto_r); None means 2*alpha.
     """
 
     alpha: float
     total_mass: float
-    beta: float = math.inf
+    beta: float | None = None
     atoms: tuple[tuple[np.ndarray, float], ...] | None = None
     density: AngularDensity | None = None
 
@@ -449,7 +450,7 @@ class ModelSpec:
             raise InvalidModel("alpha must be positive")
         if self.total_mass <= 0.0:
             raise InvalidModel("total_mass must be positive")
-        if self.beta <= self.alpha:
+        if self.beta is not None and self.beta <= self.alpha:
             raise InvalidModel("beta must exceed alpha (use +inf if exact)")
         if (self.atoms is None) == (self.density is None):
             raise InvalidModel("specify exactly one of atoms or density")

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -16,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tailspec
-from tailspec import estimators, grouping, tuning
-from tailspec.cli import main, parse_region, read_csv, write_csv
+from tailspec import estimators, experiments, grouping, tuning
+from tailspec.cli import build_parser, main, parse_model, parse_region, read_csv, write_csv
 from tailspec.errors import CsvParseError
 from tailspec.simulation import SeededRng
 
@@ -200,6 +202,32 @@ class TestEstimateCommand:
             "alpha ci is null: all group ratios identical; interval undefined",
             "mass ci is null: q^t values are numerically constant",
         ]
+
+    def test_single_group_keeps_document(self, tmp_path, capsys):
+        # N=10 at r=0.1 gives n=1: the point estimates are defined, neither
+        # interval is, and the degenerate grouping is reported in the document
+        p = tmp_path / "ten.csv"
+        write_csv(p, np.random.default_rng(3).standard_cauchy((10, 2)))
+        assert main(["estimate", "--input", str(p), "--r", "0.1"]) == 0
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        assert doc["scheme"]["n"] == 1
+        assert doc["alpha"]["ci"] is None and doc["mass"]["ci"] is None
+        assert "degenerate grouping: n=1 group for N=10, r=0.1" in doc["warnings"]
+        assert [w for w in doc["warnings"] if "ci is null" in w] == [
+            "alpha ci is null: need n >= 2 groups for an interval",
+            "mass ci is null: need n >= 2 groups for an interval",
+        ]
+        assert err == ""
+
+    def test_consistency_warning_listed_once(self, tmp_path, capsys):
+        p = tmp_path / "in.csv"
+        write_csv(p, np.random.default_rng(5).standard_cauchy((2000, 2)))
+        assert main(["estimate", "--input", str(p), "--r", "0.5", "--alpha", "1",
+                     "--t", "0.4"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len([w for w in doc["warnings"]
+                    if "outside the consistency range" in w]) == 1
 
     def test_all_ties_exit_4(self, tmp_path, capsys):
         # every ratio is one: alpha.hat itself is undefined
@@ -407,6 +435,63 @@ class TestBadInputsWithoutTraceback:
         assert "Traceback" not in proc.stderr
         assert "error[InvalidModel]: theta is not unit-norm" in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--model", STABLE_2D, "--n", "5", "--seed", "1", "--out", "x.csv",
+         "--level", "0.9"],
+        ["simulate", "--model", STABLE_2D, "--n", "5", "--seed", "1", "--out", "x.csv",
+         "--epsilon", "0.1"],
+        ["simulate", "--model", STABLE_2D, "--n", "5", "--seed", "1", "--out", "x.csv",
+         "--beta", "3"],
+        ["sweep", "--model", STABLE_1D, "--n", "200", "--seed", "1", "--target", "rho",
+         "--reps", "1", "--grid", "0.5", "--beta", "3"],
+        ["sweep", "--model", STABLE_1D, "--n", "200", "--seed", "1", "--target", "rho",
+         "--reps", "1", "--grid", "0.5", "--level", "0.9"],
+        ["ecdf", "--model", STABLE_2D, "--n", "200", "--seed", "1", "--r", "0.5",
+         "--grid-size", "4", "--beta", "3"],
+        ["ecdf", "--model", STABLE_2D, "--n", "200", "--seed", "1", "--r", "0.5",
+         "--grid-size", "4", "--level", "0.9"],
+        ["coverage", "--model", STABLE_1D, "--n", "200", "--seed", "1", "--kind", "alpha",
+         "--reps", "1", "--r", "0.5", "--beta", "3"],
+    ])
+    def test_flag_the_command_does_not_read_exit_2(self, tmp_path, argv):
+        argv = [str(tmp_path / a) if a == "x.csv" else a for a in argv]
+        proc = run_cli(*argv)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"unrecognized arguments: {argv[-2]}" in proc.stderr
+
+    def test_coverage_second_region_exit_2(self, capsys):
+        assert main(["coverage", "--model", self.STABLE_1D, "--n", "200", "--seed", "1",
+                     "--kind", "spectral", "--reps", "1", "--r", "0.5",
+                     "--region", "halfspace:1:0", "--region", "halfspace:-1:0"]) == 2
+        assert "error[usage]: coverage reads one --region, got 2" in capsys.readouterr().err
+
+    def test_unwritable_out_exit_3(self, six_row_csv, tmp_path, capsys):
+        assert main(["estimate", "--input", str(six_row_csv), "--r", "0.4",
+                     "--out", str(tmp_path / "no" / "doc.json")]) == 3
+        assert "error[io]:" in capsys.readouterr().err
+
+    def test_closed_stdout_exit_3(self):
+        # a 4096-row ecdf document is larger than a pipe buffer, so the
+        # writer is still printing when the reader closes the pipe
+        src = str(Path(tailspec.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tailspec.cli", "ecdf", "--model", self.STABLE_2D,
+             "--n", "2000", "--seed", "1", "--r", "0.5", "--grid-size", "4096"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src})
+        try:
+            assert len(proc.stdout.read(300)) == 300
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        err = err.decode()
+        assert proc.returncode == 3, err
+        assert "error[io]:" in err
+        assert "Traceback" not in err and "Exception ignored" not in err
+
     def test_sweep_without_feasible_r_exit_2(self):
         proc = run_cli("sweep", "--model", self.STABLE_1D, "--n", "3", "--seed", "1",
                        "--target", "alpha")
@@ -478,6 +563,37 @@ class TestExperimentCommands:
         summary = json.loads((tmp_path / "ecdf.json").read_text())
         assert 0.0 <= summary["sup_distance"] <= 1.0
         capsys.readouterr()
+
+    def test_ecdf_auto_r_reads_model_beta(self, capsys):
+        model = json.dumps({"kind": "polar", "alpha": 0.75, "density": "abscos2t",
+                            "beta": 3.0})
+        assert main(["ecdf", "--model", model, "--n", "2000", "--r", "auto",
+                     "--grid-size", "4", "--seed", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["r"] == tuning.optimal_r_alpha(0.75, 3.0, 0.05)
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("alpha", []), ("spectral", ["--region", "halfspace:1:0"]), ("mass", []),
+    ])
+    def test_coverage_auto_r_reads_model_beta(self, monkeypatch, capsys, kind, extra):
+        seen = []
+
+        def fake_coverage(model, N, r, kind, level, reps, *args, **kwargs):
+            seen.append(r)
+            return experiments.CoverageResult(kind=kind, level=level, reps=reps,
+                                              hits=reps, truth=1.0)
+
+        monkeypatch.setattr(experiments, "run_ci_coverage", fake_coverage)
+        model = '{"kind":"polar","alpha":1.0,"rho":0.5,"beta":1.5}'
+        assert main(["coverage", "--model", model, "--n", "2000", "--reps", "1",
+                     "--kind", kind, "--seed", "1", *extra]) == 0
+        capsys.readouterr()
+        assert seen == [tuning.auto_r(kind, 1.0, 1.5)]
+        assert seen != [tuning.auto_r(kind, 1.0)]
+
+    def test_model_beta_absent_is_none(self):
+        assert parse_model('{"alpha":1.0,"rho":0.5}')[0].beta is None
+        assert parse_model('{"alpha":1.75,"rho":0.5,"beta":3.5}')[0].beta == 3.5
 
     def test_coverage_zero_reps_exit_4(self, capsys):
         model = json.dumps({"kind": "polar", "alpha": 1.0, "total_mass": 1.0,
@@ -564,6 +680,7 @@ FUZZ_MODELS = [
     '{"kind":"stable","alpha":0.75,"density":"abscos2t","n_atoms":8}',
     '{"kind":"polar","alpha":1.5,"atoms":[[0.6,0.8,0.5],[-0.6,0.8,0.5]]}',
     '{"kind":"polar","alpha":1.0,"rho":1.0}',
+    '{"kind":"polar","alpha":0.75,"density":"abscos2t","beta":3.0}',
 ]
 BAD_MODELS = ['{"kind":"stable","alpha":2.5,"rho":0.0}', '{"alpha":-1,"rho":0.5}',
               '{"alpha":1.0}', "{not json"]
@@ -588,11 +705,10 @@ FUZZ_FLAGS = {
 # command: (flags it requires, optional flags)
 FUZZ_COMMANDS = {
     "estimate": (["--r"], ["--seed", "--level", "--epsilon", "--beta", "--alpha", "--t"]),
-    "simulate": (["--seed", "--n"], ["--level", "--epsilon"]),
-    "sweep": (["--seed", "--n", "--target"], ["--reps", "--grid", "--level"]),
-    "ecdf": (["--seed", "--n"], ["--r", "--grid-size", "--epsilon", "--beta", "--level"]),
-    "coverage": (["--seed", "--n", "--kind"], ["--reps", "--r", "--level", "--epsilon",
-                                                "--beta"]),
+    "simulate": (["--seed", "--n"], []),
+    "sweep": (["--seed", "--n", "--target"], ["--reps", "--grid"]),
+    "ecdf": (["--seed", "--n"], ["--r", "--grid-size", "--epsilon"]),
+    "coverage": (["--seed", "--n", "--kind"], ["--reps", "--r", "--level", "--epsilon"]),
 }
 
 
@@ -649,3 +765,40 @@ def test_cli_argv_fuzz_exits_cleanly(fuzz_dir, argv):
             rc = e.code
     assert rc in (0, 2, 3, 4), (argv, stderr.getvalue())
     assert "Traceback" not in stderr.getvalue()
+
+
+# ---------------------------------------------------------------- README
+
+
+def readme_commands() -> list[list[str]]:
+    """The argument vectors of the `tailspec ...` commands in the README's sh
+    blocks; a quoted model JSON may span lines."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        pending = ""
+        for line in block.splitlines():
+            pending += line + "\n"
+            try:
+                words = shlex.split(pending.replace("\\\n", " "), comments=True)
+            except ValueError:  # a quote is still open
+                continue
+            if pending.rstrip().endswith("\\"):
+                continue
+            pending = ""
+            if words[:1] == ["tailspec"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_examples_parse():
+    commands = readme_commands()
+    assert sorted({c[0] for c in commands}) == ["coverage", "ecdf", "estimate", "simulate",
+                                                "sweep"]
+    for argv in commands:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: tailspec {shlex.join(argv)}")
+        if hasattr(args, "model"):
+            parse_model(args.model)

@@ -9,6 +9,7 @@ from tailspec.tuning import (
     CASE_LARGE_BETA,
     CASE_MIDDLE_BETA,
     admissible_t,
+    auto_r,
     default_t,
     optimal_r_alpha,
     optimal_r_mass,
@@ -123,3 +124,28 @@ class TestDefaults:
         assert plan.r_mass == pytest.approx(0.49)
         assert plan.t_max_normality == pytest.approx(0.245)
         assert 0.0 < plan.t_default < plan.t_max_consistency
+
+
+class TestAutoR:
+    def test_each_kind_has_its_rule(self):
+        assert auto_r("alpha", 1.0, 10.0) == pytest.approx(18 / 19 - 0.05)
+        assert auto_r("spectral", 1.0, 10.0) == pytest.approx(2 / 3 - 0.05)
+        assert auto_r("mass", 1.0, 10.0) == pytest.approx(0.45)
+        assert auto_r("alpha", 1.0, 10.0, 0.01) == optimal_r_alpha(1.0, 10.0, 0.01)
+        assert auto_r("spectral", 1.0, 10.0, 0.01) == optimal_r_spectral(1.0, 10.0, 0.01)
+        assert auto_r("mass", 1.0, 10.0, 0.01) == optimal_r_mass(1.0, 10.0, 0.01)
+
+    def test_no_beta_means_twice_alpha(self):
+        for kind in ("alpha", "spectral", "mass"):
+            assert auto_r(kind, 2.0) == auto_r(kind, 2.0, 4.0)
+        assert auto_r("alpha", 0.75, None, 0.1) == optimal_r_alpha(0.75, 1.5, 0.1)
+
+    def test_mass_falls_back_to_tail_index_rule(self):
+        # beta <= alpha + 1 leaves the mass rule without an admissible r
+        assert auto_r("mass", 1.0, 2.0) == optimal_r_alpha(1.0, 2.0)
+        assert auto_r("mass", 1.0) == optimal_r_alpha(1.0, 2.0)
+        assert auto_r("mass", 0.5, 1.4) == optimal_r_alpha(0.5, 1.4)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            auto_r("rho", 1.0)
