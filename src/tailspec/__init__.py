@@ -20,7 +20,7 @@ from .estimators import (
     total_mass_ci,
 )
 from .grouping import plan_grouping, summarize_groups
-from .numerics import gamma_fn, ks_distance, normal_cdf, normal_quantile
+from .numerics import gamma_fn, ks_distance, normal_quantile
 from .simulation import (
     SeededRng,
     discretize_angular_density,
@@ -33,13 +33,11 @@ from .simulation import (
 )
 from .tuning import (
     AdmissibleT,
-    TuningPlan,
     admissible_t,
     default_t,
     optimal_r_alpha,
     optimal_r_mass,
     optimal_r_spectral,
-    plan_tuning,
 )
 from .types import (
     Arc,
@@ -70,7 +68,6 @@ __all__ = [
     "SpectralEstimate",
     "TailspecError",
     "TotalMassEstimate",
-    "TuningPlan",
     "admissible_t",
     "alpha_ci",
     "default_t",
@@ -80,13 +77,11 @@ __all__ = [
     "estimate_total_mass",
     "gamma_fn",
     "ks_distance",
-    "normal_cdf",
     "normal_quantile",
     "optimal_r_alpha",
     "optimal_r_mass",
     "optimal_r_spectral",
     "plan_grouping",
-    "plan_tuning",
     "rho_1d",
     "sample_polar",
     "sample_polar_block_maxima",

@@ -188,28 +188,23 @@ def parse_model(text: str) -> tuple[ModelSpec, str, int]:
     sources = [k for k in ("atoms", "rho", "density") if k in cfg]
     if len(sources) != 1:
         raise CliUsage("--model needs exactly one of atoms, rho, density")
+    atoms = weights = density = None
     if "atoms" in cfg:
-        model = ModelSpec(alpha=alpha, total_mass=total, beta=beta,
-                          atoms=_model_atoms(cfg["atoms"]))
+        atoms, weights = _model_atoms(cfg["atoms"])
     elif "rho" in cfg:
         rho = _model_number(cfg, "rho")
         if not (-1.0 <= rho <= 1.0):
             raise CliUsage(f"rho={rho} outside [-1,1]")
-        atoms = []
-        if rho > -1.0:
-            atoms.append((np.array([1.0]), total * (1.0 + rho) / 2.0))
-        if rho < 1.0:
-            atoms.append((np.array([-1.0]), total * (1.0 - rho) / 2.0))
-        model = ModelSpec(alpha=alpha, total_mass=total, beta=beta,
-                          atoms=tuple(atoms))
+        keep = [rho > -1.0, rho < 1.0]  # the atoms +1 and -1 that carry mass
+        atoms = np.array([[1.0], [-1.0]])[keep]
+        weights = np.array([total * (1.0 + rho) / 2.0, total * (1.0 - rho) / 2.0])[keep]
     else:
         try:
             density = NamedDensity(cfg["density"], total)
         except InvalidModel as e:  # an unknown name
             raise CliUsage(str(e))
-        model = ModelSpec(alpha=alpha, total_mass=total, beta=beta,
-                          density=density)
-    return model, kind, n_atoms
+    return ModelSpec(alpha=alpha, total_mass=total, beta=beta, atoms=atoms,
+                     weights=weights, density=density), kind, n_atoms
 
 
 def _model_number(cfg: dict, key: str, default=None, cast=float):
@@ -225,25 +220,26 @@ def _model_number(cfg: dict, key: str, default=None, cast=float):
     return number
 
 
-def _model_atoms(rows) -> tuple[tuple[np.ndarray, float], ...]:
-    """The --model atoms, rows [x1, ..., xd, w], as (direction, weight) pairs."""
+def _model_atoms(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The --model atoms, rows [x1, ..., xd, w], as a (K, d) direction array
+    and a (K,) weight array."""
     bad = CliUsage("--model atoms must be a list of [x1, ..., xd, w] rows of finite numbers")
     if not isinstance(rows, list):
         raise bad
     if not rows:
         raise CliUsage("--model atoms needs at least one [x1, ..., xd, w] row")
-    atoms = []
-    for row in rows:
-        if not isinstance(row, list) or len(row) < 2:
-            raise bad
-        try:
-            values = [float(x) for x in row]
-        except (TypeError, ValueError, OverflowError):
-            raise bad
-        if not all(math.isfinite(x) for x in values):
-            raise bad
-        atoms.append((np.array(values[:-1]), values[-1]))
-    return tuple(atoms)
+    if not all(isinstance(row, list) and len(row) >= 2 for row in rows):
+        raise bad
+    try:
+        values = [[float(x) for x in row] for row in rows]
+    except (TypeError, ValueError, OverflowError):
+        raise bad
+    if not all(math.isfinite(x) for row in values for x in row):
+        raise bad
+    if len({len(row) for row in values}) != 1:
+        raise InvalidModel("atoms have mixed dimensions")
+    table = np.array(values)
+    return table[:, :-1], table[:, -1]
 
 
 # ---------------------------------------------------------------- regions
@@ -301,10 +297,12 @@ def _resolve_r(args, kind: str, alpha: float | None, beta: float | None) -> floa
 
 
 def cmd_estimate(args) -> dict:
+    if args.shuffle and args.seed is None:
+        raise CliUsage("--shuffle needs --seed")
+    if args.seed is not None and not args.shuffle:
+        raise CliUsage("estimate reads --seed only with --shuffle")
     data = validate_data(read_csv(args.input, skip_header=args.skip_header))
     if args.shuffle:
-        if args.seed is None:
-            raise CliUsage("--shuffle needs --seed")
         g = SeededRng(args.seed, stream=0xD47A).generator()
         data = DataMatrix(data.values[g.permutation(data.rows)])
     r = _resolve_r(args, "alpha", args.alpha, args.beta)
@@ -446,6 +444,8 @@ def cmd_coverage(args) -> dict:
         if not args.region:
             raise CliUsage("spectral coverage needs --region")
         region, _ = parse_region(args.region[0], model.dim)
+    elif args.region:
+        raise CliUsage(f"coverage --kind {args.kind} reads no --region")
     r = _resolve_r(args, args.kind, model.alpha, model.beta)
     res = experiments.run_ci_coverage(
         model, args.n, r, args.kind, args.level, args.reps,
@@ -530,6 +530,8 @@ def main(argv=None) -> int:
             args.model = Path(args.model[1:]).read_text(encoding="utf-8")
         if getattr(args, "n", 1) < 1:
             raise CliUsage(f"--n must be at least 1, got {args.n}")
+        if getattr(args, "workers", 1) < 1:
+            raise CliUsage(f"--workers must be at least 1, got {args.workers}")
         if getattr(args, "grid_size", 2) < 2:
             raise CliUsage(f"--grid-size must be at least 2, got {args.grid_size}")
         if not 0.0 < getattr(args, "level", 0.5) < 1.0:

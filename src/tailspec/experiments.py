@@ -60,11 +60,11 @@ def draw_sample(model: ModelSpec, N: int, rng: SeededRng, sampler: str = "polar"
     if sampler == "stable":
         if model.dim == 1:
             return sample_stable_1d(model.alpha, model.rho, model.total_mass, N, rng)
-        atoms = model.atoms
+        atoms, weights = model.atoms, model.weights
         if atoms is None:
-            atoms = discretize_angular_density(model.density, model.total_mass,
-                                               n_atoms)
-        return sample_stable_vector(model.alpha, atoms, N, rng)
+            atoms, weights = discretize_angular_density(model.density,
+                                                        model.total_mass, n_atoms)
+        return sample_stable_vector(model.alpha, atoms, weights, N, rng)
     raise InvalidModel(f"unknown sampler {sampler!r}")
 
 

@@ -22,11 +22,6 @@ def gamma_fn(x: float) -> float:
     return math.gamma(x)
 
 
-def normal_cdf(x: float) -> float:
-    """Standard normal cdf via erfc (accurate in both tails)."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
 def normal_quantile(p: float) -> float:
     """Inverse standard normal cdf for 0 < p < 1."""
     if not (0.0 < p < 1.0) or math.isnan(p):

@@ -123,12 +123,6 @@ def _cms(alpha: float, skew: float, u1: np.ndarray, u2: np.ndarray) -> np.ndarra
     return phi
 
 
-def _atom_arrays(model: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    dirs = np.stack([v for v, _ in model.atoms])
-    w = np.array([wt for _, wt in model.atoms])
-    return dirs, w
-
-
 # grid resolution for inverse-cdf sampling from an angular density
 _DENSITY_SAMPLING_GRID = 4096
 
@@ -150,10 +144,9 @@ def sample_polar(model: ModelSpec, N: int, rng: SeededRng) -> DataMatrix:
     x0 = model.total_mass ** (1.0 / model.alpha)
     radius = x0 * (1.0 - u_radius) ** (-1.0 / model.alpha)
     if model.atoms is not None:
-        dirs, w = _atom_arrays(model)
-        cum = np.cumsum(w) / model.total_mass
+        cum = np.cumsum(model.weights) / model.total_mass
         cum[-1] = 1.0
-        theta = dirs[np.searchsorted(cum, u_dir, side="right")]
+        theta = model.atoms[np.searchsorted(cum, u_dir, side="right")]
     else:
         edges = np.linspace(0.0, 2.0 * math.pi, _DENSITY_SAMPLING_GRID + 1)
         mids = (edges[:-1] + edges[1:]) / 2.0
@@ -217,8 +210,8 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _add_atom_terms(out: np.ndarray, alpha: float, terms, rng: SeededRng,
-                    lo: int, hi: int) -> None:
+def _add_atom_terms(out: np.ndarray, alpha: float, atoms: np.ndarray, scales,
+                    rng: SeededRng, lo: int, hi: int) -> None:
     """Add every atom's term, in atom order, to rows [lo, hi) of out.
 
     The serial draw order is u1 then u2 for each atom in turn, N doubles
@@ -226,7 +219,7 @@ def _add_atom_terms(out: np.ndarray, alpha: float, terms, rng: SeededRng,
     2*N*k + N + lo.
     """
     N = out.shape[0]
-    for k, (v, scale) in enumerate(terms):
+    for k, (v, scale) in enumerate(zip(atoms, scales)):
         u1 = rng.uniforms(2 * N * k + lo, hi - lo)
         u2 = rng.uniforms(2 * N * k + N + lo, hi - lo)
         # z stays bound until the next atom's z exists; freeing it at once
@@ -240,12 +233,14 @@ def _add_atom_terms(out: np.ndarray, alpha: float, terms, rng: SeededRng,
             out[lo:hi, j] += z * v[j]
 
 
-def sample_stable_vector(alpha: float, atoms, N: int, rng: SeededRng) -> DataMatrix:
+def sample_stable_vector(alpha: float, atoms, weights, N: int,
+                         rng: SeededRng) -> DataMatrix:
     """Strictly stable vectors with spectral measure sum_j w_j delta_{s_j}.
 
     X = sum_j s_j Z_j with Z_j independent positive (totally skewed) stable
     scalars scaled so each term contributes tail weight w_j along s_j.
-    Needs 0 < alpha < 1 so the summands are positive.
+    ``atoms`` is the (K, d) array of directions s_j, ``weights`` the (K,)
+    array of w_j.  Needs 0 < alpha < 1 so the summands are positive.
 
     Draw order: for each atom, N uniforms u1 then N uniforms u2.  Threads
     fill row ranges from their rows' positions of that order, so the result
@@ -253,57 +248,53 @@ def sample_stable_vector(alpha: float, atoms, N: int, rng: SeededRng) -> DataMat
     """
     if not (0.0 < alpha < 1.0):
         raise UnsupportedAlpha(f"need 0 < alpha < 1, got {alpha}")
-    atoms = list(atoms)
-    if not atoms:
-        raise InvalidModel("need at least one atom")
+    atoms = np.asarray(atoms, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if atoms.ndim != 2 or atoms.shape[0] == 0 or weights.shape != atoms.shape[:1]:
+        raise InvalidModel("need a (K, d) atom array, K >= 1, and K weights")
+    if not (weights > 0.0).all():
+        raise InvalidModel("atom weights must be positive")
     c_alpha = stable_tail_constant(alpha)
-    dim = np.atleast_1d(np.asarray(atoms[0][0])).shape[0]
-    terms = []
-    for vec, weight in atoms:
-        if weight <= 0.0:
-            raise InvalidModel("atom weights must be positive")
-        terms.append((np.atleast_1d(np.asarray(vec, dtype=np.float64)),
-                      (weight / c_alpha) ** (1.0 / alpha)))
-    out = np.zeros((N, dim))
+    # scalar ** per atom: np.power's AVX-512 kernel rounds some scales differently
+    scales = [(w / c_alpha) ** (1.0 / alpha) for w in weights.tolist()]
+    out = np.zeros((N, atoms.shape[1]))
     parts = max(1, min(_available_cpus(), N // _ROWS_PER_THREAD))
     if parts == 1:
-        _add_atom_terms(out, alpha, terms, rng, 0, N)
+        _add_atom_terms(out, alpha, atoms, scales, rng, 0, N)
     else:
         cuts = [N * i // parts for i in range(parts + 1)]
         # a pool per call, so no thread outlives it into a later fork;
         # imported here, as concurrent.futures loads multiprocessing,
         # socket and logging, which a serial run never uses
         from concurrent.futures import ThreadPoolExecutor
-        fill = partial(_add_atom_terms, out, alpha, terms, rng)
+        fill = partial(_add_atom_terms, out, alpha, atoms, scales, rng)
         with ThreadPoolExecutor(max_workers=parts) as pool:
             list(pool.map(fill, cuts[:-1], cuts[1:]))
     return DataMatrix(out)
 
 
-def discretize_angular_density(f, total_mass: float, K: int):
-    """K atoms at cell midpoints carrying the cell masses of the density.
+def discretize_angular_density(f, total_mass: float,
+                               K: int) -> tuple[np.ndarray, np.ndarray]:
+    """K atoms at cell midpoints carrying the cell masses of the density,
+    as a (K, 2) direction array and a (K,) weight array.
 
-    Cell masses come from a 128-point midpoint rule and are rescaled to sum
-    exactly to total_mass.
+    Cell masses come from a 128-point midpoint rule, one density call on the
+    (K, 128) grid, and are rescaled to sum exactly to total_mass.
     """
     if K < 4:
         raise InvalidModel(f"need K >= 4 cells, got {K}")
     width = 2.0 * math.pi / K
     sub = (np.arange(128) + 0.5) / 128.0
-    weights = np.empty(K)
-    for k in range(K):
-        xs = k * width + sub * width
-        vals = np.asarray(f(xs), dtype=np.float64)
-        if (vals < 0).any():
-            raise InvalidDensity("density takes negative values")
-        weights[k] = vals.mean() * width
+    vals = np.asarray(f(np.arange(K)[:, None] * width + sub * width), dtype=np.float64)
+    if (vals < 0).any():
+        raise InvalidDensity("density takes negative values")
+    weights = vals.mean(axis=1) * width
     total = weights.sum()
     if total <= 0.0:
         raise InvalidDensity("density integrates to zero")
     weights *= total_mass / total
     mids = (np.arange(K) + 0.5) * width
-    dirs = np.c_[np.cos(mids), np.sin(mids)]
-    return [(dirs[k], float(weights[k])) for k in range(K)]
+    return np.c_[np.cos(mids), np.sin(mids)], weights
 
 
 def sample_polar_block_maxima(model: ModelSpec, m: int, n_groups: int,

@@ -150,53 +150,3 @@ def default_t(alpha: float, r: float) -> float:
         raise ValueError(f"r={r} outside (0,1)")
     return 0.5 * min(alpha * r / 4.0, 1.0)
 
-
-@dataclass(frozen=True)
-class TuningPlan:
-    """All tuning outputs for one (alpha, beta, epsilon) triple.
-
-    ``r_mass`` and ``t_max_normality`` are None when beta <= alpha + 1, where
-    the mass-normality rule has no admissible exponent.
-    """
-
-    alpha: float
-    beta: float
-    epsilon: float
-    zeta: float
-    r_alpha: float
-    r_spectral: float
-    r_mass: float | None
-    t_max_consistency: float
-    t_max_normality: float | None
-    t_default: float
-
-
-def plan_tuning(alpha: float, beta: float | None = None,
-                epsilon: float = DEFAULT_EPSILON) -> TuningPlan:
-    """Bundle every tuning rule; beta defaults to 2*alpha (stable-tail case).
-
-    t bounds and the default t are evaluated at the grouping exponent actually
-    recommended for estimation, which is r_alpha.
-    """
-    if beta is None:
-        beta = DEFAULT_BETA_FACTOR * alpha
-    r_a = optimal_r_alpha(alpha, beta, epsilon)
-    r_s = optimal_r_spectral(alpha, beta, epsilon)
-    if beta > alpha + 1.0:
-        r_m = optimal_r_mass(alpha, beta, epsilon)
-        t_norm = admissible_t(alpha, beta, r_m).t_max
-    else:
-        r_m = t_norm = None
-    zeta = math.inf if math.isinf(beta) else (beta - alpha) / alpha
-    return TuningPlan(
-        alpha=alpha,
-        beta=beta,
-        epsilon=epsilon,
-        zeta=zeta,
-        r_alpha=r_a,
-        r_spectral=r_s,
-        r_mass=r_m,
-        t_max_consistency=alpha * r_a / 2.0,
-        t_max_normality=t_norm,
-        t_default=default_t(alpha, r_a),
-    )

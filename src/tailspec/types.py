@@ -432,48 +432,54 @@ _DENSITY_QUAD_CELLS = 1 << 15
 class ModelSpec:
     """Ground truth for simulation and tuning.
 
-    Exactly one of ``atoms`` (list of (unit vector, positive weight) pairs,
-    weights summing to ``total_mass``) or ``density`` (angular density on
-    [0, 2*pi) integrating to ``total_mass``, d=2 only) must be given.  The
-    slowly varying factor is the constant 1 throughout.  ``beta`` is the
+    Give either ``atoms``, a (K, d) array of unit directions, with
+    ``weights``, a (K,) array of positive weights summing to ``total_mass``
+    (both stored as read-only float64 arrays), or ``density``, an angular
+    density on [0, 2*pi) integrating to ``total_mass`` (d=2 only).  Every
+    number must be finite, except ``beta``, which may be +inf.  The slowly
+    varying factor is the constant 1 throughout.  ``beta`` is the
     second-order exponent that tunes r (tuning.auto_r); None means 2*alpha.
     """
 
     alpha: float
     total_mass: float
     beta: float | None = None
-    atoms: tuple[tuple[np.ndarray, float], ...] | None = None
+    atoms: np.ndarray | None = None
+    weights: np.ndarray | None = None
     density: AngularDensity | None = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.total_mass)):
+            raise InvalidModel("alpha and total_mass must be finite")
         if self.alpha <= 0.0:
             raise InvalidModel("alpha must be positive")
         if self.total_mass <= 0.0:
             raise InvalidModel("total_mass must be positive")
-        if self.beta is not None and self.beta <= self.alpha:
+        if self.beta is not None and not self.beta > self.alpha:
             raise InvalidModel("beta must exceed alpha (use +inf if exact)")
         if (self.atoms is None) == (self.density is None):
             raise InvalidModel("specify exactly one of atoms or density")
+        if (self.atoms is None) != (self.weights is None):
+            raise InvalidModel("atoms and weights go together")
         if self.atoms is not None:
-            if len(self.atoms) == 0:
+            atoms, weights = _frozen(self.atoms), _frozen(self.weights)
+            if atoms.size == 0:
                 raise InvalidModel("need at least one atom")
-            cooked = []
-            for vec, w in self.atoms:
-                v = np.atleast_1d(np.asarray(vec, dtype=np.float64))
-                if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-                    raise InvalidModel(f"atom {v} is not a unit vector")
-                if w <= 0.0:
-                    raise InvalidModel("atom weights must be positive")
-                cooked.append((_frozen(v), float(w)))
-            dims = {v.shape[0] for v, _ in cooked}
-            if len(dims) != 1:
-                raise InvalidModel("atoms have mixed dimensions")
-            total = sum(w for _, w in cooked)
+            if atoms.ndim != 2 or weights.shape != atoms.shape[:1]:
+                raise InvalidModel("atoms must be a (K, d) array with K weights")
+            if not (np.isfinite(atoms).all() and np.isfinite(weights).all()):
+                raise InvalidModel("atoms and weights must be finite")
+            if _unit_norm_error(atoms) > 1e-9:
+                raise InvalidModel("atoms must be unit vectors")
+            if (weights <= 0.0).any():
+                raise InvalidModel("atom weights must be positive")
+            total = sum(weights.tolist())
             if abs(total - self.total_mass) > 1e-9:
                 raise InvalidModel(
                     f"atom weights sum to {total}, expected {self.total_mass}"
                 )
-            object.__setattr__(self, "atoms", tuple(cooked))
+            object.__setattr__(self, "atoms", atoms)
+            object.__setattr__(self, "weights", weights)
         else:
             total = self._density_integral()
             if abs(total - self.total_mass) > 1e-6:
@@ -490,25 +496,25 @@ class ModelSpec:
 
     @property
     def dim(self) -> int:
-        if self.atoms is not None:
-            return self.atoms[0][0].shape[0]
-        return 2
+        return 2 if self.atoms is None else self.atoms.shape[1]
+
+    # Sums of weights below run left to right, as Python's sum does, so
+    # their bits do not depend on np.sum's pairwise blocking.
 
     @property
     def rho(self) -> float:
         """(sigma(+1) - sigma(-1)) / sigma(S) for d=1 atom models."""
         if self.atoms is None or self.dim != 1:
             raise DimensionMismatch("rho is defined for d=1 atom models")
-        pos = sum(w for v, w in self.atoms if v[0] > 0)
-        neg = sum(w for v, w in self.atoms if v[0] < 0)
+        pos = sum(self.weights[self.atoms[:, 0] > 0].tolist())
+        neg = sum(self.weights[self.atoms[:, 0] < 0].tolist())
         return (pos - neg) / self.total_mass
 
     def normalized_mass(self, region: Region) -> float:
         """sigma~(B) = sigma(B)/sigma(S) for a membership predicate B."""
         if self.atoms is not None:
-            inside = region_mask(region, np.stack([v for v, _ in self.atoms]))
-            hit = sum(w for (_, w), is_in in zip(self.atoms, inside) if is_in)
-            return hit / self.total_mass
+            inside = region_mask(region, self.atoms)
+            return sum(self.weights[inside].tolist()) / self.total_mass
         mids, step = _density_grid()
         vals = np.asarray(self.density(mids), dtype=np.float64)
         inside = region_mask(region, np.c_[np.cos(mids), np.sin(mids)])
@@ -523,11 +529,9 @@ class ModelSpec:
             raise DimensionMismatch("spectral cdf needs d=2")
         a = np.asarray(angles, dtype=np.float64)
         if self.atoms is not None:
-            at = np.mod(np.arctan2([v[1] for v, _ in self.atoms],
-                                   [v[0] for v, _ in self.atoms]), 2 * math.pi)
+            at = np.mod(np.arctan2(self.atoms[:, 1], self.atoms[:, 0]), 2 * math.pi)
             order = np.argsort(at, kind="stable")
-            w = np.array([wt for _, wt in self.atoms])[order]
-            cum = np.concatenate([[0.0], np.cumsum(w)]) / self.total_mass
+            cum = np.concatenate([[0.0], np.cumsum(self.weights[order])]) / self.total_mass
             return cum[np.searchsorted(at[order], a, side="right")]
         mids, step = _density_grid()
         vals = np.asarray(self.density(mids), dtype=np.float64) * step

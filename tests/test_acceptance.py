@@ -123,7 +123,7 @@ def test_criterion_2_spectral_cdf_sup_distance():
 def test_criterion_3_example1_sweep():
     """Example-1 sweep: near-truth at 1-r=0.4, catastrophic at the extremes."""
     model = ModelSpec(alpha=1.75, total_mass=1.0, beta=3.5,
-                      atoms=((np.array([1.0]), 0.75), (np.array([-1.0]), 0.25)))
+                      atoms=[[1.0], [-1.0]], weights=[0.75, 0.25])
     grid = [1.0 - 0.05 * k for k in range(1, 20)]  # 1-r in {0.05,...,0.95}
     res = run_r_sweep(model, 100000, grid, reps=50, target="rho",
                       rng=SeededRng(SEED_SWEEP), sampler="stable")
@@ -141,8 +141,7 @@ def test_criterion_3_example1_sweep():
 
 def polar_ground_truth_model() -> ModelSpec:
     return ModelSpec(alpha=1.0, total_mass=2.0,
-                     atoms=((np.array([1.0, 0.0]), 1.2),
-                            (np.array([0.0, 1.0]), 0.8)))
+                     atoms=[[1.0, 0.0], [0.0, 1.0]], weights=[1.2, 0.8])
 
 
 def test_criterion_4_polar_ground_truth():
@@ -174,7 +173,7 @@ def coverage_model() -> ModelSpec:
     # continuity set of the spectral measure
     s = math.sqrt(0.5)
     return ModelSpec(alpha=1.0, total_mass=2.0,
-                     atoms=((np.array([s, s]), 1.2), (np.array([-s, s]), 0.8)))
+                     atoms=[[s, s], [-s, s]], weights=[1.2, 0.8])
 
 
 def test_criterion_5_ci_coverage():
@@ -199,7 +198,7 @@ def test_criterion_5_ci_coverage():
 def test_criterion_6_frechet_limit_law():
     """Scaled group maxima follow exp(-x^-1) at m=1000 (KS <= 0.05)."""
     model = ModelSpec(alpha=1.0, total_mass=1.0,
-                      atoms=((np.array([1.0]), 1.0),))
+                      atoms=[[1.0]], weights=[1.0])
     ks = run_frechet_check(model, 1000, 1000, SeededRng(SEED_FRECHET))
     _report("criterion 6 (limit law of group maxima)", ks <= 0.05,
             f"KS distance {ks:.4f} <= 0.05 at m=1000, 1000 groups")
@@ -274,7 +273,7 @@ def test_criterion_7_exact_identities():
 def test_criterion_8_bias_decay():
     """|bias of mean q^t| shrinks from m=100 to m=10000 (500 reps each)."""
     model = ModelSpec(alpha=1.0, total_mass=1.0,
-                      atoms=((np.array([1.0]), 1.0),))
+                      atoms=[[1.0]], weights=[1.0])
     res = run_bias_decay(model, t=0.2, m_values=[100, 10000],
                          groups_per_rep=2500, reps=500,
                          rng=SeededRng(SEED_BIAS))

@@ -359,6 +359,7 @@ class TestBadInputsWithoutTraceback:
         '{"alpha": 1.0, "atoms": [[1.0, [0.0], 1.0]]}',
         '{"alpha": 1.5, "atoms": [[1.0, NaN]]}',
         '{"alpha": 1.5, "atoms": [[Infinity, 0, 1]]}',
+        '{"alpha": 1.0, "atoms": [[1.0, 0.0, 0.5], [NaN, 0.5]]}',
         '{"kind": "stable", "alpha": 0.5, "atoms": []}',
     ])
     def test_bad_model_exit_2(self, tmp_path, model):
@@ -367,6 +368,14 @@ class TestBadInputsWithoutTraceback:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "error[usage]: --model" in proc.stderr
+
+    def test_ragged_atoms_exit_4(self, tmp_path):
+        proc = run_cli("simulate", "--model",
+                       '{"alpha": 1.0, "atoms": [[1.0, 0.0, 0.5], [1.0, 0.5]]}',
+                       "--n", "5", "--seed", "1", "--out", str(tmp_path / "x.csv"))
+        assert proc.returncode == 4, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "error[InvalidModel]: atoms have mixed dimensions" in proc.stderr
 
     STABLE_2D = '{"kind":"stable","alpha":0.75,"total_mass":1.0,"density":"abscos2t"}'
     STABLE_1D = '{"kind":"stable","alpha":1.75,"rho":0.5,"total_mass":1.0,"beta":3.5}'
@@ -406,6 +415,10 @@ class TestBadInputsWithoutTraceback:
          "error[usage]: --level=0.0 outside (0,1)"),
         (["coverage", "--model", STABLE_1D, "--n", "50", "--seed", "1", "--kind", "alpha",
           "--level", "1.5"], "error[usage]: --level=1.5 outside (0,1)"),
+        (["sweep", "--model", STABLE_1D, "--n", "200", "--seed", "1", "--target", "rho",
+          "--workers", "-3"], "error[usage]: --workers must be at least 1, got -3"),
+        (["coverage", "--model", STABLE_1D, "--n", "200", "--seed", "1", "--kind", "alpha",
+          "--workers", "0"], "error[usage]: --workers must be at least 1, got 0"),
     ])
     def test_flag_out_of_range_exit_2(self, six_row_csv, capsys, argv, message):
         argv = [str(six_row_csv) if a == "six.csv" else a for a in argv]
@@ -459,6 +472,35 @@ class TestBadInputsWithoutTraceback:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert f"unrecognized arguments: {argv[-2]}" in proc.stderr
+
+    @pytest.mark.parametrize("argv, message", [
+        (["coverage", "--model", STABLE_1D, "--n", "200", "--seed", "1", "--kind", "alpha",
+          "--reps", "1", "--r", "0.5", "--region", "disc:9"],
+         "error[usage]: coverage --kind alpha reads no --region"),
+        (["coverage", "--model", STABLE_1D, "--n", "200", "--seed", "1", "--kind", "mass",
+          "--reps", "1", "--r", "0.5", "--region", "halfspace:1:0"],
+         "error[usage]: coverage --kind mass reads no --region"),
+        (["estimate", "--input", "six.csv", "--r", "0.5", "--seed", "9"],
+         "error[usage]: estimate reads --seed only with --shuffle"),
+    ])
+    def test_flag_the_mode_does_not_read_exit_2(self, six_row_csv, capsys, argv, message):
+        argv = [str(six_row_csv) if a == "six.csv" else a for a in argv]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--model", STABLE_1D, "--n", "200", "--seed", "1", "--target", "rho",
+         "--reps", "1", "--grid", "0.5"],
+        ["coverage", "--model", STABLE_1D, "--n", "200", "--seed", "1", "--kind", "alpha",
+         "--reps", "1", "--r", "0.5"],
+    ])
+    def test_workers_beyond_reps_run_serially(self, capsys, argv):
+        # the pool is capped at one process per replication, so none starts here
+        docs = []
+        for workers in ("1", "1000000"):
+            assert main(argv + ["--workers", workers]) == 0
+            docs.append(capsys.readouterr().out)
+        assert docs[0] == docs[1]
 
     def test_coverage_second_region_exit_2(self, capsys):
         assert main(["coverage", "--model", self.STABLE_1D, "--n", "200", "--seed", "1",
@@ -701,14 +743,16 @@ FUZZ_FLAGS = {
     "--grid": (["0.5", "0.3,0.6"], ["0.99", "2", "x"]),
     "--target": (["alpha", "rho", "mass"], []),
     "--kind": (["alpha", "spectral", "mass"], []),
+    "--workers": (["1"], ["0", "-1"]),  # no value that starts a pool
 }
 # command: (flags it requires, optional flags)
 FUZZ_COMMANDS = {
     "estimate": (["--r"], ["--seed", "--level", "--epsilon", "--beta", "--alpha", "--t"]),
     "simulate": (["--seed", "--n"], []),
-    "sweep": (["--seed", "--n", "--target"], ["--reps", "--grid"]),
+    "sweep": (["--seed", "--n", "--target"], ["--reps", "--grid", "--workers"]),
     "ecdf": (["--seed", "--n"], ["--r", "--grid-size", "--epsilon"]),
-    "coverage": (["--seed", "--n", "--kind"], ["--reps", "--r", "--level", "--epsilon"]),
+    "coverage": (["--seed", "--n", "--kind"],
+                 ["--reps", "--r", "--level", "--epsilon", "--workers"]),
 }
 
 
@@ -770,12 +814,17 @@ def test_cli_argv_fuzz_exits_cleanly(fuzz_dir, argv):
 # ---------------------------------------------------------------- README
 
 
+def readme_blocks(lang: str) -> list[str]:
+    """The README's fenced code blocks in one language."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.findall(rf"```{lang}\n(.*?)```", text, re.S)
+
+
 def readme_commands() -> list[list[str]]:
     """The argument vectors of the `tailspec ...` commands in the README's sh
     blocks; a quoted model JSON may span lines."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     commands = []
-    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+    for block in readme_blocks("sh"):
         pending = ""
         for line in block.splitlines():
             pending += line + "\n"
@@ -802,3 +851,11 @@ def test_readme_examples_parse():
             pytest.fail(f"README example does not parse: tailspec {shlex.join(argv)}")
         if hasattr(args, "model"):
             parse_model(args.model)
+
+
+def test_readme_python_example_runs():
+    blocks = readme_blocks("python")
+    assert blocks
+    for block in blocks:
+        with redirect_stdout(io.StringIO()):
+            exec(compile(block, "README.md", "exec"), {})

@@ -262,8 +262,7 @@ class TestTotalMass:
 
 def polar_unit_model():
     return ModelSpec(alpha=1.0, total_mass=1.0,
-                     atoms=((np.array([1.0, 0.0]), 0.6),
-                            (np.array([0.0, 1.0]), 0.4)))
+                     atoms=[[1.0, 0.0], [0.0, 1.0]], weights=[0.6, 0.4])
 
 
 class TestPipelineStatistics:
@@ -277,7 +276,7 @@ class TestPipelineStatistics:
     def test_mean_kappa_lln(self):
         # E kappa -> alpha/(1+alpha) = 1/2: 10^4 groups of m=100
         model = ModelSpec(alpha=1.0, total_mass=1.0,
-                          atoms=((np.array([1.0]), 1.0),))
+                          atoms=[[1.0]], weights=[1.0])
         data = sample_polar(model, 10**6, SeededRng(77))
         from tailspec.types import GroupScheme
 

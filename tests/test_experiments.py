@@ -24,13 +24,12 @@ from tailspec.types import ModelSpec
 
 def polar_model(alpha=1.0, total=1.0):
     return ModelSpec(alpha=alpha, total_mass=total,
-                     atoms=((np.array([1.0, 0.0]), 0.6 * total),
-                            (np.array([0.0, 1.0]), 0.4 * total)))
+                     atoms=[[1.0, 0.0], [0.0, 1.0]], weights=[0.6 * total, 0.4 * total])
 
 
 def stable_1d_model():
     return ModelSpec(alpha=1.75, total_mass=1.0, beta=3.5,
-                     atoms=((np.array([1.0]), 0.75), (np.array([-1.0]), 0.25)))
+                     atoms=[[1.0], [-1.0]], weights=[0.75, 0.25])
 
 
 class TestSweep:
@@ -210,7 +209,7 @@ class TestFrechet:
     def test_scale_moves_median(self):
         # Frechet median is (sigma / ln 2)^(1/alpha)
         model = ModelSpec(alpha=1.0, total_mass=2.0,
-                          atoms=((np.array([1.0]), 2.0),))
+                          atoms=[[1.0]], weights=[2.0])
         m1 = sample_polar_block_maxima(model, 2000, 4000, SeededRng(48))
         q = m1 / 2000.0
         assert np.median(q) == pytest.approx(2.0 / math.log(2.0), abs=0.3)
@@ -220,7 +219,7 @@ class TestBiasDecay:
     def test_matches_exact_finite_m_mean(self):
         # grand mean of q^t vs the closed-form polar expectation
         model = ModelSpec(alpha=1.0, total_mass=1.0,
-                          atoms=((np.array([1.0]), 1.0),))
+                          atoms=[[1.0]], weights=[1.0])
         t, m, n, reps = 0.2, 100, 2000, 20
         res = run_bias_decay(model, t, [m], n, reps, SeededRng(49))[0]
         exact_mean = math.gamma(1 - t) * math.exp(

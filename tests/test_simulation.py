@@ -73,7 +73,7 @@ class TestRngContract:
 
 def one_atom_model(alpha=1.0, total=1.0):
     return ModelSpec(alpha=alpha, total_mass=total,
-                     atoms=((np.array([1.0, 0.0]), total),))
+                     atoms=[[1.0, 0.0]], weights=[total])
 
 
 class TestSamplePolar:
@@ -88,8 +88,7 @@ class TestSamplePolar:
 
     def test_two_atom_frequencies(self):
         model = ModelSpec(alpha=1.0, total_mass=2.0,
-                          atoms=((np.array([1.0, 0.0]), 1.2),
-                                 (np.array([0.0, 1.0]), 0.8)))
+                          atoms=[[1.0, 0.0], [0.0, 1.0]], weights=[1.2, 0.8])
         N = 100000
         data = sample_polar(model, N, SeededRng(102))
         frac = (data.values[:, 0] != 0.0).mean()
@@ -112,8 +111,7 @@ class TestSamplePolar:
     def test_regular_variation_limit(self):
         # n P(direction in B, |X| > r n^(1/alpha)) -> sigma(B) r^(-alpha)
         model = ModelSpec(alpha=1.0, total_mass=2.0,
-                          atoms=((np.array([1.0, 0.0]), 1.2),
-                                 (np.array([0.0, 1.0]), 0.8)))
+                          atoms=[[1.0, 0.0], [0.0, 1.0]], weights=[1.2, 0.8])
         N, n = 10**6, 10**4
         data = sample_polar(model, N, SeededRng(104))
         norms = np.abs(data.values).sum(axis=1)  # axis atoms: L1 = L2 here
@@ -126,7 +124,7 @@ class TestSamplePolar:
 
     def test_d1_atoms(self):
         model = ModelSpec(alpha=1.5, total_mass=1.0,
-                          atoms=((np.array([1.0]), 0.75), (np.array([-1.0]), 0.25)))
+                          atoms=[[1.0], [-1.0]], weights=[0.75, 0.25])
         data = sample_polar(model, 20000, SeededRng(105))
         assert data.dim == 1
         frac_pos = (data.values[:, 0] > 0).mean()
@@ -174,15 +172,14 @@ class TestStable1d:
 
 class TestStableVector:
     def test_single_atom_ray(self):
-        atoms = [(np.array([1.0, 0.0]), 1.0)]
-        data = sample_stable_vector(0.75, atoms, 1000, SeededRng(108))
+        data = sample_stable_vector(0.75, [[1.0, 0.0]], [1.0], 1000, SeededRng(108))
         assert (data.values[:, 1] == 0.0).all()
         assert (data.values[:, 0] > 0.0).all()  # totally skewed, alpha < 1
 
     def test_tail_weights_two_atoms(self):
-        atoms = [(np.array([1.0, 0.0]), 0.7), (np.array([0.0, 1.0]), 0.3)]
         N, m = 10**6, 1000
-        data = sample_stable_vector(0.75, atoms, N, SeededRng(109))
+        data = sample_stable_vector(0.75, [[1.0, 0.0], [0.0, 1.0]], [0.7, 0.3], N,
+                                    SeededRng(109))
         norms = np.linalg.norm(data.values, axis=1)
         thr = m ** (1 / 0.75)
         big = norms > thr
@@ -195,27 +192,26 @@ class TestStableVector:
 
     def test_alpha_must_be_below_one(self):
         with pytest.raises(UnsupportedAlpha):
-            sample_stable_vector(1.2, [(np.array([1.0, 0.0]), 1.0)], 10, SeededRng(1))
+            sample_stable_vector(1.2, [[1.0, 0.0]], [1.0], 10, SeededRng(1))
 
     def test_deterministic(self):
-        atoms = [(np.array([0.0, 1.0]), 1.0)]
-        a = sample_stable_vector(0.5, atoms, 32, SeededRng(11))
-        b = sample_stable_vector(0.5, atoms, 32, SeededRng(11))
+        a = sample_stable_vector(0.5, [[0.0, 1.0]], [1.0], 32, SeededRng(11))
+        b = sample_stable_vector(0.5, [[0.0, 1.0]], [1.0], 32, SeededRng(11))
         assert (a.values == b.values).all()
 
     def test_bad_weight_rejected(self):
-        atoms = [(np.array([1.0, 0.0]), 1.0), (np.array([0.0, 1.0]), 0.0)]
         with pytest.raises(InvalidModel, match="weights"):
-            sample_stable_vector(0.5, atoms, 10**5, SeededRng(1))
+            sample_stable_vector(0.5, [[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0], 10**5,
+                                 SeededRng(1))
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
     def test_output_independent_of_cpu_count(self, monkeypatch, cpus):
-        atoms = [(np.array([1.0, 0.0, 0.0]), 0.5), (np.array([0.0, 0.6, 0.8]), 1.25)]
+        atoms, weights = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]]), np.array([0.5, 1.25])
         N = 5 * simulation._ROWS_PER_THREAD + 5  # up to 5 threads on any machine
         rng = SeededRng(5, 9)
-        want = serial_stable_vector(0.6, _terms(0.6, atoms), N, rng)
+        want = serial_stable_vector(0.6, atoms, _scales(0.6, weights), N, rng)
         monkeypatch.setattr(simulation, "_available_cpus", lambda: cpus)
-        got = sample_stable_vector(0.6, atoms, N, rng).values
+        got = sample_stable_vector(0.6, atoms, weights, N, rng).values
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_pool_workers_sample_serially(self):
@@ -230,8 +226,8 @@ class TestStableVector:
             pytest.skip(f"no digest recorded for numpy {env[0]} on {env[1]} "
                         f"(AVX-512 dispatch: {env[2]}); the CPU-count tests "
                         "still check the threaded path against the serial loop")
-        atoms = discretize_angular_density(NamedDensity("abscos2t", 1.0), 1.0, 100)
-        v = sample_stable_vector(0.75, atoms, 50001, SeededRng(3, 17)).values
+        atoms, weights = discretize_angular_density(NamedDensity("abscos2t", 1.0), 1.0, 100)
+        v = sample_stable_vector(0.75, atoms, weights, 50001, SeededRng(3, 17)).values
         assert hashlib.sha256(v.tobytes()).hexdigest() == _GOLDEN_ABSCOS2T[env]
 
 
@@ -257,10 +253,9 @@ def _numpy_dispatches_avx512():
     return bool(__cpu_features__.get("AVX512_SKX"))
 
 
-def _terms(alpha, atoms):
+def _scales(alpha, weights):
     c_alpha = stable_tail_constant(alpha)
-    return [(np.asarray(v, dtype=np.float64), (w / c_alpha) ** (1.0 / alpha))
-            for v, w in atoms]
+    return [(w / c_alpha) ** (1.0 / alpha) for w in weights.tolist()]
 
 
 def reference_cms(alpha, skew, u1, u2):
@@ -275,11 +270,11 @@ def reference_cms(alpha, skew, u1, u2):
     )
 
 
-def serial_stable_vector(alpha, terms, N, rng):
+def serial_stable_vector(alpha, atoms, scales, N, rng):
     """The single-threaded per-atom loop: u1 then u2 for each atom in turn."""
     g = rng.generator()
-    out = np.zeros((N, terms[0][0].shape[0]))
-    for v, scale in terms:
+    out = np.zeros((N, atoms.shape[1]))
+    for v, scale in zip(atoms, scales):
         z = scale * reference_cms(alpha, 1.0, g.random(N), g.random(N))
         out += z[:, None] * v[None, :]
     return out
@@ -325,43 +320,44 @@ def row_split(draw):
     k = draw(st.integers(1, 4))
     unit = st.lists(st.floats(-1, 1), min_size=d, max_size=d).filter(
         lambda x: math.hypot(*x) > 0.1)
-    atoms = [(np.array(x) / math.hypot(*x), draw(st.floats(0.01, 10.0)))
-             for x in draw(st.lists(unit, min_size=k, max_size=k))]
+    units = draw(st.lists(unit, min_size=k, max_size=k))
+    atoms = np.array([np.array(x) / math.hypot(*x) for x in units])
+    weights = np.array([draw(st.floats(0.01, 10.0)) for _ in units])
     N = draw(st.integers(1, 300))
     cuts = sorted(draw(st.lists(st.integers(0, N), max_size=6)))
-    return atoms, N, [0, *cuts, N]
+    return atoms, weights, N, [0, *cuts, N]
 
 
 @given(split=row_split(), alpha=st.floats(0.05, 0.95),
        seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**64 - 1))
 @settings(max_examples=150, deadline=None)
 def test_row_ranges_match_serial_loop(split, alpha, seed, stream):
-    atoms, N, cuts = split
+    atoms, weights, N, cuts = split
     rng = SeededRng(seed, stream)
-    terms = _terms(alpha, atoms)
-    want = serial_stable_vector(alpha, terms, N, rng)
+    scales = _scales(alpha, weights)
+    want = serial_stable_vector(alpha, atoms, scales, N, rng)
     out = np.zeros_like(want)
     # ranges filled last to first: no range depends on another
     for lo, hi in reversed(list(zip(cuts[:-1], cuts[1:]))):
-        _add_atom_terms(out, alpha, terms, rng, lo, hi)
+        _add_atom_terms(out, alpha, atoms, scales, rng, lo, hi)
     assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
 
 
 class TestDiscretize:
     def test_quadrant_symmetry_k4(self):
-        atoms = discretize_angular_density(
+        _, weights = discretize_angular_density(
             lambda th: np.abs(np.cos(2 * th)) / 4, 1.0, 4)
-        assert [w for _, w in atoms] == pytest.approx([0.25] * 4)
+        assert weights.tolist() == pytest.approx([0.25] * 4)
 
     def test_uniform_k8(self):
-        atoms = discretize_angular_density(
+        _, weights = discretize_angular_density(
             lambda th: np.full_like(np.asarray(th, float), 1 / (2 * math.pi)), 1.0, 8)
-        assert [w for _, w in atoms] == pytest.approx([1 / 8] * 8)
+        assert weights.tolist() == pytest.approx([1 / 8] * 8)
 
     def test_weights_sum_to_total(self):
-        atoms = discretize_angular_density(
+        _, weights = discretize_angular_density(
             lambda th: np.abs(np.cos(2 * th)) / 4, 3.5, 101)
-        assert sum(w for _, w in atoms) == pytest.approx(3.5, abs=1e-12)
+        assert sum(weights.tolist()) == pytest.approx(3.5, abs=1e-12)
 
     def test_negative_density_rejected(self):
         with pytest.raises(InvalidDensity):
@@ -375,7 +371,7 @@ class TestDiscretize:
 class TestBlockMaximaShortcut:
     def test_matches_exact_finite_m_law(self):
         model = ModelSpec(alpha=1.0, total_mass=2.0,
-                          atoms=((np.array([1.0]), 2.0),))
+                          atoms=[[1.0]], weights=[2.0])
         m, n = 100, 20000
         m1 = sample_polar_block_maxima(model, m, n, SeededRng(110))
         x0 = 2.0
@@ -395,7 +391,7 @@ class TestBlockMaximaShortcut:
         from tailspec.types import GroupScheme
 
         model = ModelSpec(alpha=1.5, total_mass=1.0,
-                          atoms=((np.array([1.0]), 1.0),))
+                          atoms=[[1.0]], weights=[1.0])
         m, n = 50, 4000
         direct = np.sort(sample_polar_block_maxima(model, m, n, SeededRng(111)))
         data = sample_polar(model, n * m, SeededRng(112))

@@ -14,7 +14,6 @@ from tailspec.tuning import (
     optimal_r_alpha,
     optimal_r_mass,
     optimal_r_spectral,
-    plan_tuning,
 )
 
 
@@ -109,21 +108,6 @@ class TestDefaults:
                 t = default_t(alpha, r)
                 assert 0.0 < t < alpha * r / 4.0 + 1e-15
                 assert t < alpha * r / 2.0
-
-    def test_plan_defaults_beta(self):
-        plan = plan_tuning(1.0)
-        assert plan.beta == 2.0
-        assert plan.zeta == pytest.approx(1.0)
-        assert plan.r_alpha == pytest.approx(2 / 3 - 0.05)
-        # alpha = 1, beta = 2 sits on the mass rule's boundary: no mass tuning
-        assert plan.r_mass is None and plan.t_max_normality is None
-        assert plan.t_default == pytest.approx(default_t(1.0, plan.r_alpha))
-
-    def test_plan_with_mass_branch(self):
-        plan = plan_tuning(2.0, 4.0, 0.01)
-        assert plan.r_mass == pytest.approx(0.49)
-        assert plan.t_max_normality == pytest.approx(0.245)
-        assert 0.0 < plan.t_default < plan.t_max_consistency
 
 
 class TestAutoR:

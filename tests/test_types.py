@@ -113,7 +113,7 @@ def two_point_model(w_pos=0.75, w_neg=0.25):
     return ModelSpec(
         alpha=1.75,
         total_mass=w_pos + w_neg,
-        atoms=((np.array([1.0]), w_pos), (np.array([-1.0]), w_neg)),
+        atoms=[[1.0], [-1.0]], weights=[w_pos, w_neg],
     )
 
 
@@ -124,7 +124,7 @@ class TestModelSpec:
     def test_atom_weights_must_sum(self):
         with pytest.raises(InvalidModel):
             ModelSpec(alpha=1.0, total_mass=2.0,
-                      atoms=((np.array([1.0, 0.0]), 0.5),))
+                      atoms=[[1.0, 0.0]], weights=[0.5])
 
     def test_need_atoms_or_density(self):
         with pytest.raises(InvalidModel):
@@ -132,7 +132,7 @@ class TestModelSpec:
 
     def test_empty_atoms_rejected(self):
         with pytest.raises(InvalidModel, match="need at least one atom"):
-            ModelSpec(alpha=1.0, total_mass=1.0, atoms=())
+            ModelSpec(alpha=1.0, total_mass=1.0, atoms=(), weights=())
 
     def test_density_integral_checked(self):
         with pytest.raises(InvalidModel):
@@ -150,8 +150,7 @@ class TestModelSpec:
 
     def test_atom_cdf_and_mass(self):
         m = ModelSpec(alpha=1.0, total_mass=2.0,
-                      atoms=((np.array([1.0, 0.0]), 1.2),
-                             (np.array([0.0, 1.0]), 0.8)))
+                      atoms=[[1.0, 0.0], [0.0, 1.0]], weights=[1.2, 0.8])
         assert m.spectral_cdf([0.0])[0] == pytest.approx(0.6)
         assert m.spectral_cdf([math.pi / 2])[0] == pytest.approx(1.0)
         assert m.normalized_mass(lambda v: v[0] > 0.5) == pytest.approx(0.6)
@@ -166,4 +165,44 @@ class TestModelSpec:
     def test_beta_must_exceed_alpha(self):
         with pytest.raises(InvalidModel):
             ModelSpec(alpha=2.0, total_mass=1.0, beta=2.0,
-                      atoms=((np.array([1.0]), 1.0),))
+                      atoms=[[1.0]], weights=[1.0])
+
+    @pytest.mark.parametrize("fields", [
+        dict(alpha=math.nan, total_mass=1.0, atoms=[[1.0, 0.0]], weights=[1.0]),
+        dict(alpha=math.inf, total_mass=1.0, atoms=[[1.0, 0.0]], weights=[1.0]),
+        dict(alpha=1.0, total_mass=math.nan, atoms=[[1.0, 0.0]], weights=[math.nan]),
+        dict(alpha=1.0, total_mass=1.0, atoms=[[math.nan, 0.0], [1.0, 0.0]],
+             weights=[0.5, 0.5]),
+        dict(alpha=1.0, total_mass=1.0, atoms=[[1.0, 0.0], [0.0, 1.0]],
+             weights=[math.nan, 0.5]),
+        dict(alpha=1.0, total_mass=1.0, beta=math.nan, atoms=[[1.0]], weights=[1.0]),
+    ])
+    def test_non_finite_rejected(self, fields):
+        with pytest.raises(InvalidModel):
+            ModelSpec(**fields)
+
+    def test_infinite_beta_accepted(self):
+        assert ModelSpec(alpha=1.0, total_mass=1.0, beta=math.inf,
+                         atoms=[[1.0]], weights=[1.0]).beta == math.inf
+
+    @pytest.mark.parametrize("atoms, weights", [
+        ([[1.0, 0.0], [0.0, 1.0]], [1.0]),
+        ([[1.0, 0.0]], [0.5, 0.5]),
+        ([[1.0, 0.0]], [[1.0]]),
+        ([1.0, 0.0], [1.0]),
+        ([[1.0, 0.0]], None),
+    ])
+    def test_atom_and_weight_shapes_must_match(self, atoms, weights):
+        with pytest.raises(InvalidModel):
+            ModelSpec(alpha=1.0, total_mass=1.0, atoms=atoms, weights=weights)
+
+    def test_arrays_read_only(self):
+        atoms, weights = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.2, 0.8])
+        m = ModelSpec(alpha=1.0, total_mass=2.0, atoms=atoms, weights=weights)
+        assert m.atoms.shape == (2, 2) and m.weights.shape == (2,)
+        assert m.atoms.dtype == m.weights.dtype == np.float64
+        with pytest.raises(ValueError):
+            m.atoms[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            m.weights[0] = 0.0
+        assert atoms.flags.writeable and weights.flags.writeable
