@@ -32,8 +32,7 @@ from .simulation import (
     stable_tail_constant,
 )
 from .tuning import (
-    AdmissibleT,
-    admissible_t,
+    auto_t,
     default_t,
     optimal_r_alpha,
     optimal_r_mass,
@@ -53,7 +52,6 @@ from .types import (
 )
 
 __all__ = [
-    "AdmissibleT",
     "AlphaEstimate",
     "Arc",
     "DataMatrix",
@@ -68,8 +66,8 @@ __all__ = [
     "SpectralEstimate",
     "TailspecError",
     "TotalMassEstimate",
-    "admissible_t",
     "alpha_ci",
+    "auto_t",
     "default_t",
     "discretize_angular_density",
     "estimate_alpha",

@@ -293,7 +293,8 @@ def _resolve_r(args, kind: str, alpha: float | None, beta: float | None) -> floa
         return _parse_r(args.r)
     if alpha is None:
         raise CliUsage("--r auto needs --alpha")
-    return tuning.auto_r(kind, alpha, beta, args.epsilon)
+    epsilon = tuning.DEFAULT_EPSILON if args.epsilon is None else args.epsilon
+    return tuning.auto_r(kind, alpha, beta, epsilon)
 
 
 def cmd_estimate(args) -> dict:
@@ -301,6 +302,8 @@ def cmd_estimate(args) -> dict:
         raise CliUsage("--shuffle needs --seed")
     if args.seed is not None and not args.shuffle:
         raise CliUsage("estimate reads --seed only with --shuffle")
+    if args.beta is not None and args.r != "auto" and args.t != "auto":
+        raise CliUsage("estimate reads --beta only with --r auto or --t auto")
     data = validate_data(read_csv(args.input, skip_header=args.skip_header))
     if args.shuffle:
         g = SeededRng(args.seed, stream=0xD47A).generator()
@@ -318,7 +321,7 @@ def cmd_estimate(args) -> dict:
         alpha_used = args.alpha if args.alpha is not None else alpha_est.alpha_hat
         alpha_mode = "fixed" if args.alpha is not None else "plugin"
         if args.t == "auto":
-            t = tuning.default_t(alpha_used, r)
+            t = tuning.auto_t(alpha_used, r, args.beta)
         else:
             try:
                 t = float(args.t)
@@ -467,7 +470,7 @@ _FLAGS = {
     "--model": (_MODEL_COMMANDS, dict(required=True, help="model JSON or @file.json")),
     "--n": (_MODEL_COMMANDS, dict(type=int, required=True)),
     "--r": (_R_COMMANDS, dict(default="auto")),
-    "--epsilon": (_R_COMMANDS, dict(type=float, default=tuning.DEFAULT_EPSILON)),
+    "--epsilon": (_R_COMMANDS, dict(type=float, default=None)),
     "--level": (("estimate", "coverage"), dict(type=float, default=0.95)),
     "--workers": (("sweep", "coverage"), dict(type=int, default=1)),
 }
@@ -500,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--alpha", type=float, default=None,
                      help="fixed tail index for the mass estimator (default: plug-in)")
     est.add_argument("--beta", type=float, default=None,
-                     help="second-order exponent for --r auto (default: 2*alpha)")
+                     help="second-order exponent for --r auto and --t auto (default: 2*alpha)")
     est.add_argument("--region", action="append",
                      help="arc:START:END or halfspace:u1,..,ud:c (repeatable)")
 
@@ -536,8 +539,11 @@ def main(argv=None) -> int:
             raise CliUsage(f"--grid-size must be at least 2, got {args.grid_size}")
         if not 0.0 < getattr(args, "level", 0.5) < 1.0:
             raise CliUsage(f"--level={args.level} outside (0,1)")
-        if getattr(args, "r", None) == "auto" and not 0.0 < args.epsilon < 0.5:
-            raise CliUsage(f"--epsilon={args.epsilon} outside (0,1/2) with --r auto")
+        if getattr(args, "epsilon", None) is not None:
+            if args.r != "auto":
+                raise CliUsage(f"{args.command} reads --epsilon only with --r auto")
+            if not 0.0 < args.epsilon < 0.5:
+                raise CliUsage(f"--epsilon={args.epsilon} outside (0,1/2) with --r auto")
         if args.command in _MODEL_COMMANDS and args.seed is None:
             raise CliUsage(f"{args.command} needs --seed")
         doc = args.fn(args)

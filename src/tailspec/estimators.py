@@ -162,7 +162,6 @@ class TotalMassEstimate:
     mass_hat: float
     n: int
     m: int
-    warnings: tuple[str, ...] = ()
 
 
 def estimate_total_mass(stats: GroupStats, m: int, alpha: float,
@@ -172,7 +171,7 @@ def estimate_total_mass(stats: GroupStats, m: int, alpha: float,
     Requires 0 < t < alpha/2 so both Gamma(1 - t/alpha) and the variance term
     Gamma(1 - 2t/alpha) are finite.  When t falls outside the strong
     consistency range t < alpha*r/2 (r inferred from n and m), the estimate is
-    still returned, carrying a warning.
+    still returned, with an EstimationWarning.
     """
     if not 0.0 < alpha < math.inf:
         raise InvalidAlpha(f"alpha={alpha} must be positive and finite")
@@ -190,16 +189,13 @@ def estimate_total_mass(stats: GroupStats, m: int, alpha: float,
     mean_q2t = float(np.multiply(qt, qt, out=qt).mean())
     mass_hat = (mean_qt / gamma_fn(1.0 - t / alpha)) ** (alpha / t)
 
-    notes: tuple[str, ...] = ()
     r_implied = math.log(n) / math.log(n * m) if n * m > 1 else 0.0
     if t >= alpha * r_implied / 2.0:
-        msg = (f"t={t} is outside the consistency range t < alpha*r/2 = "
-               f"{alpha * r_implied / 2.0:.6g} (r inferred from n, m)")
-        notes = (msg,)
-        warnings.warn(msg, EstimationWarning, stacklevel=2)
+        warnings.warn(f"t={t} is outside the consistency range t < alpha*r/2 = "
+                      f"{alpha * r_implied / 2.0:.6g} (r inferred from n, m)",
+                      EstimationWarning, stacklevel=2)
     return TotalMassEstimate(t=t, alpha_used=alpha, mean_qt=mean_qt,
-                             mean_q2t=mean_q2t, mass_hat=mass_hat, n=n, m=m,
-                             warnings=notes)
+                             mean_q2t=mean_q2t, mass_hat=mass_hat, n=n, m=m)
 
 
 def total_mass_ci(est: TotalMassEstimate, level: float = 0.95) -> Interval:

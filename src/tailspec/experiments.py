@@ -113,10 +113,10 @@ def default_r_grid(N: int, target: str) -> list[float]:
 
 
 def _estimate_target(data: DataMatrix, r: float, target: str,
-                     alpha_true: float | None) -> float:
+                     model: ModelSpec) -> float:
     min_group = 1 if target == "rho" else 2
     with warnings.catch_warnings():
-        # grid extremes (n = 1 or t past the consistency bound) are explored
+        # grid extremes (n = 1, t past the consistency or normality bound) are explored
         # deliberately in sweeps; per-point warnings would only repeat
         warnings.simplefilter("ignore", EstimationWarning)
         scheme = grouping.plan_grouping(data.rows, r, min_group=min_group)
@@ -126,9 +126,9 @@ def _estimate_target(data: DataMatrix, r: float, target: str,
         if target == "rho":
             return estimators.rho_1d(estimators.estimate_spectral(stats))
         if target == "mass":
-            t = tuning.default_t(alpha_true, r)
+            t = tuning.auto_t(model.alpha, r, model.beta)
             return estimators.estimate_total_mass(stats, scheme.m,
-                                                  alpha_true, t).mass_hat
+                                                  model.alpha, t).mass_hat
     raise ValueError(f"unknown target {target!r}")
 
 
@@ -147,10 +147,7 @@ def _run_reps(rep: Callable, rngs: Sequence[SeededRng], workers: int) -> list:
 
 def _sweep_rep(model, N, r_grid, target, sampler, n_atoms, rep_rng) -> np.ndarray:
     data = draw_sample(model, N, rep_rng, sampler, n_atoms)
-    alpha_true = model.alpha
-    return np.array(
-        [_estimate_target(data, r, target, alpha_true) for r in r_grid]
-    )
+    return np.array([_estimate_target(data, r, target, model) for r in r_grid])
 
 
 def run_r_sweep(model: ModelSpec, N: int, r_grid: Sequence[float], reps: int,
@@ -160,8 +157,8 @@ def run_r_sweep(model: ModelSpec, N: int, r_grid: Sequence[float], reps: int,
 
     Each replication draws one sample and evaluates the whole grid on it
     (the grid shares samples, mirroring a per-sample estimator-vs-r curve).
-    ``target`` is one of alpha, rho, mass; mass uses the model's alpha and the
-    default t at each r.
+    ``target`` is one of alpha, rho, mass; mass uses the model's alpha and,
+    at each r, the t of tuning.auto_t.
     """
     if reps < 1:
         raise EmptyExperiment("reps must be >= 1")
@@ -246,7 +243,7 @@ def _coverage_rep(model, N, r, kind, level, sampler, n_atoms, region, truth,
     else:
         alpha_used = (model.alpha if alpha_mode == "true"
                       else estimators.estimate_alpha(stats).alpha_hat)
-        t = tuning.default_t(alpha_used, r)
+        t = tuning.auto_t(alpha_used, r, model.beta)
         tm = estimators.estimate_total_mass(stats, scheme.m, alpha_used, t)
         ci = estimators.total_mass_ci(tm, level)
     return ci.contains(truth)

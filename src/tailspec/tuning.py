@@ -1,24 +1,22 @@
 """Rate-optimal choices of the grouping exponent r and the mass exponent t.
 
-All rules take the tail index alpha and a second-order exponent beta > alpha
-(beta = 2*alpha is the right default for strictly stable data) plus a slack
-epsilon > 0.  Rules whose hypotheses fail raise InvalidSecondOrder rather
-than clamping.
+One rule per tuned exponent: ``auto_r`` picks r for an estimator kind and
+``auto_t`` picks t; ``--r auto``, ``--t auto`` and the Monte Carlo harness
+all go through them.  Both take the tail index alpha and a second-order
+exponent beta > alpha (beta = 2*alpha is the right default for strictly
+stable data); the r rules add a slack epsilon > 0.  Rules whose hypotheses
+fail raise InvalidSecondOrder rather than clamping.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import warnings
 
-from .errors import InvalidSecondOrder
+from .errors import EstimationWarning, InvalidSecondOrder
 
 DEFAULT_EPSILON = 0.05
 DEFAULT_BETA_FACTOR = 2.0  # beta = 2*alpha when the user gives no beta
-
-CASE_SMALL_BETA = "a-small-beta"   # alpha+1 < beta <= (11/8)alpha + 1
-CASE_LARGE_BETA = "a-large-beta"   # beta >= (3/2)alpha + 1
-CASE_MIDDLE_BETA = "b-middle-beta"  # (11/8)alpha + 1 < beta < (3/2)alpha + 1
 
 
 def _check_eps(epsilon: float) -> None:
@@ -26,18 +24,15 @@ def _check_eps(epsilon: float) -> None:
         raise ValueError(f"epsilon={epsilon} outside (0, 1/2)")
 
 
-def optimal_r_alpha(alpha: float, beta: float, epsilon: float = DEFAULT_EPSILON) -> float:
-    """Group-count exponent minimizing the tail-index estimator's error.
-
-    r = 2*zeta/(1+2*zeta) - epsilon with zeta = (beta-alpha)/alpha; beta=inf
-    gives the cap 1 - epsilon.
-    """
+def _rate_r(alpha: float, beta: float, epsilon: float, zeta_cap: float) -> float:
+    """r = 2*zeta/(1+2*zeta) - epsilon, at most 1 - epsilon, with
+    zeta = min((beta-alpha)/alpha, zeta_cap); beta = inf gives zeta_cap."""
     _check_eps(epsilon)
     if alpha <= 0.0 or beta <= alpha:
         raise InvalidSecondOrder(f"need beta > alpha > 0, got alpha={alpha}, beta={beta}")
-    if math.isinf(beta):
-        return 1.0 - epsilon
-    zeta = (beta - alpha) / alpha
+    if math.isinf(beta) and math.isinf(zeta_cap):
+        return 1.0 - epsilon  # the limit zeta -> inf
+    zeta = min((beta - alpha) / alpha, zeta_cap)
     r = min(2.0 * zeta / (1.0 + 2.0 * zeta) - epsilon, 1.0 - epsilon)
     if r <= 0.0:
         raise InvalidSecondOrder(
@@ -46,18 +41,18 @@ def optimal_r_alpha(alpha: float, beta: float, epsilon: float = DEFAULT_EPSILON)
     return r
 
 
+def optimal_r_alpha(alpha: float, beta: float, epsilon: float = DEFAULT_EPSILON) -> float:
+    """Group-count exponent minimizing the tail-index estimator's error.
+
+    r = 2*zeta/(1+2*zeta) - epsilon with zeta = (beta-alpha)/alpha; beta=inf
+    gives the cap 1 - epsilon.
+    """
+    return _rate_r(alpha, beta, epsilon, math.inf)
+
+
 def optimal_r_spectral(alpha: float, beta: float, epsilon: float = DEFAULT_EPSILON) -> float:
     """Same rule as optimal_r_alpha but with zeta capped at 1."""
-    _check_eps(epsilon)
-    if alpha <= 0.0 or beta <= alpha:
-        raise InvalidSecondOrder(f"need beta > alpha > 0, got alpha={alpha}, beta={beta}")
-    zeta = 1.0 if math.isinf(beta) else min((beta - alpha) / alpha, 1.0)
-    r = 2.0 * zeta / (1.0 + 2.0 * zeta) - epsilon
-    if r <= 0.0:
-        raise InvalidSecondOrder(
-            f"beta={beta} too close to alpha={alpha}: no admissible r at epsilon={epsilon}"
-        )
-    return r
+    return _rate_r(alpha, beta, epsilon, 1.0)
 
 
 def optimal_r_mass(alpha: float, beta: float, epsilon: float = DEFAULT_EPSILON) -> float:
@@ -107,37 +102,6 @@ def auto_r(kind: str, alpha: float, beta: float | None = None,
     raise ValueError(f"unknown estimator kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class AdmissibleT:
-    t_max: float
-    case_label: str
-    t_max_consistency: float  # alpha*r/2, the strong-consistency range
-
-
-def admissible_t(alpha: float, beta: float, r: float) -> AdmissibleT:
-    """Upper bound on the mass exponent t for asymptotic normality.
-
-    Case a (beta in (alpha+1, (11/8)alpha+1] or beta >= (3/2)alpha+1):
-    t < min(alpha*r/4, 1).  Case b (between): t < min((3alpha+2-2beta)/2, 1).
-    Also carries the consistency bound alpha*r/2.
-    """
-    if alpha <= 0.0 or beta <= alpha + 1.0:
-        raise InvalidSecondOrder(
-            f"admissible_t needs beta > alpha + 1, got alpha={alpha}, beta={beta}"
-        )
-    if not (0.0 < r < 1.0):
-        raise ValueError(f"r={r} outside (0,1)")
-    lo_thresh = 11.0 / 8.0 * alpha + 1.0
-    hi_thresh = 1.5 * alpha + 1.0
-    if beta <= lo_thresh:
-        label, t_max = CASE_SMALL_BETA, min(alpha * r / 4.0, 1.0)
-    elif beta >= hi_thresh:
-        label, t_max = CASE_LARGE_BETA, min(alpha * r / 4.0, 1.0)
-    else:
-        label, t_max = CASE_MIDDLE_BETA, min((3.0 * alpha + 2.0 - 2.0 * beta) / 2.0, 1.0)
-    return AdmissibleT(t_max=t_max, case_label=label, t_max_consistency=alpha * r / 2.0)
-
-
 def default_t(alpha: float, r: float) -> float:
     """Default mass exponent: half of min(alpha*r/4, 1).
 
@@ -150,3 +114,24 @@ def default_t(alpha: float, r: float) -> float:
         raise ValueError(f"r={r} outside (0,1)")
     return 0.5 * min(alpha * r / 4.0, 1.0)
 
+
+def auto_t(alpha: float, r: float, beta: float | None = None) -> float:
+    """The ``--t auto`` mass exponent, default_t(alpha, r).
+
+    beta=None means 2*alpha.  In the paper's case b, (11/8)alpha + 1 < beta
+    < (3/2)alpha + 1, the mass estimator is asymptotically normal only for
+    t < min((3*alpha + 2 - 2*beta)/2, 1); a t at or past that bound is kept
+    and an EstimationWarning coded ``t-outside-normality`` says so.
+    """
+    t = default_t(alpha, r)
+    if beta is None:
+        beta = DEFAULT_BETA_FACTOR * alpha
+    if 11.0 / 8.0 * alpha + 1.0 < beta < 1.5 * alpha + 1.0:
+        t_max = min((3.0 * alpha + 2.0 - 2.0 * beta) / 2.0, 1.0)
+        if t >= t_max:
+            warnings.warn(
+                f"t-outside-normality: t={t:.6g} is not below the case-b normality "
+                f"bound min((3*alpha+2-2*beta)/2, 1) = {t_max:.6g} "
+                f"(alpha={alpha:.6g}, beta={beta:.6g})",
+                EstimationWarning, stacklevel=2)
+    return t

@@ -1,10 +1,11 @@
 """Shared domain types: samples, grouping plans, per-group maxima and models.
 
 All containers are frozen dataclasses; ndarray fields are read-only views made
-at construction (the caller's own array stays writable and is not copied), and
-columns computed on first read are read-only too, so instances can be shared
-freely between threads or processes.  Regions and named densities are plain
-data too, so they pickle into worker processes.
+at construction (the caller's own array stays writable and is not copied),
+columns computed on first read are read-only too, and both stay read-only
+after unpickling, so instances can be shared freely between threads or
+processes.  Regions and named densities are plain data too, so they pickle
+into worker processes.
 
 Kernels that read every row (row norms, the unit-norm checks, second maxima
 and region masks) run over blocks of _BLOCK_ROWS rows and write each block's
@@ -47,6 +48,18 @@ def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:
     return a
 
 
+class _ReadOnlyArrays:
+    """Base of the containers that hold arrays.  numpy does not pickle the
+    read-only flag, so unpickling makes every array in the state, cached
+    columns included, read-only again."""
+
+    def __setstate__(self, state: dict) -> None:
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        self.__dict__.update(state)
+
+
 def _by_blocks(kernel, a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``kernel(a[lo:hi], out[lo:hi])`` over consecutive blocks of
     _BLOCK_ROWS rows; returns ``out``."""
@@ -73,7 +86,7 @@ def _unit_norm_error(a: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class DataMatrix:
+class DataMatrix(_ReadOnlyArrays):
     """An N x d sample of real vectors.
 
     ``values`` is coerced to a read-only float64 array of shape (N, d);
@@ -150,7 +163,7 @@ class GroupScheme:
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
-class GroupStats:
+class GroupStats(_ReadOnlyArrays):
     """Per-group maxima statistics of n groups, one read-only column each.
 
     ``m1`` has shape (n,), ``theta`` (n, d), ``argmax`` holds each
@@ -209,7 +222,7 @@ class GroupStats:
 
 
 @dataclass(frozen=True)
-class SpectralEstimate:
+class SpectralEstimate(_ReadOnlyArrays):
     """Atomic probability measure (1/n on each of n unit directions)."""
 
     atoms: np.ndarray
@@ -429,7 +442,7 @@ _DENSITY_QUAD_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(_ReadOnlyArrays):
     """Ground truth for simulation and tuning.
 
     Give either ``atoms``, a (K, d) array of unit directions, with

@@ -229,6 +229,24 @@ class TestEstimateCommand:
         assert len([w for w in doc["warnings"]
                     if "outside the consistency range" in w]) == 1
 
+    def test_case_b_normality_warning_listed_once(self, tmp_path, capsys):
+        # alpha 1, beta 2.45 is case b: t = 0.05625 at r = 0.45 is past the
+        # normality bound 0.05, and t = 0.0375 at r = 0.3 is below it
+        p = tmp_path / "in.csv"
+        write_csv(p, np.random.default_rng(5).standard_cauchy((2000, 2)))
+        docs = {}
+        for r in ("0.45", "0.3"):
+            for beta in ([], ["--beta", "2.45"]):
+                assert main(["estimate", "--input", str(p), "--r", r, "--alpha", "1",
+                             *beta]) == 0
+                docs[r, bool(beta)] = json.loads(capsys.readouterr().out)
+        base, warned = docs["0.45", False].pop("warnings"), docs["0.45", True].pop("warnings")
+        extra = [w for w in warned if w not in base]
+        assert len(extra) == 1 and extra[0].startswith("t-outside-normality: t=0.05625 ")
+        assert [w for w in warned if w != extra[0]] == base
+        assert docs["0.45", True] == docs["0.45", False]
+        assert docs["0.3", True] == docs["0.3", False]
+
     def test_all_ties_exit_4(self, tmp_path, capsys):
         # every ratio is one: alpha.hat itself is undefined
         p = tmp_path / "ties.csv"
@@ -482,6 +500,15 @@ class TestBadInputsWithoutTraceback:
          "error[usage]: coverage --kind mass reads no --region"),
         (["estimate", "--input", "six.csv", "--r", "0.5", "--seed", "9"],
          "error[usage]: estimate reads --seed only with --shuffle"),
+        (["estimate", "--input", "six.csv", "--r", "0.5", "--epsilon", "0.7"],
+         "error[usage]: estimate reads --epsilon only with --r auto"),
+        (["ecdf", "--model", STABLE_2D, "--n", "200", "--seed", "1", "--r", "0.5",
+          "--epsilon", "0.1"], "error[usage]: ecdf reads --epsilon only with --r auto"),
+        (["coverage", "--model", STABLE_1D, "--n", "200", "--seed", "1", "--kind", "alpha",
+          "--reps", "1", "--r", "0.5", "--epsilon", "0.3"],
+         "error[usage]: coverage reads --epsilon only with --r auto"),
+        (["estimate", "--input", "six.csv", "--r", "0.5", "--t", "0.1", "--beta", "3"],
+         "error[usage]: estimate reads --beta only with --r auto or --t auto"),
     ])
     def test_flag_the_mode_does_not_read_exit_2(self, six_row_csv, capsys, argv, message):
         argv = [str(six_row_csv) if a == "six.csv" else a for a in argv]

@@ -1,15 +1,14 @@
-"""Tuning rules: optimal exponents, branch continuity, admissible t ranges."""
+"""Tuning rules: optimal exponents, branch continuity, the --t auto rule."""
 
 import math
+import warnings
 
 import pytest
 
-from tailspec.errors import InvalidSecondOrder
+from tailspec.errors import EstimationWarning, InvalidSecondOrder
 from tailspec.tuning import (
-    CASE_LARGE_BETA,
-    CASE_MIDDLE_BETA,
-    admissible_t,
     auto_r,
+    auto_t,
     default_t,
     optimal_r_alpha,
     optimal_r_mass,
@@ -78,29 +77,6 @@ class TestOptimalRSpectral:
         assert optimal_r_spectral(1.0, 10.0, 0.01) < optimal_r_alpha(1.0, 10.0, 0.01)
 
 
-class TestAdmissibleT:
-    def test_case_a_large_beta(self):
-        res = admissible_t(2.0, 4.5, 0.49)
-        assert res.case_label == CASE_LARGE_BETA
-        assert res.t_max == pytest.approx(0.245)
-        assert res.t_max_consistency == pytest.approx(0.49)
-
-    def test_case_b_middle_beta(self):
-        res = admissible_t(2.0, 3.9, 0.49)
-        assert res.case_label == CASE_MIDDLE_BETA
-        assert res.t_max == pytest.approx(0.1)
-
-    def test_boundary_rejected(self):
-        with pytest.raises(InvalidSecondOrder):
-            admissible_t(2.0, 3.0, 0.49)
-
-    def test_positive_whenever_defined(self):
-        for alpha in (0.5, 1.0, 2.0, 3.0):
-            for db in (1e-6, 0.2, 0.4, 0.6, 2.0, 10.0):
-                res = admissible_t(alpha, alpha + 1.0 + db, 0.3)
-                assert res.t_max > 0.0
-
-
 class TestDefaults:
     def test_default_t_inside_ranges(self):
         for alpha in (0.5, 0.75, 1.0, 2.0):
@@ -133,3 +109,46 @@ class TestAutoR:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             auto_r("rho", 1.0)
+
+
+class TestAutoT:
+    def test_same_bits_as_default_t(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EstimationWarning)
+            for alpha in (0.5, 0.75, 1.0, 1.5, 1.9, 2.0, 3.0):
+                # None, inf, beta <= alpha + 1, case a on both sides of case b
+                # and the middle of case b
+                for beta in (None, math.inf, alpha + 0.5, 11 / 8 * alpha + 1.0,
+                             23 / 16 * alpha + 1.0, 1.5 * alpha + 1.0, 3.0 * alpha + 1.0):
+                    for r in (0.2, 0.45, 0.5, 0.617, 0.9):
+                        assert auto_t(alpha, r, beta).hex() == default_t(alpha, r).hex()
+
+    @pytest.mark.parametrize("alpha, beta, r, t, t_max", [
+        (1.0, 2.45, 0.45, "0.05625", "0.05"),
+        (1.5, 3.2, 0.45, "0.084375", "0.05"),
+        (1.9, 3.8, 0.45, "0.106875", "0.05"),
+        (2.0, 3.9, 0.49, "0.1225", "0.1"),
+    ])
+    def test_warns_past_case_b_bound(self, alpha, beta, r, t, t_max):
+        with pytest.warns(EstimationWarning, match="^t-outside-normality:") as record:
+            assert auto_t(alpha, r, beta) == default_t(alpha, r)
+        assert len(record) == 1
+        assert f"t={t} " in str(record[0].message)
+        assert f"= {t_max} " in str(record[0].message)
+
+    def test_no_beta_means_twice_alpha(self):
+        with pytest.warns(EstimationWarning, match="^t-outside-normality:"):
+            auto_t(1.9, 0.45)
+
+    @pytest.mark.parametrize("alpha, beta, r", [
+        (1.7, 3.4, 0.45),                # case b, t below the bound
+        (2.0, 4.5, 0.49),                # case a, beta >= (3/2)alpha + 1
+        (1.0, 11 / 8 + 1.0, 0.45),       # lower end of case b
+        (1.0, 2.5, 0.45),                # upper end of case b
+        (1.0, 2.0, 0.9), (1.0, 1.5, 0.9), (1.0, 0.5, 0.9),  # beta <= alpha + 1
+        (1.0, None, 0.9), (1.5, None, 0.45),
+    ])
+    def test_no_warning_elsewhere(self, alpha, beta, r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert auto_t(alpha, r, beta) == default_t(alpha, r)

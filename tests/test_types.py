@@ -1,6 +1,7 @@
 """Domain-type invariants and the validate_data contract."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from tailspec.errors import (
     InvalidModel,
     NonFiniteEntry,
 )
+from tailspec.grouping import summarize_groups
 from tailspec.types import (
     DataMatrix,
     GroupScheme,
@@ -206,3 +208,23 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             m.weights[0] = 0.0
         assert atoms.flags.writeable and weights.flags.writeable
+
+
+def test_arrays_stay_read_only_after_unpickling():
+    # the --workers processes receive their models and samples by pickle,
+    # which does not carry numpy's read-only flag
+    data = DataMatrix(np.random.default_rng(3).standard_cauchy((60, 2)))
+    stats = summarize_groups(data, GroupScheme(r=0.5, n=6, m=10, discarded=0))
+    stats.kappa  # reads m2 too: cached columns join the pickled state
+    model = ModelSpec(alpha=1.0, total_mass=2.0, atoms=np.array([[1.0, 0.0], [0.0, 1.0]]),
+                      weights=np.array([1.2, 0.8]))
+    assert {"norms"} <= vars(data).keys() and {"m2", "kappa"} <= vars(stats).keys()
+    for obj in (data, stats, SpectralEstimate(stats.theta), model):
+        back = pickle.loads(pickle.dumps(obj))
+        assert vars(back).keys() == vars(obj).keys()
+        arrays = {k: v for k, v in vars(obj).items() if isinstance(v, np.ndarray)}
+        assert arrays
+        for name, a in arrays.items():
+            b = getattr(back, name)
+            assert not b.flags.writeable, (type(obj).__name__, name)
+            assert (b.dtype, b.shape, b.tobytes()) == (a.dtype, a.shape, a.tobytes())
