@@ -27,7 +27,7 @@ from .errors import (
     ZeroVariance,
 )
 from .simulation import SeededRng
-from .types import (Arc, DataMatrix, Halfspace, ModelSpec, NamedDensity, Region,
+from .types import (Arc, DataMatrix, Halfspace, ModelSpec, Region, density_shape,
                     validate_data)
 
 SCHEMA = "tailspec/1"
@@ -126,14 +126,8 @@ def write_csv(path: str | Path, values: np.ndarray) -> None:
 # ------------------------------------------------------------- JSON plumbing
 
 
-def _num(x: float):
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x
-
-
 def _interval_doc(ci) -> dict:
-    return {"lo": _num(ci.lo), "hi": _num(ci.hi), "level": ci.level}
+    return {"lo": ci.lo, "hi": ci.hi, "level": ci.level}
 
 
 def _ci_doc(name: str, interval, est, level: float, notes: list[str]):
@@ -152,8 +146,18 @@ def _doc(args, **fields) -> dict:
             **fields}
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, allow_nan=False)
+def _json_safe(x):
+    """x with every non-finite float replaced by its name: "inf", "-inf" or "nan"."""
+    if isinstance(x, dict):
+        return {k: _json_safe(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_safe(v) for v in x]
+    return str(x) if isinstance(x, float) and not math.isfinite(x) else x
+
+
+def _emit(doc: dict, out: str | Path | None) -> None:
+    """Write doc as strict, indented JSON to the file out, or to stdout."""
+    text = json.dumps(_json_safe(doc), indent=2, allow_nan=False)
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
     else:
@@ -162,12 +166,16 @@ def _emit(doc: dict, out: str | None) -> None:
 
 # ---------------------------------------------------------------- model spec
 
+_MODEL_KEYS = ("kind", "alpha", "total_mass", "beta", "atoms", "rho", "density", "n_atoms")
+
+
 def parse_model(text: str) -> tuple[ModelSpec, str, int]:
     """Parse the --model JSON text into (ModelSpec, sampler kind, density cells).
 
     Schema: {"kind": "polar"|"stable", "alpha": a, "total_mass": s,
              "beta": b?, "atoms": [[x1..xd, w], ...] | "rho": r |
              "density": "abscos2t"|"uniform", "n_atoms": K?}
+    Any other key is a usage error.
     """
     try:
         cfg = json.loads(text)
@@ -175,6 +183,9 @@ def parse_model(text: str) -> tuple[ModelSpec, str, int]:
         raise CliUsage(f"--model is not valid JSON: {e}")
     if not isinstance(cfg, dict):
         raise CliUsage("--model must be a JSON object")
+    unknown = [k for k in cfg if k not in _MODEL_KEYS]
+    if unknown:
+        raise CliUsage(f"--model has unknown keys {unknown}; known: {', '.join(_MODEL_KEYS)}")
     kind = cfg.get("kind", "polar")
     if kind not in ("polar", "stable"):
         raise CliUsage(f"model kind must be polar or stable, got {kind!r}")
@@ -188,7 +199,8 @@ def parse_model(text: str) -> tuple[ModelSpec, str, int]:
     sources = [k for k in ("atoms", "rho", "density") if k in cfg]
     if len(sources) != 1:
         raise CliUsage("--model needs exactly one of atoms, rho, density")
-    atoms = weights = density = None
+    atoms = weights = None
+    density = cfg.get("density")
     if "atoms" in cfg:
         atoms, weights = _model_atoms(cfg["atoms"])
     elif "rho" in cfg:
@@ -200,7 +212,7 @@ def parse_model(text: str) -> tuple[ModelSpec, str, int]:
         weights = np.array([total * (1.0 + rho) / 2.0, total * (1.0 - rho) / 2.0])[keep]
     else:
         try:
-            density = NamedDensity(cfg["density"], total)
+            density_shape(density)
         except InvalidModel as e:  # an unknown name
             raise CliUsage(str(e))
     return ModelSpec(alpha=alpha, total_mass=total, beta=beta, atoms=atoms,
@@ -386,8 +398,7 @@ def cmd_simulate(args) -> dict:
     write_csv(args.out, data.values)
     meta = _doc(args, seed=args.seed, model=json.loads(args.model), N=args.n,
                 d=data.dim, out=str(args.out))
-    Path(str(args.out) + ".meta.json").write_text(
-        json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+    _emit(meta, str(args.out) + ".meta.json")
     return meta
 
 
@@ -414,10 +425,8 @@ def cmd_sweep(args) -> dict:
     doc = _doc(args, seed=args.seed, target=args.target, N=args.n, reps=res.reps,
                rows=res.rows())
     if args.out:
-        write_csv(args.out, np.array(
-            [[o, m, s, res.reps] for o, m, s, _ in res.rows()]))
-        _summary_path(args.out).write_text(json.dumps(doc, indent=2) + "\n",
-                                           encoding="utf-8")
+        write_csv(args.out, np.array(res.rows()))
+        _emit(doc, _summary_path(args.out))
     return doc
 
 
@@ -431,8 +440,7 @@ def cmd_ecdf(args) -> dict:
                sup_distance=res.sup_distance, n_atoms_estimate=res.n_atoms_estimate)
     if args.out:
         write_csv(args.out, np.array(res.rows()))
-        _summary_path(args.out).write_text(json.dumps(doc, indent=2) + "\n",
-                                           encoding="utf-8")
+        _emit(doc, _summary_path(args.out))
     else:
         doc["rows"] = res.rows()
     return doc

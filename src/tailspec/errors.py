@@ -71,10 +71,6 @@ class InvalidModel(TailspecError):
     """Ground-truth model specification is inconsistent."""
 
 
-class InvalidDensity(TailspecError):
-    """Angular density takes negative values."""
-
-
 class DomainError(TailspecError):
     """Special-function argument outside the supported domain."""
 

@@ -62,8 +62,7 @@ def draw_sample(model: ModelSpec, N: int, rng: SeededRng, sampler: str = "polar"
             return sample_stable_1d(model.alpha, model.rho, model.total_mass, N, rng)
         atoms, weights = model.atoms, model.weights
         if atoms is None:
-            atoms, weights = discretize_angular_density(model.density,
-                                                        model.total_mass, n_atoms)
+            atoms, weights = discretize_angular_density(model, n_atoms)
         return sample_stable_vector(model.alpha, atoms, weights, N, rng)
     raise InvalidModel(f"unknown sampler {sampler!r}")
 
@@ -230,8 +229,7 @@ class CoverageResult:
         return self.hits / self.reps
 
 
-def _coverage_rep(model, N, r, kind, level, sampler, n_atoms, region, truth,
-                  alpha_mode, rep_rng) -> bool:
+def _coverage_rep(model, N, r, kind, level, sampler, n_atoms, region, truth, rep_rng) -> bool:
     data = draw_sample(model, N, rep_rng, sampler, n_atoms)
     scheme = grouping.plan_grouping(N, r)
     stats = grouping.summarize_groups(data, scheme)
@@ -241,10 +239,8 @@ def _coverage_rep(model, N, r, kind, level, sampler, n_atoms, region, truth,
         est = estimators.estimate_spectral(stats)
         ci = estimators.spectral_ci(est, region, level)
     else:
-        alpha_used = (model.alpha if alpha_mode == "true"
-                      else estimators.estimate_alpha(stats).alpha_hat)
-        t = tuning.auto_t(alpha_used, r, model.beta)
-        tm = estimators.estimate_total_mass(stats, scheme.m, alpha_used, t)
+        t = tuning.auto_t(model.alpha, r, model.beta)
+        tm = estimators.estimate_total_mass(stats, scheme.m, model.alpha, t)
         ci = estimators.total_mass_ci(tm, level)
     return ci.contains(truth)
 
@@ -252,17 +248,15 @@ def _coverage_rep(model, N, r, kind, level, sampler, n_atoms, region, truth,
 def run_ci_coverage(model: ModelSpec, N: int, r: float | None, kind: str,
                     level: float, reps: int, rng: SeededRng,
                     sampler: str = "polar", region: Region | None = None,
-                    alpha_mode: str = "true",
                     n_atoms: int = DEFAULT_STABLE_ATOMS,
                     workers: int = 1) -> CoverageResult:
     """Fraction of replications whose CI contains the model truth.
 
     kind is alpha, spectral (needs a region) or mass.  r=None selects the
     kind's exponent from the model's alpha and beta (tuning.auto_r).  The
-    mass CI uses the model's alpha unless alpha_mode="plugin".  With
-    workers > 1 the model and the region are pickled into the workers: an
-    Arc, a Halfspace, a NamedDensity or a module-level function works, a
-    lambda does not.
+    mass CI uses the model's alpha.  With workers > 1 the model and the
+    region are pickled into the workers: every model, an Arc, a Halfspace or
+    a module-level function works, a lambda region does not.
     """
     if reps < 1:
         raise EmptyExperiment("reps must be >= 1")
@@ -278,11 +272,9 @@ def run_ci_coverage(model: ModelSpec, N: int, r: float | None, kind: str,
         truth = model.total_mass
     if r is None:
         r = tuning.auto_r(kind, model.alpha, model.beta)
-    kind_id = _COVERAGE_KIND_IDS[kind]
+    rngs = [rng.split(_EXP_COVERAGE, _COVERAGE_KIND_IDS[kind], rep) for rep in range(reps)]
     flags = _run_reps(partial(_coverage_rep, model, N, r, kind, level, sampler, n_atoms,
-                              region, truth, alpha_mode),
-                      [rng.split(_EXP_COVERAGE, kind_id, rep) for rep in range(reps)],
-                      workers)
+                              region, truth), rngs, workers)
     return CoverageResult(kind=kind, level=level, reps=reps,
                           hits=int(sum(flags)), truth=truth)
 

@@ -27,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InvalidDensity, InvalidModel, UnsupportedAlpha
+from .errors import InvalidModel, UnsupportedAlpha
 from .numerics import gamma_fn
 from .types import DataMatrix, ModelSpec
 
@@ -150,10 +150,7 @@ def sample_polar(model: ModelSpec, N: int, rng: SeededRng) -> DataMatrix:
     else:
         edges = np.linspace(0.0, 2.0 * math.pi, _DENSITY_SAMPLING_GRID + 1)
         mids = (edges[:-1] + edges[1:]) / 2.0
-        masses = np.asarray(model.density(mids), dtype=np.float64)
-        if (masses < 0).any():
-            raise InvalidDensity("density takes negative values")
-        cdf = np.concatenate([[0.0], np.cumsum(masses)])
+        cdf = np.concatenate([[0.0], np.cumsum(model.density_at(mids))])
         cdf /= cdf[-1]
         angles = np.interp(u_dir, cdf, edges)
         theta = np.c_[np.cos(angles), np.sin(angles)]
@@ -273,26 +270,21 @@ def sample_stable_vector(alpha: float, atoms, weights, N: int,
     return DataMatrix(out)
 
 
-def discretize_angular_density(f, total_mass: float,
+def discretize_angular_density(model: ModelSpec,
                                K: int) -> tuple[np.ndarray, np.ndarray]:
-    """K atoms at cell midpoints carrying the cell masses of the density,
+    """K atoms at cell midpoints carrying the cell masses of a density model,
     as a (K, 2) direction array and a (K,) weight array.
 
     Cell masses come from a 128-point midpoint rule, one density call on the
-    (K, 128) grid, and are rescaled to sum exactly to total_mass.
+    (K, 128) grid, and are rescaled to sum exactly to the model's total_mass.
     """
     if K < 4:
         raise InvalidModel(f"need K >= 4 cells, got {K}")
     width = 2.0 * math.pi / K
     sub = (np.arange(128) + 0.5) / 128.0
-    vals = np.asarray(f(np.arange(K)[:, None] * width + sub * width), dtype=np.float64)
-    if (vals < 0).any():
-        raise InvalidDensity("density takes negative values")
+    vals = model.density_at(np.arange(K)[:, None] * width + sub * width)
     weights = vals.mean(axis=1) * width
-    total = weights.sum()
-    if total <= 0.0:
-        raise InvalidDensity("density integrates to zero")
-    weights *= total_mass / total
+    weights *= model.total_mass / weights.sum()
     mids = (np.arange(K) + 0.5) * width
     return np.c_[np.cos(mids), np.sin(mids)], weights
 

@@ -4,8 +4,9 @@ All containers are frozen dataclasses; ndarray fields are read-only views made
 at construction (the caller's own array stays writable and is not copied),
 columns computed on first read are read-only too, and both stay read-only
 after unpickling, so instances can be shared freely between threads or
-processes.  Regions and named densities are plain data too, so they pickle
-into worker processes.
+processes.  Regions and densities are plain data too, so they pickle into
+worker processes: a density model holds the name of a registered shape,
+and the registry below is the only code that evaluates one.
 
 Kernels that read every row (row norms, the unit-norm checks, second maxima
 and region masks) run over blocks of _BLOCK_ROWS rows and write each block's
@@ -38,7 +39,6 @@ UNIT_NORM_TOL = 1e-12
 # while the scratch no longer grows with N.
 _BLOCK_ROWS = 8192
 
-AngularDensity = Callable[[np.ndarray], np.ndarray]
 Region = Callable[[np.ndarray], bool]
 
 
@@ -421,20 +421,11 @@ def _uniform(theta, total: float):
 _DENSITY_SHAPES = {"abscos2t": _abscos2t, "uniform": _uniform}
 
 
-@dataclass(frozen=True)
-class NamedDensity:
-    """The registered density shape ``name`` scaled to integrate to ``total``."""
-
-    name: str
-    total: float
-
-    def __post_init__(self):
-        if not isinstance(self.name, str) or self.name not in _DENSITY_SHAPES:
-            raise InvalidModel(
-                f"unknown density {self.name!r}; choices: {sorted(_DENSITY_SHAPES)}")
-
-    def __call__(self, theta: np.ndarray) -> np.ndarray:
-        return _DENSITY_SHAPES[self.name](theta, self.total)
+def density_shape(name) -> Callable[[np.ndarray, float], np.ndarray]:
+    """The registered shape ``f(theta, total)`` called ``name``, else InvalidModel."""
+    if not isinstance(name, str) or name not in _DENSITY_SHAPES:
+        raise InvalidModel(f"unknown density {name!r}; choices: {sorted(_DENSITY_SHAPES)}")
+    return _DENSITY_SHAPES[name]
 
 
 # number of midpoint nodes used when integrating an angular density
@@ -447,8 +438,9 @@ class ModelSpec(_ReadOnlyArrays):
 
     Give either ``atoms``, a (K, d) array of unit directions, with
     ``weights``, a (K,) array of positive weights summing to ``total_mass``
-    (both stored as read-only float64 arrays), or ``density``, an angular
-    density on [0, 2*pi) integrating to ``total_mass`` (d=2 only).  Every
+    (both stored as read-only float64 arrays), or ``density``, the name of a
+    registered angular density shape on [0, 2*pi) (``abscos2t``, |cos 2t|/4,
+    or ``uniform``), scaled to integrate to ``total_mass`` (d=2 only).  Every
     number must be finite, except ``beta``, which may be +inf.  The slowly
     varying factor is the constant 1 throughout.  ``beta`` is the
     second-order exponent that tunes r (tuning.auto_r); None means 2*alpha.
@@ -459,7 +451,7 @@ class ModelSpec(_ReadOnlyArrays):
     beta: float | None = None
     atoms: np.ndarray | None = None
     weights: np.ndarray | None = None
-    density: AngularDensity | None = None
+    density: str | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and math.isfinite(self.total_mass)):
@@ -494,18 +486,11 @@ class ModelSpec(_ReadOnlyArrays):
             object.__setattr__(self, "atoms", atoms)
             object.__setattr__(self, "weights", weights)
         else:
-            total = self._density_integral()
-            if abs(total - self.total_mass) > 1e-6:
-                raise InvalidModel(
-                    f"density integrates to {total}, expected {self.total_mass}"
-                )
+            density_shape(self.density)
 
-    def _density_integral(self) -> float:
-        mids, step = _density_grid()
-        vals = np.asarray(self.density(mids), dtype=np.float64)
-        if (vals < 0).any():
-            raise InvalidModel("density takes negative values")
-        return float(vals.sum() * step)
+    def density_at(self, theta: np.ndarray) -> np.ndarray:
+        """The shape ``density`` at the angles ``theta``, scaled to total_mass."""
+        return density_shape(self.density)(theta, self.total_mass)
 
     @property
     def dim(self) -> int:
@@ -529,7 +514,7 @@ class ModelSpec(_ReadOnlyArrays):
             inside = region_mask(region, self.atoms)
             return sum(self.weights[inside].tolist()) / self.total_mass
         mids, step = _density_grid()
-        vals = np.asarray(self.density(mids), dtype=np.float64)
+        vals = self.density_at(mids)
         inside = region_mask(region, np.c_[np.cos(mids), np.sin(mids)])
         return float((vals * inside).sum() * step / self.total_mass)
 
@@ -547,7 +532,7 @@ class ModelSpec(_ReadOnlyArrays):
             cum = np.concatenate([[0.0], np.cumsum(self.weights[order])]) / self.total_mass
             return cum[np.searchsorted(at[order], a, side="right")]
         mids, step = _density_grid()
-        vals = np.asarray(self.density(mids), dtype=np.float64) * step
+        vals = self.density_at(mids) * step
         edges_cum = np.concatenate([[0.0], np.cumsum(vals)])
         edges = np.linspace(0.0, 2 * math.pi, len(mids) + 1)
         # normalize by the quadrature total so the cdf ends exactly at 1

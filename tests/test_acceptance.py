@@ -47,8 +47,7 @@ def _report(criterion: str, passed: bool, detail: str) -> None:
 
 
 def example2_model() -> ModelSpec:
-    return ModelSpec(alpha=0.75, total_mass=1.0, beta=1.5,
-                     density=lambda th: np.abs(np.cos(2.0 * th)) / 4.0)
+    return ModelSpec(alpha=0.75, total_mass=1.0, beta=1.5, density="abscos2t")
 
 
 def example2_replication(seed: int, rep: int):

@@ -335,6 +335,25 @@ class TestSimulateCommand:
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert "unknown density" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("beta", ["Infinity", "1e999"])
+    def test_infinite_beta_meta_is_strict_json(self, tmp_path, capsys, beta):
+        def strict(token):
+            raise ValueError(f"not JSON: {token}")
+
+        model = '{"kind": "polar", "alpha": 1, "rho": 0.5, "beta": %s}' % beta
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["simulate", "--model", model, "--n", "50", "--seed", "3",
+                     "--out", str(a)]) == 0
+        meta = json.loads((tmp_path / "a.csv.meta.json").read_text(encoding="utf-8"),
+                          parse_constant=strict)
+        assert meta["model"]["beta"] == "inf"
+        assert json.loads(capsys.readouterr().out, parse_constant=strict) == meta
+        # the recorded model reproduces the sample
+        assert main(["simulate", "--model", json.dumps(meta["model"]), "--n", "50",
+                     "--seed", "3", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        capsys.readouterr()
+
     def test_bad_model_json_exit_2(self, tmp_path):
         assert main(["simulate", "--model", "{not json", "--n", "5",
                      "--seed", "1", "--out", str(tmp_path / "x.csv")]) == 2
@@ -386,6 +405,17 @@ class TestBadInputsWithoutTraceback:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "error[usage]: --model" in proc.stderr
+
+    @pytest.mark.parametrize("key, value", [("totalmass", "5"), ("Beta", "3.0"),
+                                            ("note", "NaN")])
+    def test_unknown_model_key_exit_2(self, tmp_path, key, value):
+        model = '{"kind": "polar", "alpha": 1, "rho": 0.5, "%s": %s}' % (key, value)
+        proc = run_cli("simulate", "--model", model, "--n", "5", "--seed", "1",
+                       "--out", str(tmp_path / "x.csv"))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"error[usage]: --model has unknown keys ['{key}']" in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
 
     def test_ragged_atoms_exit_4(self, tmp_path):
         proc = run_cli("simulate", "--model",
@@ -569,7 +599,8 @@ class TestBadInputsWithoutTraceback:
         assert "error[usage]: no r in the default grid" in proc.stderr
 
     def test_model_file_read_once_as_utf8(self, tmp_path):
-        cfg = {"kind": "polar", "alpha": 1.0, "rho": 0.5, "note": "Fréchet σ ≥ 0"}
+        # every key is read, so the non-ASCII text is a number: Arabic-Indic 0.5
+        cfg = {"kind": "polar", "alpha": 1.0, "rho": "\u0660.\u0665"}
         model = tmp_path / "m.json"
         model.write_text(json.dumps(cfg, ensure_ascii=False), encoding="utf-8")
         out = tmp_path / "x.csv"
@@ -584,6 +615,7 @@ class TestBadInputsWithoutTraceback:
         assert "Traceback" not in proc.stderr
         meta = json.loads(Path(str(out) + ".meta.json").read_text(encoding="utf-8"))
         assert meta["model"] == cfg
+        assert parse_model(json.dumps(cfg))[0].rho == 0.5
 
     def test_estimate_reads_csv_as_utf8(self, tmp_path):
         p = tmp_path / "in.csv"
@@ -659,6 +691,18 @@ class TestExperimentCommands:
         capsys.readouterr()
         assert seen == [tuning.auto_r(kind, 1.0, 1.5)]
         assert seen != [tuning.auto_r(kind, 1.0)]
+
+    @pytest.mark.parametrize("command, extra", [
+        ("simulate", []),
+        ("coverage", ["--kind", "mass", "--reps", "2"]),
+        ("ecdf", ["--grid-size", "8"]),
+    ])
+    def test_density_model_with_large_mass_runs(self, tmp_path, capsys, command, extra):
+        model = '{"kind":"polar","alpha":0.75,"total_mass":1000,"density":"abscos2t"}'
+        out = [] if command == "coverage" else ["--out", str(tmp_path / "x.csv")]
+        assert main([command, "--model", model, "--n", "2000", "--seed", "1",
+                     *extra, *out]) == 0
+        capsys.readouterr()
 
     def test_model_beta_absent_is_none(self):
         assert parse_model('{"alpha":1.0,"rho":0.5}')[0].beta is None
@@ -750,6 +794,8 @@ FUZZ_MODELS = [
     '{"kind":"polar","alpha":1.5,"atoms":[[0.6,0.8,0.5],[-0.6,0.8,0.5]]}',
     '{"kind":"polar","alpha":1.0,"rho":1.0}',
     '{"kind":"polar","alpha":0.75,"density":"abscos2t","beta":3.0}',
+    '{"kind":"polar","alpha":1,"rho":0.5,"beta":Infinity}',
+    '{"kind":"polar","alpha":0.75,"total_mass":1000,"density":"abscos2t"}',
 ]
 BAD_MODELS = ['{"kind":"stable","alpha":2.5,"rho":0.0}', '{"alpha":-1,"rho":0.5}',
               '{"alpha":1.0}', "{not json"]

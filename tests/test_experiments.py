@@ -92,8 +92,7 @@ class TestEcdf:
             run_ecdf_compare(stable_1d_model(), 1000, 0.5, 64, SeededRng(38))
 
     def test_exact_cdf_anchors(self):
-        model = ModelSpec(alpha=0.75, total_mass=1.0,
-                          density=lambda th: np.abs(np.cos(2 * th)) / 4)
+        model = ModelSpec(alpha=0.75, total_mass=1.0, density="abscos2t")
         res = run_ecdf_compare(model, 20000, 0.5, 4, SeededRng(39),
                                sampler="stable", n_atoms=100)
         # grid is (pi/2, pi, 3pi/2, 2pi); quadrant masses are 1/4 each
@@ -103,9 +102,7 @@ class TestEcdf:
 
     def test_polar_sampler_small_sup(self):
         # polar directions are exactly multinomial: sup ~ KS/sqrt(n)
-        model = ModelSpec(alpha=1.0, total_mass=1.0,
-                          density=lambda th: np.full_like(np.asarray(th, float),
-                                                          1 / (2 * math.pi)))
+        model = ModelSpec(alpha=1.0, total_mass=1.0, density="uniform")
         res = run_ecdf_compare(model, 40000, 0.55, 256, SeededRng(40),
                                sampler="polar")
         assert res.sup_distance <= 2.0 / math.sqrt(res.n_atoms_estimate)
@@ -133,11 +130,6 @@ class TestCoverage:
                               SeededRng(44), region=lambda v: v[0] > 0.5)
         assert res.truth == pytest.approx(0.6)
         assert 0.5 <= res.coverage <= 1.0
-
-    def test_mass_plugin_mode_runs(self):
-        res = run_ci_coverage(polar_model(), 4000, 0.5, "mass", 0.95, 10,
-                              SeededRng(45), alpha_mode="plugin")
-        assert 0.0 <= res.coverage <= 1.0
 
     def test_workers_bit_identical(self):
         a = run_ci_coverage(polar_model(), 2000, 0.5, "alpha", 0.9, 8,

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from tailspec import Arc, Halfspace
 from tailspec.cli import read_csv, write_csv
-from tailspec.errors import CsvParseError, EmptySample
-from tailspec.types import ModelSpec, NamedDensity, SpectralEstimate
+from tailspec.errors import CsvParseError, EmptySample, InvalidModel
+from tailspec.types import ModelSpec, SpectralEstimate
 
 
 def reference_read_csv(path, skip_header=False):
@@ -258,28 +258,26 @@ def test_region_matches_on_an_estimate():
 @pytest.mark.parametrize("obj", [
     Arc(5.0, 1.0),
     Halfspace((0.6, 0.8), 0.25),
-    NamedDensity("abscos2t", 2.0),
-    NamedDensity("uniform", 1.0),
+    ModelSpec(alpha=1.5, total_mass=2.0, density="abscos2t"),
+    ModelSpec(alpha=1.5, total_mass=1.0, density="uniform"),
 ])
 def test_regions_and_densities_pickle(obj):
     back = pickle.loads(pickle.dumps(obj))
     assert back == obj
-    if isinstance(obj, NamedDensity):
+    if isinstance(obj, ModelSpec):
         theta = np.linspace(0.0, 2 * math.pi, 17)
-        assert (back(theta) == obj(theta)).all()
+        assert (back.density_at(theta) == obj.density_at(theta)).all()
     else:
         atoms = unit_rows(np.random.default_rng(8), 100, 2)
         assert (back.mask(atoms) == obj.mask(atoms)).all()
 
 
 def test_density_model_pickles():
-    model = ModelSpec(alpha=1.5, total_mass=2.0, density=NamedDensity("uniform", 2.0))
+    model = ModelSpec(alpha=1.5, total_mass=2.0, density="uniform")
     back = pickle.loads(pickle.dumps(model))
     assert back.normalized_mass(Arc(0.0, math.pi)) == model.normalized_mass(Arc(0.0, math.pi))
 
 
 def test_unknown_density_name_rejected():
-    from tailspec.errors import InvalidModel
-
     with pytest.raises(InvalidModel, match="abscos2t"):
-        NamedDensity("triangle", 1.0)
+        ModelSpec(alpha=1.0, total_mass=1.0, density="triangle")

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailspec import simulation
-from tailspec.errors import InvalidDensity, InvalidModel, UnsupportedAlpha
+from tailspec.errors import InvalidModel, UnsupportedAlpha
 from tailspec.numerics import ks_distance
 from tailspec.simulation import (
     SeededRng,
@@ -25,7 +25,11 @@ from tailspec.simulation import (
     splitmix64,
     stable_tail_constant,
 )
-from tailspec.types import ModelSpec, NamedDensity
+from tailspec.types import ModelSpec
+
+
+def density_model(name: str, total_mass: float = 1.0) -> ModelSpec:
+    return ModelSpec(alpha=0.75, total_mass=total_mass, density=name)
 
 
 class TestRngContract:
@@ -100,8 +104,7 @@ class TestSamplePolar:
         assert (a.values == b.values).all()
 
     def test_density_model_quadrants(self):
-        model = ModelSpec(alpha=0.75, total_mass=1.0,
-                          density=lambda th: np.abs(np.cos(2 * th)) / 4)
+        model = ModelSpec(alpha=0.75, total_mass=1.0, density="abscos2t")
         data = sample_polar(model, 40000, SeededRng(103))
         ang = np.mod(np.arctan2(data.values[:, 1], data.values[:, 0]), 2 * math.pi)
         for k in range(4):
@@ -226,7 +229,7 @@ class TestStableVector:
             pytest.skip(f"no digest recorded for numpy {env[0]} on {env[1]} "
                         f"(AVX-512 dispatch: {env[2]}); the CPU-count tests "
                         "still check the threaded path against the serial loop")
-        atoms, weights = discretize_angular_density(NamedDensity("abscos2t", 1.0), 1.0, 100)
+        atoms, weights = discretize_angular_density(density_model("abscos2t"), 100)
         v = sample_stable_vector(0.75, atoms, weights, 50001, SeededRng(3, 17)).values
         assert hashlib.sha256(v.tobytes()).hexdigest() == _GOLDEN_ABSCOS2T[env]
 
@@ -345,27 +348,20 @@ def test_row_ranges_match_serial_loop(split, alpha, seed, stream):
 
 class TestDiscretize:
     def test_quadrant_symmetry_k4(self):
-        _, weights = discretize_angular_density(
-            lambda th: np.abs(np.cos(2 * th)) / 4, 1.0, 4)
+        _, weights = discretize_angular_density(density_model("abscos2t"), 4)
         assert weights.tolist() == pytest.approx([0.25] * 4)
 
     def test_uniform_k8(self):
-        _, weights = discretize_angular_density(
-            lambda th: np.full_like(np.asarray(th, float), 1 / (2 * math.pi)), 1.0, 8)
+        _, weights = discretize_angular_density(density_model("uniform"), 8)
         assert weights.tolist() == pytest.approx([1 / 8] * 8)
 
     def test_weights_sum_to_total(self):
-        _, weights = discretize_angular_density(
-            lambda th: np.abs(np.cos(2 * th)) / 4, 3.5, 101)
+        _, weights = discretize_angular_density(density_model("abscos2t", 3.5), 101)
         assert sum(weights.tolist()) == pytest.approx(3.5, abs=1e-12)
-
-    def test_negative_density_rejected(self):
-        with pytest.raises(InvalidDensity):
-            discretize_angular_density(lambda th: np.cos(th), 1.0, 16)
 
     def test_k_minimum(self):
         with pytest.raises(InvalidModel):
-            discretize_angular_density(lambda th: th * 0 + 1 / (2 * math.pi), 1.0, 3)
+            discretize_angular_density(density_model("uniform"), 3)
 
 
 class TestBlockMaximaShortcut:

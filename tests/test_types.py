@@ -20,6 +20,8 @@ from tailspec.types import (
     ModelSpec,
     NormalizedStat,
     SpectralEstimate,
+    _density_grid,
+    density_shape,
     validate_data,
 )
 
@@ -136,14 +138,27 @@ class TestModelSpec:
         with pytest.raises(InvalidModel, match="need at least one atom"):
             ModelSpec(alpha=1.0, total_mass=1.0, atoms=(), weights=())
 
-    def test_density_integral_checked(self):
-        with pytest.raises(InvalidModel):
-            ModelSpec(alpha=1.0, total_mass=2.0,
-                      density=lambda th: np.abs(np.cos(2 * th)) / 4)
+    @pytest.mark.parametrize("name", ["abscos2t", "uniform"])
+    def test_density_shapes_integrate_to_one(self, name):
+        mids, step = _density_grid()
+        integral = float(density_shape(name)(mids, 1.0).sum() * step)
+        assert abs(integral - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("density", [lambda th: np.abs(np.cos(2 * th)) / 4,
+                                         "triangle", ["abscos2t"]])
+    def test_density_must_name_a_shape(self, density):
+        with pytest.raises(InvalidModel, match="unknown density"):
+            ModelSpec(alpha=1.0, total_mass=1.0, density=density)
+
+    def test_density_scaled_to_total_mass(self):
+        # a large mass is accepted: the shape is scaled, not checked by quadrature
+        theta = np.linspace(0.0, 2 * math.pi, 9)
+        m = ModelSpec(alpha=0.75, total_mass=1000.0, density="abscos2t")
+        assert (m.density_at(theta) == 1000.0 * np.abs(np.cos(2.0 * theta)) / 4.0).all()
+        assert m.spectral_cdf([math.pi / 2])[0] == pytest.approx(0.25, abs=1e-6)
 
     def test_density_cdf_values(self):
-        m = ModelSpec(alpha=0.75, total_mass=1.0,
-                      density=lambda th: np.abs(np.cos(2 * th)) / 4)
+        m = ModelSpec(alpha=0.75, total_mass=1.0, density="abscos2t")
         cdf = m.spectral_cdf([math.pi / 4, math.pi / 2, 2 * math.pi])
         # closed forms: int_0^{pi/4} cos(2u)/4 du = 1/8; quadrant symmetry
         assert cdf[0] == pytest.approx(1.0 / 8.0, abs=1e-6)
@@ -158,8 +173,7 @@ class TestModelSpec:
         assert m.normalized_mass(lambda v: v[0] > 0.5) == pytest.approx(0.6)
 
     def test_normalized_mass_density(self):
-        m = ModelSpec(alpha=0.75, total_mass=1.0,
-                      density=lambda th: np.abs(np.cos(2 * th)) / 4)
+        m = ModelSpec(alpha=0.75, total_mass=1.0, density="abscos2t")
         quad = m.normalized_mass(
             lambda v: math.atan2(v[1], v[0]) % (2 * math.pi) < math.pi / 2)
         assert quad == pytest.approx(0.25, abs=1e-4)
