@@ -48,12 +48,20 @@ class CliUsage(Exception):
 def read_csv(path: str | Path, skip_header: bool = False) -> DataMatrix:
     """Parse a comma-separated numeric matrix; errors carry 1-based lines.
 
-    numpy parses the whole file in one pass, reading it in chunks.  Text it
-    rejects goes through the line reader, which either raises CsvParseError
-    at the first bad line or parses what float() accepts and numpy does not
+    Every value is what float() gives for its field, bit for bit.  Plain
+    decimal text (see plaincsv) goes to the exact vectorized reader
+    plaincsv.read_plain_csv.  Other text goes to numpy, which parses the
+    whole file in one pass, reading it in chunks.  Text numpy rejects goes
+    through the line reader, which either raises CsvParseError at the first
+    bad line or parses what float() accepts and numpy does not
     (whitespace-only lines, ``1_0``, non-ASCII digits).  Whatever numpy
     accepts, float() reads as the same value.
     """
+    # imported here: a process that reads no CSV does not compile it
+    from .plaincsv import read_plain_csv
+    values = read_plain_csv(path, skip_header)
+    if values is not None:
+        return DataMatrix(values)
     with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         # open() above raised any OSError.  numpy reads a str path in chunks,
@@ -194,7 +202,7 @@ def parse_model(text: str) -> tuple[ModelSpec, str, int]:
     alpha = _model_number(cfg, "alpha")
     total = _model_number(cfg, "total_mass", 1.0)
     beta = _model_number(cfg, "beta") if "beta" in cfg else None
-    n_atoms = _model_number(cfg, "n_atoms", experiments.DEFAULT_STABLE_ATOMS, int)
+    n_atoms = _model_number(cfg, "n_atoms", experiments.DEFAULT_STABLE_ATOMS, whole=True)
 
     sources = [k for k in ("atoms", "rho", "density") if k in cfg]
     if len(sources) != 1:
@@ -219,16 +227,23 @@ def parse_model(text: str) -> tuple[ModelSpec, str, int]:
                      weights=weights, density=density), kind, n_atoms
 
 
-def _model_number(cfg: dict, key: str, default=None, cast=float):
-    """cfg[key], or default when it is absent, as a number; only beta may be
+def _model_number(cfg: dict, key: str, default=None, whole: bool = False):
+    """cfg[key], or default when it is absent, as a float, or as an int when
+    whole; a number or a numeric string, not true or false.  Only beta may be
     infinite and nothing may be NaN."""
     value = cfg.get(key, default)
     try:
-        number = cast(value)
+        if isinstance(value, bool):
+            raise TypeError
+        number = float(value)
     except (TypeError, ValueError, OverflowError):
         raise CliUsage(f"--model {key} must be a number, got {value!r}")
     if math.isnan(number) or (math.isinf(number) and key != "beta"):
         raise CliUsage(f"--model {key} must be finite, got {value!r}")
+    if whole:
+        if not number.is_integer():
+            raise CliUsage(f"--model {key} must be a whole number, got {value!r}")
+        return int(number)
     return number
 
 
@@ -240,7 +255,8 @@ def _model_atoms(rows) -> tuple[np.ndarray, np.ndarray]:
         raise bad
     if not rows:
         raise CliUsage("--model atoms needs at least one [x1, ..., xd, w] row")
-    if not all(isinstance(row, list) and len(row) >= 2 for row in rows):
+    if not all(isinstance(row, list) and len(row) >= 2
+               and not any(isinstance(x, bool) for x in row) for row in rows):
         raise bad
     try:
         values = [[float(x) for x in row] for row in rows]
@@ -463,7 +479,8 @@ def cmd_coverage(args) -> dict:
         SeededRng(args.seed), sampler=kind, region=region, n_atoms=n_atoms,
         workers=args.workers)
     return _doc(args, seed=args.seed, kind=res.kind, level=res.level, reps=res.reps,
-                hits=res.hits, coverage=res.coverage, truth=res.truth)
+                hits=res.hits, coverage=res.coverage, truth=res.truth,
+                warnings=list(res.warnings))
 
 
 # ---------------------------------------------------------------- parser

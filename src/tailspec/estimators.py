@@ -169,14 +169,18 @@ def estimate_total_mass(stats: GroupStats, m: int, alpha: float,
     """mass_hat = (mean of q^t / Gamma(1 - t/alpha)) ^ (alpha/t).
 
     Requires 0 < t < alpha/2 so both Gamma(1 - t/alpha) and the variance term
-    Gamma(1 - 2t/alpha) are finite.  When t falls outside the strong
-    consistency range t < alpha*r/2 (r inferred from n and m), the estimate is
-    still returned, with an EstimationWarning.
+    Gamma(1 - 2t/alpha) are finite, and 1 - t/alpha < 1 in float64: for a
+    smaller t, q^t and the Gamma factor round to 1 and say nothing of the
+    mass.  When t falls outside the strong consistency range t < alpha*r/2
+    (r inferred from n and m), the estimate is still returned, with an
+    EstimationWarning.
     """
     if not 0.0 < alpha < math.inf:
         raise InvalidAlpha(f"alpha={alpha} must be positive and finite")
     if not (0.0 < t < alpha / 2.0):
         raise InvalidT(f"t={t} outside (0, alpha/2) = (0, {alpha / 2.0})")
+    if 1.0 - t / alpha == 1.0:  # Gamma(1 - t/alpha) would be exactly 1
+        raise InvalidT(f"t={t} is too small: 1 - t/alpha rounds to 1 (alpha={alpha})")
     if m < 2:
         raise GroupTooSmall(f"total mass needs m >= 2, got {m}")
     m1 = stats.m1

@@ -223,26 +223,35 @@ class CoverageResult:
     reps: int
     hits: int
     truth: float
+    warnings: tuple[str, ...] = ()  # each EstimationWarning text, once
 
     @property
     def coverage(self) -> float:
         return self.hits / self.reps
 
 
-def _coverage_rep(model, N, r, kind, level, sampler, n_atoms, region, truth, rep_rng) -> bool:
-    data = draw_sample(model, N, rep_rng, sampler, n_atoms)
-    scheme = grouping.plan_grouping(N, r)
-    stats = grouping.summarize_groups(data, scheme)
-    if kind == "alpha":
-        ci = estimators.alpha_ci(estimators.estimate_alpha(stats), level)
-    elif kind == "spectral":
-        est = estimators.estimate_spectral(stats)
-        ci = estimators.spectral_ci(est, region, level)
-    else:
-        t = tuning.auto_t(model.alpha, r, model.beta)
-        tm = estimators.estimate_total_mass(stats, scheme.m, model.alpha, t)
-        ci = estimators.total_mass_ci(tm, level)
-    return ci.contains(truth)
+def _coverage_rep(model, N, r, kind, level, sampler, n_atoms, region, truth, t,
+                  rep_rng) -> tuple[bool, list[str]]:
+    """Whether one replication's CI contains the truth, and the texts of the
+    EstimationWarnings it raised, which it keeps off stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", EstimationWarning)
+        data = draw_sample(model, N, rep_rng, sampler, n_atoms)
+        scheme = grouping.plan_grouping(N, r)
+        stats = grouping.summarize_groups(data, scheme)
+        if kind == "alpha":
+            ci = estimators.alpha_ci(estimators.estimate_alpha(stats), level)
+        elif kind == "spectral":
+            est = estimators.estimate_spectral(stats)
+            ci = estimators.spectral_ci(est, region, level)
+        else:
+            tm = estimators.estimate_total_mass(stats, scheme.m, model.alpha, t)
+            ci = estimators.total_mass_ci(tm, level)
+    return ci.contains(truth), _warning_texts(caught)
+
+
+def _warning_texts(caught) -> list[str]:
+    return [str(w.message) for w in caught if issubclass(w.category, EstimationWarning)]
 
 
 def run_ci_coverage(model: ModelSpec, N: int, r: float | None, kind: str,
@@ -254,7 +263,9 @@ def run_ci_coverage(model: ModelSpec, N: int, r: float | None, kind: str,
 
     kind is alpha, spectral (needs a region) or mass.  r=None selects the
     kind's exponent from the model's alpha and beta (tuning.auto_r).  The
-    mass CI uses the model's alpha.  With workers > 1 the model and the
+    mass CI uses the model's alpha and the t of tuning.auto_t.  The
+    EstimationWarnings of the run are not raised: the result lists each
+    text once, in the order first seen.  With workers > 1 the model and the
     region are pickled into the workers: every model, an Arc, a Halfspace or
     a module-level function works, a lambda region does not.
     """
@@ -272,11 +283,20 @@ def run_ci_coverage(model: ModelSpec, N: int, r: float | None, kind: str,
         truth = model.total_mass
     if r is None:
         r = tuning.auto_r(kind, model.alpha, model.beta)
+    t, notes = None, []
+    if kind == "mass":  # t depends on alpha, r and beta only: its note comes once
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", EstimationWarning)
+            t = tuning.auto_t(model.alpha, r, model.beta)
+        notes = _warning_texts(caught)
     rngs = [rng.split(_EXP_COVERAGE, _COVERAGE_KIND_IDS[kind], rep) for rep in range(reps)]
-    flags = _run_reps(partial(_coverage_rep, model, N, r, kind, level, sampler, n_atoms,
-                              region, truth), rngs, workers)
+    results = _run_reps(partial(_coverage_rep, model, N, r, kind, level, sampler, n_atoms,
+                                region, truth, t), rngs, workers)
+    for _, rep_notes in results:
+        notes.extend(rep_notes)
     return CoverageResult(kind=kind, level=level, reps=reps,
-                          hits=int(sum(flags)), truth=truth)
+                          hits=int(sum(hit for hit, _ in results)), truth=truth,
+                          warnings=tuple(dict.fromkeys(notes)))
 
 
 def run_frechet_check(model: ModelSpec, m: int, n_groups: int,

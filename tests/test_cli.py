@@ -9,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tailspec
-from tailspec import estimators, experiments, grouping, tuning
+from tailspec import estimators, experiments, grouping, numerics, tuning
 from tailspec.cli import build_parser, main, parse_model, parse_region, read_csv, write_csv
 from tailspec.errors import CsvParseError
 from tailspec.simulation import SeededRng
@@ -285,6 +286,37 @@ class TestEstimateCommand:
         assert doc["spectral"]["cdf"][-1][1] == 1.0
 
 
+    @pytest.fixture
+    def polar_2000(self, tmp_path, capsys):
+        model = json.dumps({"kind": "polar", "alpha": 0.75, "total_mass": 200.0,
+                            "density": "abscos2t"})
+        f = tmp_path / "s.csv"
+        assert main(["simulate", "--model", model, "--n", "2000", "--seed", "1",
+                     "--out", str(f)]) == 0
+        capsys.readouterr()
+        return f
+
+    def test_t_too_small_for_float64_exit_4(self, polar_2000, capsys):
+        # 1 - t/alpha rounds to 1, where the estimate would be exactly 1.0
+        rc = main(["estimate", "--input", str(polar_2000), "--r", "0.5", "--alpha", "0.75",
+                   "--t", "1e-300"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error[InvalidT]: t=1e-300 is too small")
+
+    def test_small_t_estimate_unchanged(self, polar_2000, capsys):
+        t, alpha = 1e-12, 0.75
+        assert main(["estimate", "--input", str(polar_2000), "--r", "0.5", "--alpha", "0.75",
+                     "--t", str(t)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        data = read_csv(polar_2000)
+        scheme = grouping.plan_grouping(data.rows, 0.5)
+        qt = grouping.summarize_groups(data, scheme).m1 / scheme.m ** (1.0 / alpha)
+        qt **= t
+        want = (float(qt.mean()) / numerics.gamma_fn(1.0 - t / alpha)) ** (alpha / t)
+        assert doc["mass"]["hat"] == want
+        assert 100.0 < want < 200.0
+
 class TestSimulateCommand:
     def test_deterministic_files(self, tmp_path):
         model = json.dumps({"kind": "polar", "alpha": 1.0, "total_mass": 1.0,
@@ -376,6 +408,17 @@ def test_import_loads_no_pool_modules():
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_compiles_no_csv_reader():
+    """Only a process that reads a CSV compiles the plain-text reader."""
+    src = str(Path(tailspec.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, tailspec.cli, tailspec.experiments; "
+         "print('tailspec.plaincsv' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestBadInputsWithoutTraceback:
@@ -638,6 +681,32 @@ class TestBadInputsWithoutTraceback:
         assert "error[CsvParseError]: line 1: line is not valid UTF-8" in proc.stderr
 
 
+@pytest.mark.parametrize("model, message", [
+    ('{"alpha": true, "rho": 0.5}', "alpha must be a number, got True"),
+    ('{"alpha": 1.0, "rho": false}', "rho must be a number, got False"),
+    ('{"alpha": 1.0, "rho": 0.5, "total_mass": true}', "total_mass must be a number"),
+    ('{"alpha": 1.0, "rho": 0.5, "beta": true}', "beta must be a number"),
+    ('{"kind": "stable", "alpha": 0.5, "density": "uniform", "n_atoms": true}',
+     "n_atoms must be a number"),
+    ('{"alpha": 1.0, "atoms": [[1.0, true]]}', "atoms must be a list"),
+    ('{"kind": "stable", "alpha": 0.5, "density": "uniform", "n_atoms": 8.7}',
+     "n_atoms must be a whole number, got 8.7"),
+])
+def test_model_booleans_and_fractional_counts_exit_2(tmp_path, capsys, model, message):
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--model", model, "--n", "5", "--seed", "1",
+                 "--out", str(out)]) == 2
+    assert f"error[usage]: --model {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_model_numeric_strings_accepted():
+    model, _, n_atoms = parse_model('{"kind": "stable", "alpha": "0.5", "beta": "inf", '
+                                    '"density": "uniform", "n_atoms": "8"}')
+    assert model.alpha == 0.5 and model.beta == math.inf
+    assert n_atoms == 8 and type(n_atoms) is int
+    assert parse_model('{"alpha": 0.5, "density": "uniform", "n_atoms": 8.0}')[2] == 8
+
 class TestExperimentCommands:
     def test_sweep_csv_schema(self, tmp_path, capsys):
         model = json.dumps({"kind": "stable", "alpha": 1.75, "rho": 0.5,
@@ -761,6 +830,44 @@ class TestExperimentCommands:
             hits.append(json.loads(proc.stdout)["hits"])
         assert hits[0] == hits[1]
 
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_coverage_mass_keeps_warnings_in_document(self, tmp_path, capfd, workers):
+        model = '{"kind":"polar","alpha":1.9,"rho":0.2,"beta":3.8}'
+        out = tmp_path / "cov.json"
+        assert main(["coverage", "--model", model, "--n", "5000", "--reps", "3",
+                     "--kind", "mass", "--seed", "5", "--workers", workers,
+                     "--out", str(out)]) == 0
+        assert capfd.readouterr().err == ""
+        doc = json.loads(out.read_text())
+        assert [w.split(":")[0] for w in doc["warnings"]] == ["t-outside-normality"]
+        # the replications as they ran before t moved into run_ci_coverage
+        spec = parse_model(model)[0]
+        r = tuning.auto_r("mass", 1.9, 3.8)
+        hits = 0
+        for rep in range(3):
+            rng = SeededRng(5).split(experiments._EXP_COVERAGE, 3, rep)
+            with pytest.warns(tailspec.EstimationWarning):
+                t = tuning.auto_t(spec.alpha, r, spec.beta)
+            data = experiments.draw_sample(spec, 5000, rng)
+            scheme = grouping.plan_grouping(5000, r)
+            tm = estimators.estimate_total_mass(grouping.summarize_groups(data, scheme),
+                                                scheme.m, spec.alpha, t)
+            hits += estimators.total_mass_ci(tm, 0.95).contains(1.0)
+        assert (doc["hits"], doc["coverage"]) == (hits, hits / 3)
+
+    def test_coverage_records_each_estimator_warning_once(self, monkeypatch, capfd):
+        plan = grouping.plan_grouping
+
+        def noisy_plan(N, r):
+            warnings.warn("a note from every replication", tailspec.EstimationWarning)
+            return plan(N, r)
+
+        monkeypatch.setattr(grouping, "plan_grouping", noisy_plan)
+        res = experiments.run_ci_coverage(parse_model('{"alpha":1.0,"rho":0.5}')[0],
+                                          2000, 0.5, "alpha", 0.95, 3, SeededRng(1))
+        assert res.warnings == ("a note from every replication",)
+        assert capfd.readouterr().err == ""
 
 class TestRegions:
     def test_arc_wraps(self):

@@ -5,13 +5,16 @@ per-value f-string writer, and pickle round-trips of regions and densities."""
 
 import math
 import pickle
+import tracemalloc
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailspec import Arc, Halfspace
+from tailspec import Arc, Halfspace, cli, plaincsv
 from tailspec.cli import read_csv, write_csv
 from tailspec.errors import CsvParseError, EmptySample, InvalidModel
 from tailspec.types import ModelSpec, SpectralEstimate
@@ -136,6 +139,176 @@ def test_read_csv_edge_cases(tmp_path, text, skip_header):
 def test_read_csv_missing_file_raises_os_error(tmp_path):
     with pytest.raises(FileNotFoundError, match="No such file"):
         read_csv(tmp_path / "nope.csv")
+
+
+# ------------------------------------------------- read_csv: plain decimal text
+
+@st.composite
+def decimal_field(draw):
+    """[sign] 1-25 digits with an optional '.' anywhere, then an optional
+    e/E exponent of -30..30, signed or not, zero-padded or not."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=25))
+    dot = draw(st.one_of(st.none(), st.integers(0, len(digits))))
+    mantissa = digits if dot is None else f"{digits[:dot]}.{digits[dot:]}"
+    field = draw(st.sampled_from(["", "+", "-"])) + mantissa
+    if draw(st.booleans()):
+        size = draw(st.sampled_from(["{}", "{:02d}", "{:03d}"])).format(draw(st.integers(0, 30)))
+        field += draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+", "-"])) + size
+    return field
+
+
+def power_of_two_neighbours():
+    """For each power of two 2**k in the reader's range: the decimals m * 10**q
+    with 10**15 <= m < 10**18 nearest 2**k and the midpoints to the doubles on
+    either side, and one unit of m either side of those."""
+    out = []
+    for k in range(-50, 150):
+        for target in (1 - Fraction(1, 2**54), Fraction(1), 1 + Fraction(1, 2**53)):
+            for q in range(-27, 28):
+                m = round(Fraction(2) ** k * target / Fraction(10) ** q)
+                if 10**15 <= m < 10**18:
+                    out += [f"{m + d}e{q}" for d in (-1, 0, 1)]
+    return out
+
+
+# decimals whose value rounded to a 64-bit significand is exactly halfway
+# between two doubles while the value itself is not: found by random search
+NEAR_TIES = ["283037397758720070e-23", "596677428162836668e-14", "75134440519518578e-27",
+             "615108712474530985e-24", "556599883966105495e6", "766099286171719918e14",
+             "338516954797566603e25", "70255016064951211e12"]
+
+PLAIN_FIXED = [
+    "9007199254740993", "9007199254740995", "4503599627370496.5", "-0", "-0.0e5", "+0",
+    "-.5e-3", "5.", ".5", "1E+5", "007", "1e22", "1e23", "1e27", "1e-27", "1e28",
+    "-9223372036854775808", "-9223372036854775809", "9223372036854775807",
+    "99999999999999999999", "-99999999999999999999", "999999999999999999", "1e999",
+    "-1e-320", "1e99999999999999999999", "1.5e-99999999999999999999",
+    "0.000000000000000000000000000001e30", *NEAR_TIES,
+    *("-" + f for f in NEAR_TIES), *power_of_two_neighbours(),
+]
+
+
+def write_plain(path, rows, newline="\n", final_newline=True):
+    text = newline.join(",".join(row) for row in rows) + (newline if final_newline else "")
+    path.write_bytes(text.encode("ascii"))
+
+
+def float_bits(rows):
+    return np.array([[float(f) for f in row] for row in rows]).view(np.uint64)
+
+
+def assert_plain_reader_matches_float(path, rows):
+    """The plain-text reader takes the file, also with every field that it
+    cannot round itself sent to float(), and gives float()'s bits; read_csv
+    gives them too."""
+    with mock.patch.object(plaincsv, "_SLOW_SHARE", 1.0):
+        got = plaincsv.read_plain_csv(path, False)
+    assert got is not None
+    want = float_bits(rows)
+    assert got.view(np.uint64).tolist() == want.tolist()
+    assert read_csv(path).values.view(np.uint64).tolist() == want.tolist()
+
+
+@given(fields=st.lists(decimal_field(), min_size=1, max_size=24),
+       width=st.integers(1, 3), newline=st.sampled_from(["\n", "\r\n"]),
+       final_newline=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_plain_reader_matches_float_per_field(tmp_path_factory, fields, width, newline,
+                                              final_newline):
+    rows = [fields[i:i + width] for i in range(0, len(fields) - width + 1, width)]
+    if not rows:
+        rows = [fields[:1]]
+        width = 1
+    path = tmp_path_factory.mktemp("plain") / "in.csv"
+    write_plain(path, rows, newline, final_newline)
+    assert_plain_reader_matches_float(path, rows)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_plain_reader_fixed_cases(tmp_path, newline):
+    rows = [[f] for f in PLAIN_FIXED]
+    write_plain(tmp_path / "in.csv", rows, newline)
+    assert_plain_reader_matches_float(tmp_path / "in.csv", rows)
+
+
+def test_powers_of_ten_are_exact():
+    assert [int(p) for p in plaincsv._POW10] == [10 ** k for k in range(plaincsv._MAX_Q + 1)]
+
+
+@pytest.mark.parametrize("field", [
+    "1.2.3", "1e5e5", "1e", "e1", "+-1", "--1", ".", "-", "+.", ".e5", "+.e1", "1-2",
+    "1e+", "1e+-5", "1e5.5", "12e5.5", "12e-5.5", "1..", "5.-", "1.5e", "", "1e-.5",
+])
+def test_plain_looking_bad_field_fails_like_line_reader(tmp_path, field):
+    path = tmp_path / "in.csv"
+    write_plain(path, [["1.5", "2"], ["3", field], ["4", "5e1"]])
+    with mock.patch.object(plaincsv, "_SLOW_SHARE", 1.0):
+        assert plaincsv.read_plain_csv(path, False) is None
+    got = outcome(read_csv, path, False)
+    assert got[0] == "CsvParseError" and got[1] == 2
+    assert got == outcome(reference_read_csv, path, False)
+
+
+@pytest.mark.parametrize("text, skip_header", [
+    ("1,2\r3,4\n", False),        # a lone '\r' ends a line for the other readers
+    ("x\ry\n1,2\n", True),
+    ("1,2\n3\n", False),
+    ("1,2\n3\n4,5,6\n", False),
+    ("1.25,2.5\n3.5\n4.5\n5.5,6.5\n", False),
+    ("1,2\n\n3,4\n", False),
+    ("1, 2\n", False),
+    ("1,2\n", True),
+    ("", False),
+    (",".join(["0.5"] * 70_000), False),  # a line longer than a block
+])
+def test_plain_reader_declines_other_text(tmp_path, text, skip_header):
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode("ascii"))
+    with mock.patch.object(plaincsv, "_SLOW_SHARE", 1.0):
+        assert plaincsv.read_plain_csv(path, skip_header) is None
+    assert outcome(read_csv, path, skip_header) == outcome(reference_read_csv, path,
+                                                           skip_header)
+
+
+def test_plain_reader_allocates_no_more_than_the_file_holds(tmp_path):
+    # a wide first line over many short ones: 1001 x 1000 values cannot fit
+    path = tmp_path / "in.csv"
+    path.write_bytes((",".join(["1"] * 1000) + "\n" + "1\n" * 1000).encode("ascii"))
+    tracemalloc.start()
+    try:
+        assert plaincsv.read_plain_csv(path, False) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert outcome(read_csv, path, False) == outcome(reference_read_csv, path, False)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("skip_header", [False, True])
+def test_read_csv_takes_plain_reader(tmp_path, monkeypatch, newline, skip_header):
+    # 10^4 rows in several blocks; a reader that quietly declined plain text
+    # would pass every oracle above and only lose speed
+    g = np.random.default_rng(11)
+    values = g.standard_normal((10**4, 3)) * 10.0 ** g.integers(-8, 15, (10**4, 3))
+    values[:, 1] = np.where(values[:, 1] > 0, 0.0, -0.0)  # a third of the fields
+    header = "x,y,z" + newline if skip_header else ""
+    text = "".join(",".join(map("%.17g".__mod__, row)) + newline for row in values.tolist())
+    path = tmp_path / "in.csv"
+    path.write_bytes((header + text).encode("ascii"))
+    assert path.stat().st_size > 2 * plaincsv._BLOCK
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("read_csv left the plain-text reader")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np, "loadtxt", refuse)
+        patched.setattr(cli, "_read_csv_lines", refuse)
+        got = read_csv(path, skip_header).values
+    assert got.view(np.uint64).tolist() == values.view(np.uint64).tolist()
+    monkeypatch.setattr(plaincsv, "_EXACT_LONGDOUBLE", False)
+    assert (read_csv(path, skip_header).values.view(np.uint64).tolist()
+            == values.view(np.uint64).tolist())
 
 
 # ---------------------------------------------------------------- write_csv
