@@ -7,9 +7,11 @@ input), 4 numeric or degeneracy error from the pipeline.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
+import stat
 import sys
 import warnings
 from pathlib import Path
@@ -55,38 +57,50 @@ def read_csv(path: str | Path, skip_header: bool = False) -> DataMatrix:
     through the line reader, which either raises CsvParseError at the first
     bad line or parses what float() accepts and numpy does not
     (whitespace-only lines, ``1_0``, non-ASCII digits).  Whatever numpy
-    accepts, float() reads as the same value.
+    accepts, float() reads as the same value.  A path that is not a regular
+    file (a pipe such as /dev/stdin) can be read only once, so it is read
+    into memory first and every reader parses those bytes.
     """
     # imported here: a process that reads no CSV does not compile it
     from .plaincsv import read_plain_csv
-    values = read_plain_csv(path, skip_header)
+    piped = None if stat.S_ISREG(os.stat(path).st_mode) else Path(path).read_bytes()
+    values = read_plain_csv(path if piped is None else io.BytesIO(piped), skip_header)
     if values is not None:
         return DataMatrix(values)
-    with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+    with _open_text(path, piped) as fh, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        # open() above raised any OSError.  numpy reads a str path in chunks,
-        # an open file by lines; an absolute path never looks like a URL to its
-        # DataSource, and a name it would decompress gets fh (gzip: not UTF-8)
-        src = fh if Path(path).suffix in _PACKED else str(Path(path).absolute())
+        # numpy reads a str path in chunks, an open file by lines; an absolute
+        # path never looks like a URL to its DataSource, and a name it would
+        # decompress gets fh (gzip: not UTF-8)
+        src = (fh if piped is not None or Path(path).suffix in _PACKED
+               else str(Path(path).absolute()))
         try:
             values = np.loadtxt(src, delimiter=",", dtype=np.float64, ndmin=2,
                                 comments=None, skiprows=int(skip_header), encoding="utf-8")
         except ValueError:
             values = None
     if values is None:
-        return _read_csv_lines(path, skip_header)
+        return _read_csv_lines(path, piped, skip_header)
     if values.shape[0] == 0:
         raise EmptySample(f"{path}: no data rows")
     return DataMatrix(values)
 
 
-def _read_csv_lines(path: str | Path, skip_header: bool) -> DataMatrix:
+def _open_text(path: str | Path, piped: bytes | None, errors: str = "strict"):
+    """The CSV input as UTF-8 text: the file at ``path``, or ``piped``, the
+    bytes already read from it."""
+    if piped is None:
+        return open(path, "r", encoding="utf-8", errors=errors)
+    return io.TextIOWrapper(io.BytesIO(piped), encoding="utf-8", errors=errors)
+
+
+def _read_csv_lines(path: str | Path, piped: bytes | None, skip_header: bool) -> DataMatrix:
     """read_csv line by line with float(), for text numpy rejects."""
     rows: list[list[float]] = []
     width = None
     # bytes that are not UTF-8 decode to lone surrogates, which float()
     # rejects, so such a line fails with its own number
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with _open_text(path, piped, errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if lineno == 1 and skip_header:
                 continue

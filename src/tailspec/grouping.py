@@ -14,7 +14,13 @@ import warnings
 import numpy as np
 
 from .errors import DegenerateGroup, EstimationWarning, GroupTooSmall, InvalidR
-from .types import DataMatrix, GroupScheme, GroupStats
+from .types import _BLOCK_ROWS, DataMatrix, GroupScheme, GroupStats
+
+# Groups of up to this many rows find their maximiser column by column: on
+# 2x10^5 norms in groups of 2, 3 and 4 rows that took 0.4, 0.9 and 1.05 ms
+# against 2.0, 1.6-2.0 and 1.5-1.7 ms for argmax and its gather; at 5-7 rows
+# the two were even, and from 8 the tournament was mostly slower.
+_TOURNAMENT_GROUP = 4
 
 
 def plan_grouping(N: int, r: float, *, min_group: int = 2) -> GroupScheme:
@@ -62,14 +68,48 @@ def summarize_groups(data: DataMatrix, scheme: GroupScheme) -> GroupStats:
         )
     n, m = scheme.n, scheme.m
     norms = data.norms[: n * m].reshape(n, m)
-    rows = np.arange(n)
-    j1 = norms.argmax(axis=1)  # argmax returns the lowest index on ties
-    m1 = norms[rows, j1]
+    if m == 1:  # each row is its group's maximiser
+        j1, m1 = np.zeros(n, np.intp), norms[:, 0]
+        theta = data.values[:n].copy()
+    else:
+        j1, m1 = _group_maxima(norms)
+        rows = np.arange(n)
+        rows *= m
+        rows += j1  # each maximizer's row in the sample
+        theta = data.values.take(rows, axis=0)  # 6x faster than values[rows]
     if (m1 == 0.0).any():
         bad = int(np.nonzero(m1 == 0.0)[0][0])
         raise DegenerateGroup(f"group {bad} has zero maximum norm")
-    rows *= m
-    rows += j1  # each maximizer's row in the sample
-    theta = data.values[rows]
-    theta /= m1[:, None]
+    if data.dim > 2:
+        theta /= m1[:, None]
+    else:  # numpy broadcasts m1 over a short row one row at a time
+        for col in theta.T:
+            col /= m1
     return GroupStats(m1=m1, theta=theta, argmax=j1, norms=norms)
+
+
+def _group_maxima(norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``norms.argmax(axis=1)`` and the norms it picks, bit for bit: the
+    lowest index on ties, the first NaN where a row has one.
+
+    numpy reduces a short axis one row at a time, so groups of up to
+    _TOURNAMENT_GROUP rows run a tournament over columns instead, in blocks
+    of _BLOCK_ROWS groups.
+    """
+    n, m = norms.shape
+    if m > _TOURNAMENT_GROUP:
+        j1 = norms.argmax(axis=1)
+        return j1, norms[np.arange(n), j1]
+    j1, m1 = np.empty(n, np.intp), np.empty(n)
+    for lo in range(0, n, _BLOCK_ROWS):
+        block, j, best = (a[lo:lo + _BLOCK_ROWS] for a in (norms, j1, m1))
+        # a strict > keeps the lowest index on a tie
+        np.greater(block[:, 1], block[:, 0], out=j, casting="unsafe")
+        np.maximum(block[:, 0], block[:, 1], out=best)
+        for k in range(2, m):
+            col = block[:, k]
+            j[col > best] = k
+            np.maximum(best, col, out=best)
+        if np.isnan(best).any():  # maximum carries any NaN of a row into best
+            block.argmax(axis=1, out=j)
+    return j1, m1

@@ -9,6 +9,7 @@ bit for bit; other text is left to the readers of cli.read_csv.
 
 from __future__ import annotations
 
+import io
 import os
 import stat
 from pathlib import Path
@@ -34,22 +35,23 @@ _EXPONENT_BITS = np.uint64(0x7FF << 52)
 _FRACTION_BITS = np.uint64((1 << 52) - 1)
 
 
-def read_plain_csv(path: str | Path, skip_header: bool) -> np.ndarray | None:
+def read_plain_csv(source: str | Path | io.BytesIO, skip_header: bool) -> np.ndarray | None:
     """cli.read_csv's values for plain decimal text, or None for other text.
 
-    A first pass counts the lines, to size the output.  The second reads
-    _BLOCK bytes at a time, cut after the last newline, and parses each
-    block into the next rows of the output.
+    ``source`` is a path, or the text's bytes in memory.  A first pass counts
+    the lines, to size the output.  The second reads _BLOCK bytes at a time,
+    cut after the last newline, and parses each block into the next rows of
+    the output.
     """
     if not _EXACT_LONGDOUBLE:
         return None
-    with open(path, "rb") as fh:
-        info = os.fstat(fh.fileno())
-        if not stat.S_ISREG(info.st_mode):
+    with source if isinstance(source, io.BytesIO) else open(source, "rb") as fh:
+        if fh is not source and not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             return None  # a pipe cannot be read twice
-        lines, last = 0, b"\n"
+        lines, size, last = 0, 0, b"\n"
         while chunk := fh.read(_BLOCK):
             lines += np.count_nonzero(np.frombuffer(chunk, np.uint8) == 10)
+            size += len(chunk)
             last = chunk[-1:]
         rows = lines + (last != b"\n") - skip_header
         if rows < 1:
@@ -81,7 +83,7 @@ def read_plain_csv(path: str | Path, skip_header: bool) -> np.ndarray | None:
                     continue
             if out is None:
                 width = text.count(b",", 0, text.index(b"\n")) + 1
-                if 2 * rows * width > info.st_size + 1:  # a field takes 2 bytes
+                if 2 * rows * width > size + 1:  # a field takes 2 bytes
                     return None
                 out = np.empty(rows * width)
             values = _block_values(text, width)

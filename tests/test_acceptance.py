@@ -6,6 +6,7 @@ seeds make every run deterministic.  Helper functions return the measured
 quantities so the assertions stay separate from the computations.
 """
 
+import functools
 import math
 import statistics
 import warnings
@@ -72,9 +73,16 @@ def example2_replication(seed: int, rep: int):
             m_ci.halfwidth, plug)
 
 
+@functools.lru_cache(maxsize=None)
+def example2_runs(seed: int) -> tuple:
+    """The 20 Example-2 replications of a master seed, computed once per
+    session: criterion 1 and its oracle read the same runs."""
+    return tuple(example2_replication(seed, rep) for rep in range(20))
+
+
 def test_criterion_1_example2_reproduction():
     """Example 2: alpha_hat ~ 0.74, mass ~ 0.99, CI widths within 2x."""
-    rows = [example2_replication(SEED_EXAMPLE2, rep) for rep in range(20)]
+    rows = example2_runs(SEED_EXAMPLE2)
     alpha_hats = [r[0] for r in rows]
     alpha_hw = [r[1] for r in rows]
     masses = [r[2] for r in rows]
@@ -100,6 +108,25 @@ def test_criterion_1_example2_reproduction():
     assert 0.85 <= med_mass <= 1.15
     assert all(0.035 <= h <= 0.14 for h in alpha_hw)
     assert all(0.06 <= h <= 0.24 for h in mass_hw)
+
+
+def test_criterion_1_alpha_halfwidth_oracle():
+    """The mean alpha-CI halfwidth of criterion 1's runs lies near its limit.
+
+    In the limit kappa^alpha is uniform on (0, 1), so kappa has mean
+    p = a/(1+a) and variance a/((a+2)(a+1)^2).  The 95% Wald interval for p
+    over n = 223 groups, mapped by p/(1-p), then has halfwidth 0.1205.  A
+    20-run mean has a standard error of about 0.0023.
+    """
+    a, n = 0.75, grouping.plan_grouping(50000, 0.5).n
+    p = a / (1.0 + a)
+    h = statistics.NormalDist().inv_cdf(0.975) * math.sqrt(a / ((a + 2) * (a + 1) ** 2) / n)
+    limit = ((p + h) / (1.0 - p - h) - (p - h) / (1.0 - p + h)) / 2.0
+    assert n == 223 and round(limit, 4) == 0.1205
+    mean_hw = statistics.fmean(r[1] for r in example2_runs(SEED_EXAMPLE2))
+    _report("criterion 1 oracle (alpha CI halfwidth)", abs(mean_hw - limit) <= 0.01,
+            f"mean halfwidth {mean_hw:.4f}, limit {limit:.4f} +- 0.01")
+    assert abs(mean_hw - limit) <= 0.01
 
 
 def test_criterion_2_spectral_cdf_sup_distance():

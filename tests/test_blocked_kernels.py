@@ -32,6 +32,39 @@ def test_norms_match_one_shot_formula(rows, d):
     v = sample(rows, d)
     np.testing.assert_array_equal(as_bits(DataMatrix(v).norms),
                                   as_bits(np.sqrt((v * v).sum(axis=1))))
+    # squares that overflow to +inf, and NaNs, which compare by position
+    v[::5, 0] = 1e200
+    v[1::7, d - 1] = -1e200
+    v[2::11, 0] = np.nan
+    with np.errstate(over="ignore"):
+        got, want = DataMatrix(v).norms, np.sqrt((v * v).sum(axis=1))
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    np.testing.assert_array_equal(as_bits(got[~np.isnan(want)]), as_bits(want[~np.isnan(want)]))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [B - 1, B, B + 1, 3 * B + 5])
+def test_group_maxima_match_argmax_at_block_edges(n, m):
+    """Short groups take their maxima column by column in blocks of B groups
+    (m = 5 takes argmax): the lowest index on ties, at +inf too, and the
+    first NaN, as argmax."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([n, m], np.uint64)))
+    vals = rng.integers(-2, 3, size=(n * m, 2)).astype(float)
+    vals[::m, 0] = 2.0  # every group has a nonzero row, and many a tied maximum
+    special = rng.integers(0, 40, size=(n * m, 2))
+    vals[special == 0] = np.inf
+    vals[special == 1] = np.nan
+    with np.errstate(invalid="ignore"):
+        stats = summarize_groups(DataMatrix(vals), GroupScheme(r=0.5, n=n, m=m, discarded=0))
+        rest = stats.norms.copy()
+        want = rest.argmax(axis=1)
+        rest[np.arange(n), want] = -np.inf
+        m2 = rest.max(axis=1)
+    assert stats.argmax.tolist() == want.tolist()
+    for got, ref in ((stats.m1, stats.norms[np.arange(n), want]), (stats.m2, m2)):
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
+        np.testing.assert_array_equal(as_bits(got[~np.isnan(ref)]), as_bits(ref[~np.isnan(ref)]))
+    assert np.isnan(stats.m2).any() and np.isinf(stats.m2).any()
 
 
 @pytest.mark.parametrize("m", [2, 3, B + 3])

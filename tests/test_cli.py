@@ -421,6 +421,34 @@ def test_import_compiles_no_csv_reader():
     assert proc.stdout.strip() == "False"
 
 
+# the same rows as text each reader of read_csv takes: plain decimal text,
+# text numpy parses (spaces), and text only float() parses ('1_0')
+PIPED_ROWS = "{},2\n1.5,1\n2.5,3\n0.5,4\n3.5,0.25\n1,1\n2,2\n3,3\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+@pytest.mark.parametrize("first", ["10", " 10", "1_0"])
+def test_piped_input_reads_like_a_file(tmp_path, first):
+    """A pipe can be read only once: /dev/stdin gives the estimate the same
+    bytes in a file give."""
+    text = PIPED_ROWS.format(first)
+    path = tmp_path / "in.csv"
+    path.write_text(text, encoding="utf-8")
+    src = str(Path(tailspec.__file__).resolve().parents[1])
+    docs = []
+    for source, stdin in ((str(path), None), ("/dev/stdin", text)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tailspec.cli", "estimate", "--input", source, "--r", "0.5"],
+            input=stdin, capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        docs.append(json.loads(proc.stdout))
+    for doc in docs:
+        doc["input"].pop("path")
+    assert docs[1] == docs[0]
+    assert docs[1]["input"]["N"] == 8
+
+
 class TestBadInputsWithoutTraceback:
     @pytest.mark.parametrize("model", [
         '{"alpha": "x", "rho": 0.5}',

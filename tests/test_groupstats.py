@@ -76,16 +76,21 @@ def group_summary_checks(m1, theta):
 
 
 def column_bits(stats):
-    """Every column of a GroupStats as uint64 (argmax as intp), None kept."""
-    return {name: None if getattr(stats, name) is None
-            else getattr(stats, name).view(np.uint64 if name != "argmax" else np.intp).tolist()
+    """Every column of a GroupStats as uint64 (argmax as intp), None kept.
+    Every NaN reads as the same bits, so NaNs compare by position only."""
+    def bits_of(col):
+        if col.dtype != np.float64:
+            return col.view(np.intp).tolist()
+        return np.where(np.isnan(col), np.nan, col).view(np.uint64).tolist()
+    return {name: None if getattr(stats, name) is None else bits_of(getattr(stats, name))
             for name in ("m1", "m2", "kappa", "theta", "argmax")}
 
 
 def outcome(summarize, values, scheme):
     """Column bits of summarize(values, scheme), or the error it raised."""
     try:
-        return column_bits(summarize(DataMatrix(values), scheme))
+        with np.errstate(over="ignore", invalid="ignore"):  # SPECIAL entries
+            return column_bits(summarize(DataMatrix(values), scheme))
     except (DegenerateGroup, InvalidModel) as e:
         return type(e).__name__, str(e)
 
@@ -210,6 +215,10 @@ def test_second_maxima_computed_on_first_read():
     assert stats.kappa is stats.kappa and stats.m2 is stats.m2
 
 
+# entries whose squares overflow, that are infinite, or NaN
+SPECIAL = {"overflow": 1e200, "negative_overflow": -1e200, "infinite": -np.inf, "nan": np.nan}
+
+
 def tie_block(kind, m, d):
     """One group of m rows in d columns with the named tie pattern."""
     block = np.zeros((m, d))
@@ -220,6 +229,12 @@ def tie_block(kind, m, d):
         block[:] = -0.75
     elif kind == "zeros_beside_nonzero":
         block[m - 1, d - 1] = 3.0
+    elif kind in SPECIAL:
+        # a finite first row, then two rows whose norms are +inf or NaN:
+        # ties at +inf and NaNs go to the lowest index, as argmax has them
+        block[:, 0] = 0.5
+        block[0, 0] = 4.0
+        block[[(m - 1) // 2, m - 1], d - 1] = SPECIAL[kind]
     return block
 
 
@@ -232,7 +247,8 @@ def test_summary_matches_reference_bits(d, m, n, extra, data):
                       st.floats(-1e150, 1e150, allow_nan=False))
     values = data.draw(arrays(np.float64, (n * m + discarded, d), elements=entry))
     for i, kind in enumerate(data.draw(st.lists(st.sampled_from(
-            ["random", "two_equal_maxima", "all_equal", "zeros_beside_nonzero", "all_zero"]),
+            ["random", "two_equal_maxima", "all_equal", "zeros_beside_nonzero", "all_zero",
+             *SPECIAL]),
             min_size=n, max_size=n))):
         if kind != "random":
             values[i * m:(i + 1) * m] = tie_block(kind, m, d)
@@ -243,7 +259,8 @@ def test_summary_matches_reference_bits(d, m, n, extra, data):
         assert new[0] == "DegenerateGroup"
 
 
-@pytest.mark.parametrize("kind", ["two_equal_maxima", "all_equal", "zeros_beside_nonzero"])
+@pytest.mark.parametrize("kind", ["two_equal_maxima", "all_equal", "zeros_beside_nonzero",
+                                  *SPECIAL])
 @pytest.mark.parametrize("m", [1, 2, 3, 7])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_tied_and_zero_rows_match_reference_bits(d, m, kind):
@@ -252,10 +269,11 @@ def test_tied_and_zero_rows_match_reference_bits(d, m, kind):
     assert (outcome(summarize_groups, values, scheme)
             == outcome(reference_summarize_groups, values, scheme))
     values[m:2 * m] = 0.0
-    with pytest.raises(DegenerateGroup, match="group 1 "):
-        summarize_groups(DataMatrix(values), scheme)
-    with pytest.raises(DegenerateGroup, match="group 1 "):
-        reference_summarize_groups(DataMatrix(values), scheme)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DegenerateGroup, match="group 1 "):
+            summarize_groups(DataMatrix(values), scheme)
+        with pytest.raises(DegenerateGroup, match="group 1 "):
+            reference_summarize_groups(DataMatrix(values), scheme)
 
 
 @pytest.mark.parametrize("d", [1, 2, 5])
