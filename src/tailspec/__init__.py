@@ -20,12 +20,11 @@ from .estimators import (
     total_mass_ci,
 )
 from .grouping import plan_grouping, summarize_groups
-from .numerics import gamma_fn, ks_distance, normal_quantile
+from .numerics import gamma_fn, normal_quantile
 from .simulation import (
     SeededRng,
     discretize_angular_density,
     sample_polar,
-    sample_polar_block_maxima,
     sample_stable_1d,
     sample_stable_vector,
     splitmix64,
@@ -74,7 +73,6 @@ __all__ = [
     "estimate_spectral",
     "estimate_total_mass",
     "gamma_fn",
-    "ks_distance",
     "normal_quantile",
     "optimal_r_alpha",
     "optimal_r_mass",
@@ -82,7 +80,6 @@ __all__ = [
     "plan_grouping",
     "rho_1d",
     "sample_polar",
-    "sample_polar_block_maxima",
     "sample_stable_1d",
     "sample_stable_vector",
     "spectral_cdf_2d",

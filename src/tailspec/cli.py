@@ -58,8 +58,9 @@ def read_csv(path: str | Path, skip_header: bool = False) -> DataMatrix:
     bad line or parses what float() accepts and numpy does not
     (whitespace-only lines, ``1_0``, non-ASCII digits).  Whatever numpy
     accepts, float() reads as the same value.  A path that is not a regular
-    file (a pipe such as /dev/stdin) can be read only once, so it is read
-    into memory first and every reader parses those bytes.
+    file (a pipe such as /dev/stdin) can be read only once, and the plain
+    reader reads its file twice, so such a path is read into memory first
+    and every reader parses those bytes.
     """
     # imported here: a process that reads no CSV does not compile it
     from .plaincsv import read_plain_csv
@@ -569,7 +570,10 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "model", "").startswith("@"):
             # read once, so everything a command records matches what it parsed
-            args.model = Path(args.model[1:]).read_text(encoding="utf-8")
+            try:
+                args.model = Path(args.model[1:]).read_text(encoding="utf-8")
+            except UnicodeDecodeError as e:
+                raise CliUsage(f"--model {args.model} is not UTF-8 text: {e}")
         if getattr(args, "n", 1) < 1:
             raise CliUsage(f"--n must be at least 1, got {args.n}")
         if getattr(args, "workers", 1) < 1:

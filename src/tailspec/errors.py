@@ -75,10 +75,6 @@ class DomainError(TailspecError):
     """Special-function argument outside the supported domain."""
 
 
-class EmptyInput(TailspecError):
-    """An operation received an empty collection."""
-
-
 class EmptyExperiment(TailspecError):
     """An experiment was requested with zero replications."""
 

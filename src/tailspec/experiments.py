@@ -1,4 +1,4 @@
-"""Monte Carlo harness: r-sweeps, cdf comparison, CI coverage, limit-law checks.
+"""Monte Carlo harness: r-sweeps, spectral-cdf comparison and CI coverage.
 
 Replications are keyed by (experiment id, replication index) into independent
 RNG streams and aggregated in replication order, so results are bit-identical
@@ -23,24 +23,20 @@ from .errors import (
     GroupTooSmall,
     InvalidModel,
 )
-from .numerics import gamma_fn, ks_distance
 from .simulation import (
     SeededRng,
     _available_cpus,
     discretize_angular_density,
     sample_polar,
-    sample_polar_block_maxima,
     sample_stable_1d,
     sample_stable_vector,
 )
-from .types import DataMatrix, GroupScheme, ModelSpec, Region
+from .types import DataMatrix, ModelSpec, Region
 
 # experiment ids feeding SeededRng.split
 _EXP_SWEEP = 1
 _EXP_ECDF = 2
 _EXP_COVERAGE = 3
-_EXP_FRECHET = 4
-_EXP_BIAS = 5
 
 _COVERAGE_KIND_IDS = {"alpha": 1, "spectral": 2, "mass": 3}
 
@@ -297,69 +293,3 @@ def run_ci_coverage(model: ModelSpec, N: int, r: float | None, kind: str,
     return CoverageResult(kind=kind, level=level, reps=reps,
                           hits=int(sum(hit for hit, _ in results)), truth=truth,
                           warnings=tuple(dict.fromkeys(notes)))
-
-
-def run_frechet_check(model: ModelSpec, m: int, n_groups: int,
-                      rng: SeededRng) -> float:
-    """KS distance of scaled group maxima to their limiting heavy-tail law.
-
-    Draws n_groups polar groups of size m through the full grouping pipeline,
-    forms q = M1 / m^(1/alpha) with the model's alpha, and returns the KS
-    distance to F(x) = exp(-sigma(S) x^(-alpha)).
-    """
-    if m < 2:
-        raise GroupTooSmall("frechet check needs m >= 2")
-    if n_groups < 1:
-        raise EmptyExperiment("n_groups must be >= 1")
-    N = m * n_groups
-    data = sample_polar(model, N, rng.split(_EXP_FRECHET, 0))
-    # record the implied exponent; the scheme is built explicitly from (n, m)
-    r = min(max(math.log(max(n_groups, 2)) / math.log(N), 1e-6), 1.0 - 1e-6)
-    scheme = GroupScheme(r=r, n=n_groups, m=m, discarded=0)
-    q = grouping.summarize_groups(data, scheme).m1 / m ** (1.0 / model.alpha)
-    sigma = model.total_mass
-    alpha = model.alpha
-
-    def limit_cdf(x):
-        x = np.asarray(x, dtype=np.float64)
-        out = np.zeros_like(x)
-        pos = x > 0
-        out[pos] = np.exp(-sigma * x[pos] ** (-alpha))
-        return out
-
-    return ks_distance(q, limit_cdf)
-
-
-@dataclass(frozen=True)
-class BiasDecayResult:
-    m: int
-    groups: int
-    abs_bias: float  # |grand mean of q^t - Gamma(1-t/alpha) sigma^(t/alpha)|
-
-
-def run_bias_decay(model: ModelSpec, t: float, m_values: Sequence[int],
-                   groups_per_rep: int, reps: int,
-                   rng: SeededRng) -> list[BiasDecayResult]:
-    """Absolute bias of the mean of q^t against its limit, per group size.
-
-    The bias is an expectation, so it is estimated by averaging the signed
-    deviation over reps x groups_per_rep group maxima and then taking the
-    absolute value.  Group maxima are drawn directly from their exact polar
-    law (see sample_polar_block_maxima), which makes group sizes like 10^4
-    affordable.
-    """
-    if reps < 1:
-        raise EmptyExperiment("reps must be >= 1")
-    alpha, sigma = model.alpha, model.total_mass
-    target = gamma_fn(1.0 - t / alpha) * sigma ** (t / alpha)
-    out = []
-    for mi, m in enumerate(m_values):
-        acc = 0.0
-        for rep in range(reps):
-            m1 = sample_polar_block_maxima(model, m, groups_per_rep,
-                                           rng.split(_EXP_BIAS, mi, rep))
-            q = m1 / m ** (1.0 / alpha)
-            acc += float(np.mean(q ** t))
-        out.append(BiasDecayResult(m=m, groups=reps * groups_per_rep,
-                                   abs_bias=abs(acc / reps - target)))
-    return out

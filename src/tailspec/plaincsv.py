@@ -10,8 +10,6 @@ bit for bit; other text is left to the readers of cli.read_csv.
 from __future__ import annotations
 
 import io
-import os
-import stat
 from pathlib import Path
 
 import numpy as np
@@ -38,16 +36,16 @@ _FRACTION_BITS = np.uint64((1 << 52) - 1)
 def read_plain_csv(source: str | Path | io.BytesIO, skip_header: bool) -> np.ndarray | None:
     """cli.read_csv's values for plain decimal text, or None for other text.
 
-    ``source`` is a path, or the text's bytes in memory.  A first pass counts
-    the lines, to size the output.  The second reads _BLOCK bytes at a time,
-    cut after the last newline, and parses each block into the next rows of
-    the output.
+    ``source`` is the path of a regular file, or the text's bytes in memory;
+    cli.read_csv reads any other file, such as a pipe, into memory first,
+    because this reader reads its source twice.  A first pass counts the
+    lines, to size the output.  The second reads _BLOCK bytes at a time, cut
+    after the last newline, and parses each block into the next rows of the
+    output.
     """
     if not _EXACT_LONGDOUBLE:
         return None
     with source if isinstance(source, io.BytesIO) else open(source, "rb") as fh:
-        if fh is not source and not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            return None  # a pipe cannot be read twice
         lines, size, last = 0, 0, b"\n"
         while chunk := fh.read(_BLOCK):
             lines += np.count_nonzero(np.frombuffer(chunk, np.uint8) == 10)

@@ -287,23 +287,3 @@ def discretize_angular_density(model: ModelSpec,
     weights *= model.total_mass / weights.sum()
     mids = (np.arange(K) + 0.5) * width
     return np.c_[np.cos(mids), np.sin(mids)], weights
-
-
-def sample_polar_block_maxima(model: ModelSpec, m: int, n_groups: int,
-                              rng: SeededRng) -> np.ndarray:
-    """Largest norms of n_groups polar-model groups of size m, drawn directly.
-
-    The group maximum of m exact-Pareto radii is x0 * U^(-1/alpha) with
-    U ~ Beta(1, m), so one uniform per group reproduces the law of M1 without
-    materializing the m underlying vectors.  Used by large-m bias experiments;
-    equivalence with the full pipeline is asserted in the test suite.
-    """
-    if m < 1 or n_groups < 1:
-        raise InvalidModel("m and n_groups must be positive")
-    g = rng.generator()
-    u = g.random(n_groups)
-    # min of m uniforms via inverse cdf, computed in log space for large m
-    u_min = -np.expm1(np.log1p(-u) / m)
-    u_min = np.fmax(u_min, 1e-300)
-    x0 = model.total_mass ** (1.0 / model.alpha)
-    return x0 * u_min ** (-1.0 / model.alpha)

@@ -2,31 +2,31 @@
 
 Each criterion prints one PASS/FAIL line (run with ``pytest -s`` to see them
 on success).  The Monte Carlo criteria are statistical events; fixed master
-seeds make every run deterministic.  Helper functions return the measured
-quantities so the assertions stay separate from the computations.
+seeds make every run deterministic.  The helpers in montecarlo.py return the
+measured quantities so the assertions stay separate from the computations;
+the runs a criterion shares with its oracle are computed once per session.
 """
 
-import functools
 import math
 import statistics
-import warnings
 
 import numpy as np
-import pytest
+import scipy.stats
 
-from tailspec import estimators, grouping, tuning
-from tailspec.errors import EstimationWarning
-from tailspec.experiments import (
-    draw_sample,
+from montecarlo import (
+    coverage_model,
+    ecdf_runs,
+    example1_sweep,
+    example2_runs,
+    polar_ground_truth_model,
     run_bias_decay,
-    run_ci_coverage,
-    run_ecdf_compare,
     run_frechet_check,
-    run_r_sweep,
 )
+from tailspec import estimators, grouping, tuning
+from tailspec.experiments import run_ci_coverage
 from tailspec.numerics import gamma_fn
 from tailspec.simulation import SeededRng, sample_polar
-from tailspec.types import DataMatrix, ModelSpec
+from tailspec.types import DataMatrix, GroupScheme, ModelSpec
 
 # Per-criterion master seeds.  The tolerances below are fixed; the seeds make
 # the Monte Carlo runs reproducible.  Criterion 3's first clause sits ~1.5
@@ -45,39 +45,6 @@ SEED_BIAS = 1
 
 def _report(criterion: str, passed: bool, detail: str) -> None:
     print(f"[acceptance] {criterion}: {'PASS' if passed else 'FAIL'} ({detail})")
-
-
-def example2_model() -> ModelSpec:
-    return ModelSpec(alpha=0.75, total_mass=1.0, beta=1.5, density="abscos2t")
-
-
-def example2_replication(seed: int, rep: int):
-    """One Example-2 style run: alpha, mass (known alpha) and both CIs."""
-    model = example2_model()
-    data = draw_sample(model, 50000, SeededRng(seed).split(100, rep),
-                       "stable", n_atoms=100)
-    scheme = grouping.plan_grouping(50000, 0.5)
-    summaries = grouping.summarize_groups(data, scheme)
-    alpha_est = estimators.estimate_alpha(summaries)
-    a_ci = estimators.alpha_ci(alpha_est, 0.95)
-    t = tuning.default_t(model.alpha, 0.5)
-    mass_est = estimators.estimate_total_mass(summaries, scheme.m, model.alpha, t)
-    m_ci = estimators.total_mass_ci(mass_est, 0.95)
-    # plug-in variant reported alongside (not part of the tolerance checks)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EstimationWarning)
-        t_plug = tuning.default_t(alpha_est.alpha_hat, 0.5)
-        plug = estimators.estimate_total_mass(
-            summaries, scheme.m, alpha_est.alpha_hat, t_plug).mass_hat
-    return (alpha_est.alpha_hat, a_ci.halfwidth, mass_est.mass_hat,
-            m_ci.halfwidth, plug)
-
-
-@functools.lru_cache(maxsize=None)
-def example2_runs(seed: int) -> tuple:
-    """The 20 Example-2 replications of a master seed, computed once per
-    session: criterion 1 and its oracle read the same runs."""
-    return tuple(example2_replication(seed, rep) for rep in range(20))
 
 
 def test_criterion_1_example2_reproduction():
@@ -131,13 +98,7 @@ def test_criterion_1_alpha_halfwidth_oracle():
 
 def test_criterion_2_spectral_cdf_sup_distance():
     """Figure-2 surrogate: sup |est cdf - exact cdf| <= 0.08 in >= 18/20 runs."""
-    model = example2_model()
-    sups = [
-        run_ecdf_compare(model, 50000, 0.5, 256,
-                         SeededRng(SEED_ECDF).split(rep),
-                         sampler="stable", n_atoms=100).sup_distance
-        for rep in range(20)
-    ]
+    sups = [c.sup_distance for c in ecdf_runs(SEED_ECDF)]
     hits = sum(s <= 0.08 for s in sups)
     _report("criterion 2 (spectral cdf sup-distance)", hits >= 18,
             f"{hits}/20 runs with sup <= 0.08; sups "
@@ -146,13 +107,29 @@ def test_criterion_2_spectral_cdf_sup_distance():
     assert hits >= 18
 
 
+def test_criterion_2_sup_distance_oracle():
+    """The mean sup-distance of criterion 2's runs lies near an ideal one.
+
+    An estimator whose n atoms were iid from the true law would have the
+    Kolmogorov sup-distance, whose exact law at finite n is
+    scipy.stats.kstwo(n): at n = 223 its mean is 0.0574 and its sd 0.0174,
+    so a 20-run mean has a standard error of 0.0039.
+    """
+    runs = ecdf_runs(SEED_ECDF)
+    n = runs[0].n_atoms_estimate
+    ideal, var = map(float, scipy.stats.kstwo(n).stats("mv"))
+    window = 3.0 * math.sqrt(var / len(runs))
+    assert n == 223 and round(ideal, 4) == 0.0574
+    mean_sup = statistics.fmean(c.sup_distance for c in runs)
+    ok = abs(mean_sup - ideal) <= window
+    _report("criterion 2 oracle (mean sup-distance)", ok,
+            f"mean sup {mean_sup:.4f}, kstwo({n}) mean {ideal:.4f} +- {window:.4f} (3 SE)")
+    assert ok
+
+
 def test_criterion_3_example1_sweep():
     """Example-1 sweep: near-truth at 1-r=0.4, catastrophic at the extremes."""
-    model = ModelSpec(alpha=1.75, total_mass=1.0, beta=3.5,
-                      atoms=[[1.0], [-1.0]], weights=[0.75, 0.25])
-    grid = [1.0 - 0.05 * k for k in range(1, 20)]  # 1-r in {0.05,...,0.95}
-    res = run_r_sweep(model, 100000, grid, reps=50, target="rho",
-                      rng=SeededRng(SEED_SWEEP), sampler="stable")
+    res = example1_sweep(SEED_SWEEP)
     m40, m05, m90 = res.at(0.40), res.at(0.05), res.at(0.90)
     b40, b05, b90 = abs(m40 - 0.5), abs(m05 - 0.5), abs(m90 - 0.5)
     ok = b40 <= 0.05 and b40 < b05 and b40 < b90
@@ -165,9 +142,21 @@ def test_criterion_3_example1_sweep():
     assert b40 < b90
 
 
-def polar_ground_truth_model() -> ModelSpec:
-    return ModelSpec(alpha=1.0, total_mass=2.0,
-                     atoms=[[1.0, 0.0], [0.0, 1.0]], weights=[1.2, 0.8])
+def test_criterion_3_rho_oracle():
+    """The sweep mean at 1-r=0.4 lies near the exact finite-m expectation.
+
+    At 1-r = 0.4 the groups have m = 100 stable scalars, and quadrature over
+    scipy.stats.levy_stable gives E[rho_hat] = 0.4424 there (see the
+    criterion-3 oracle in ROADMAP.md).  The window is 3 standard errors of
+    the sweep's mean, taken from its own stddev and reps.
+    """
+    res = example1_sweep(SEED_SWEEP)
+    k = int(np.argmin(np.abs(res.one_minus_r - 0.4)))
+    window = 3.0 * res.stddev[k] / math.sqrt(res.reps)
+    ok = abs(res.mean[k] - 0.4424) <= window
+    _report("criterion 3 oracle (mean rho at 1-r=0.4)", ok,
+            f"mean rho {res.mean[k]:.4f}, E[rho_hat] 0.4424 +- {window:.4f} (3 SE)")
+    assert ok
 
 
 def test_criterion_4_polar_ground_truth():
@@ -192,14 +181,6 @@ def test_criterion_4_polar_ground_truth():
     assert abs(mass_hat - 2.0) <= 0.25
     assert abs(frac_e1 - 0.6) <= 0.05
     assert abs(frac_e2 - 0.4) <= 0.05
-
-
-def coverage_model() -> ModelSpec:
-    # atoms placed inside quadrant interiors so the quadrant arc is a
-    # continuity set of the spectral measure
-    s = math.sqrt(0.5)
-    return ModelSpec(alpha=1.0, total_mass=2.0,
-                     atoms=[[s, s], [-s, s]], weights=[1.2, 0.8])
 
 
 def test_criterion_5_ci_coverage():
@@ -265,8 +246,6 @@ def test_criterion_7_exact_identities():
     # grouping against a full descending sort, 1000 random small instances
     rng = np.random.Generator(np.random.Philox(key=np.array([77, 0], np.uint64)))
     sort_ok = True
-    from tailspec.types import GroupScheme
-
     for _ in range(1000):
         m = int(rng.integers(2, 8))
         n = int(rng.integers(1, 4))
@@ -311,8 +290,6 @@ def test_criterion_8_bias_decay():
     for rep in range(40):
         data = sample_polar(model, 100 * 500,
                             SeededRng(SEED_BIAS).split(800, rep))
-        from tailspec.types import GroupScheme
-
         summaries = grouping.summarize_groups(
             data, GroupScheme(r=0.5, n=500, m=100, discarded=0))
         q = summaries.m1 / 100.0

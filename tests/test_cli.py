@@ -20,9 +20,10 @@ from hypothesis import strategies as st
 
 import tailspec
 from tailspec import estimators, experiments, grouping, numerics, tuning
-from tailspec.cli import build_parser, main, parse_model, parse_region, read_csv, write_csv
+from tailspec.cli import (CliUsage, build_parser, main, parse_model, parse_region, read_csv,
+                          write_csv)
 from tailspec.errors import CsvParseError
-from tailspec.simulation import SeededRng
+from tailspec.simulation import SeededRng, sample_stable_1d
 
 SIX_ROWS = "3,4\n0,1\n-6,8\n1,0\n0,1\n0,0\n"
 
@@ -138,9 +139,6 @@ class TestEstimateCommand:
         assert any("plug-in" in w for w in doc["warnings"])
 
     def test_matches_library_pipeline(self, six_row_csv):
-        import io
-        from contextlib import redirect_stdout
-
         buf = io.StringIO()
         with redirect_stdout(buf):
             rc = main(["estimate", "--input", str(six_row_csv), "--r", "0.4"])
@@ -344,8 +342,6 @@ class TestSimulateCommand:
                      "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         # in-memory pipeline on the same stream must agree exactly
-        from tailspec.simulation import sample_stable_1d
-
         data = sample_stable_1d(1.75, 0.5, 1.0, 5000, SeededRng(13))
         scheme = grouping.plan_grouping(5000, 0.5)
         alpha = estimators.estimate_alpha(
@@ -391,34 +387,45 @@ class TestSimulateCommand:
                      "--seed", "1", "--out", str(tmp_path / "x.csv")]) == 2
 
 
-def run_cli(*argv):
+def run_python(*args, stdin=None, timeout=60):
+    """``python *args`` on this checkout's package, output captured as text."""
     src = str(Path(tailspec.__file__).resolve().parents[1])
-    return subprocess.run([sys.executable, "-m", "tailspec.cli", *argv],
-                          capture_output=True, text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": src})
+    return subprocess.run([sys.executable, *args], input=stdin, capture_output=True,
+                          text=True, timeout=timeout, env={**os.environ, "PYTHONPATH": src})
+
+
+def run_cli(*argv):
+    return run_python("-m", "tailspec.cli", *argv)
 
 
 def test_import_loads_no_pool_modules():
     """concurrent.futures loads multiprocessing, socket and logging; only a
     run that starts a pool imports it."""
-    src = str(Path(tailspec.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, tailspec.cli, tailspec.experiments; "
-         "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    proc = run_python(
+        "-c", "import sys, tailspec.cli, tailspec.experiments; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
 def test_import_compiles_no_csv_reader():
     """Only a process that reads a CSV compiles the plain-text reader."""
-    src = str(Path(tailspec.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, tailspec.cli, tailspec.experiments; "
-         "print('tailspec.plaincsv' in sys.modules)"],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    proc = run_python("-c", "import sys, tailspec.cli, tailspec.experiments; "
+                      "print('tailspec.plaincsv' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_runtime_imports_numpy_only():
+    """The package needs numpy alone: no module of it imports a test-only
+    dependency or the tests' Monte Carlo helpers."""
+    proc = run_python(
+        "-c", "import importlib, pkgutil, sys, tailspec; "
+        "[importlib.import_module('tailspec.' + m.name) "
+        "for m in pkgutil.iter_modules(tailspec.__path__)]; "
+        "print([m for m in ('scipy', 'hypothesis', 'montecarlo') if m in sys.modules])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # the same rows as text each reader of read_csv takes: plain decimal text,
@@ -434,13 +441,10 @@ def test_piped_input_reads_like_a_file(tmp_path, first):
     text = PIPED_ROWS.format(first)
     path = tmp_path / "in.csv"
     path.write_text(text, encoding="utf-8")
-    src = str(Path(tailspec.__file__).resolve().parents[1])
     docs = []
     for source, stdin in ((str(path), None), ("/dev/stdin", text)):
-        proc = subprocess.run(
-            [sys.executable, "-m", "tailspec.cli", "estimate", "--input", source, "--r", "0.5"],
-            input=stdin, capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": src})
+        proc = run_python("-m", "tailspec.cli", "estimate", "--input", source, "--r", "0.5",
+                          stdin=stdin)
         assert proc.returncode == 0, proc.stderr
         docs.append(json.loads(proc.stdout))
     for doc in docs:
@@ -675,28 +679,29 @@ class TestBadInputsWithoutTraceback:
         model = tmp_path / "m.json"
         model.write_text(json.dumps(cfg, ensure_ascii=False), encoding="utf-8")
         out = tmp_path / "x.csv"
-        src = str(Path(tailspec.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
-             "-m", "tailspec.cli", "simulate", "--model", f"@{model}", "--n", "20",
-             "--seed", "1", "--out", str(out)],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": src})
+        proc = run_python("-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                          "-m", "tailspec.cli", "simulate", "--model", f"@{model}", "--n", "20",
+                          "--seed", "1", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
         meta = json.loads(Path(str(out) + ".meta.json").read_text(encoding="utf-8"))
         assert meta["model"] == cfg
         assert parse_model(json.dumps(cfg))[0].rho == 0.5
 
+    def test_model_file_not_utf8_exit_2(self, tmp_path, capsys):
+        model = tmp_path / "bad.json"
+        model.write_bytes(b'{"alpha": 1.5, "density": "uniform"\xff}')
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--model", f"@{model}", "--n", "10", "--seed", "1",
+                     "--out", str(out)]) == 2
+        assert f"error[usage]: --model @{model} is not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_estimate_reads_csv_as_utf8(self, tmp_path):
         p = tmp_path / "in.csv"
         write_csv(p, np.random.default_rng(2).standard_cauchy((200, 2)))
-        src = str(Path(tailspec.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
-             "-m", "tailspec.cli", "estimate", "--input", str(p), "--r", "0.5"],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": src})
+        proc = run_python("-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                          "-m", "tailspec.cli", "estimate", "--input", str(p), "--r", "0.5")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["input"]["N"] == 200
 
@@ -825,13 +830,8 @@ class TestExperimentCommands:
     def test_coverage_bad_r_exit_2_without_traceback(self, r):
         model = json.dumps({"kind": "polar", "alpha": 1.0, "total_mass": 1.0,
                             "atoms": [[1.0, 0.0, 1.0]]})
-        src = str(Path(tailspec.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-m", "tailspec.cli", "coverage", "--model", model,
-             "--n", "1000", "--reps", "2", "--kind", "alpha", "--seed", "1",
-             "--r", r],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": src})
+        proc = run_cli("coverage", "--model", model, "--n", "1000", "--reps", "2",
+                       "--kind", "alpha", "--seed", "1", "--r", r)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "--r" in proc.stderr
@@ -844,15 +844,11 @@ class TestExperimentCommands:
     ])
     def test_coverage_workers_match_serial(self, model, extra):
         # regions and named densities reach the worker processes by pickle
-        src = str(Path(tailspec.__file__).resolve().parents[1])
         hits = []
         for workers in ("1", "2"):
-            proc = subprocess.run(
-                [sys.executable, "-m", "tailspec.cli", "coverage", "--model", model,
-                 "--n", "2000", "--reps", "4", "--seed", "3", "--r", "0.5",
-                 "--workers", workers, *extra],
-                capture_output=True, text=True, timeout=120,
-                env={**os.environ, "PYTHONPATH": src})
+            proc = run_python("-m", "tailspec.cli", "coverage", "--model", model,
+                              "--n", "2000", "--reps", "4", "--seed", "3", "--r", "0.5",
+                              "--workers", workers, *extra, timeout=120)
             assert proc.returncode == 0, proc.stderr
             assert "Traceback" not in proc.stderr
             hits.append(json.loads(proc.stdout)["hits"])
@@ -909,14 +905,10 @@ class TestRegions:
         assert not region(np.array([0.0, 1.0]))  # end excluded
 
     def test_halfspace_dimension_check(self):
-        from tailspec.cli import CliUsage
-
         with pytest.raises(CliUsage):
             parse_region("halfspace:1,0,0:0.5", 2)
 
     def test_unknown_syntax(self):
-        from tailspec.cli import CliUsage
-
         with pytest.raises(CliUsage):
             parse_region("disc:0.3", 2)
 

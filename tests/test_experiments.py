@@ -6,19 +6,22 @@ import math
 import numpy as np
 import pytest
 
+from montecarlo import (
+    BiasDecayResult,
+    run_bias_decay,
+    run_frechet_check,
+    sample_polar_block_maxima,
+)
 from tailspec import estimators, experiments, grouping
 from tailspec.errors import DimensionMismatch, EmptyExperiment, GroupTooSmall
 from tailspec.experiments import (
-    BiasDecayResult,
     draw_sample,
     default_r_grid,
-    run_bias_decay,
     run_ci_coverage,
     run_ecdf_compare,
-    run_frechet_check,
     run_r_sweep,
 )
-from tailspec.simulation import SeededRng, sample_polar_block_maxima
+from tailspec.simulation import SeededRng
 from tailspec.types import ModelSpec
 
 

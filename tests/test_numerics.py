@@ -7,8 +7,8 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from tailspec.errors import DomainError, EmptyInput
-from tailspec.numerics import gamma_fn, ks_distance, normal_quantile
+from tailspec.errors import DomainError
+from tailspec.numerics import gamma_fn, normal_quantile
 
 
 class TestGamma:
@@ -60,37 +60,3 @@ class TestNormalQuantile:
     def test_domain(self, bad):
         with pytest.raises(DomainError):
             normal_quantile(bad)
-
-
-class TestKsDistance:
-    def test_single_point(self):
-        assert ks_distance([0.5], lambda x: np.clip(x, 0, 1)) == pytest.approx(0.5)
-
-    def test_exact_quantiles(self):
-        n = 200
-        xs = (np.arange(1, n + 1)) / (n + 1)
-        d = ks_distance(xs, lambda x: np.clip(x, 0, 1))
-        assert d <= 1.0 / (n + 1) + 1e-12
-
-    def test_permutation_invariant(self):
-        rng = np.random.Generator(np.random.Philox(key=np.array([3, 0], np.uint64)))
-        xs = rng.random(500)
-        cdf = lambda x: np.clip(x, 0, 1)
-        d0 = ks_distance(xs, cdf)
-        d1 = ks_distance(xs[rng.permutation(500)], cdf)
-        assert d0 == d1
-
-    def test_matches_scipy(self):
-        rng = np.random.Generator(np.random.Philox(key=np.array([4, 0], np.uint64)))
-        xs = rng.random(1000) ** 2
-        ours = ks_distance(xs, lambda x: np.sqrt(np.clip(x, 0, 1)))
-        ref = scipy.stats.kstest(xs, lambda x: np.sqrt(np.clip(x, 0, 1))).statistic
-        assert ours == pytest.approx(ref, abs=1e-12)
-
-    def test_empty(self):
-        with pytest.raises(EmptyInput):
-            ks_distance([], lambda x: x)
-
-    def test_scalar_cdf_fallback(self):
-        d = ks_distance([0.25, 0.75], lambda x: float(min(max(x, 0.0), 1.0)))
-        assert d == pytest.approx(0.25)
