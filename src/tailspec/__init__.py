@@ -45,7 +45,6 @@ from .types import (
     Halfspace,
     Interval,
     ModelSpec,
-    NormalizedStat,
     SpectralEstimate,
     validate_data,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "Halfspace",
     "Interval",
     "ModelSpec",
-    "NormalizedStat",
     "SeededRng",
     "SpectralEstimate",
     "TailspecError",

@@ -7,6 +7,7 @@ input), 4 numeric or degeneracy error from the pipeline.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -37,7 +38,6 @@ _CDF_GRID = 128  # angles reported by `estimate` for d=2 input
 # rows formatted per write by write_csv; a small block keeps the Python row
 # lists and strings it builds (about 200 bytes a row) out of peak memory
 _WRITE_CHUNK = 1 << 10
-_PACKED = (".bz2", ".gz", ".xz", ".lzma")  # names numpy would decompress
 
 
 class CliUsage(Exception):
@@ -53,14 +53,14 @@ def read_csv(path: str | Path, skip_header: bool = False) -> DataMatrix:
     Every value is what float() gives for its field, bit for bit.  Plain
     decimal text (see plaincsv) goes to the exact vectorized reader
     plaincsv.read_plain_csv.  Other text goes to numpy, which parses the
-    whole file in one pass, reading it in chunks.  Text numpy rejects goes
-    through the line reader, which either raises CsvParseError at the first
-    bad line or parses what float() accepts and numpy does not
-    (whitespace-only lines, ``1_0``, non-ASCII digits).  Whatever numpy
-    accepts, float() reads as the same value.  A path that is not a regular
-    file (a pipe such as /dev/stdin) can be read only once, and the plain
-    reader reads its file twice, so such a path is read into memory first
-    and every reader parses those bytes.
+    open file in one pass.  Text numpy rejects goes through the line reader,
+    which either raises CsvParseError at the first bad line or parses what
+    float() accepts and numpy does not (whitespace-only lines, ``1_0``,
+    non-ASCII digits).  Whatever numpy accepts, float() reads as the same
+    value.  A path that is not a regular file (a pipe such as /dev/stdin)
+    can be read only once, and the plain reader reads its file twice, so
+    such a path is read into memory first and every reader parses those
+    bytes.
     """
     # imported here: a process that reads no CSV does not compile it
     from .plaincsv import read_plain_csv
@@ -70,13 +70,8 @@ def read_csv(path: str | Path, skip_header: bool = False) -> DataMatrix:
         return DataMatrix(values)
     with _open_text(path, piped) as fh, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        # numpy reads a str path in chunks, an open file by lines; an absolute
-        # path never looks like a URL to its DataSource, and a name it would
-        # decompress gets fh (gzip: not UTF-8)
-        src = (fh if piped is not None or Path(path).suffix in _PACKED
-               else str(Path(path).absolute()))
         try:
-            values = np.loadtxt(src, delimiter=",", dtype=np.float64, ndmin=2,
+            values = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2,
                                 comments=None, skiprows=int(skip_header), encoding="utf-8")
         except ValueError:
             values = None
@@ -288,33 +283,31 @@ def _model_atoms(rows) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------- regions
 
 
-def parse_region(text: str, dim: int) -> tuple[Region, str]:
+def parse_region(text: str, dim: int) -> Region:
     """Region syntax: arc:START:END (d=2, [START,END) radians, wraps) or
     halfspace:u1,...,ud:c meaning <theta,u> > c; parsed to an Arc or a
-    Halfspace."""
+    Halfspace.  Every number must be finite."""
     parts = text.split(":")
+    if parts[0] not in ("arc", "halfspace"):
+        raise CliUsage(f"unknown region syntax {text!r}")
+    if parts[0] == "arc" and dim != 2:
+        raise CliUsage("arc regions need d=2 data")
+    if len(parts) != 3:
+        raise CliUsage(f"bad {parts[0]} region {text!r}")
+    try:
+        first = [float(x) for x in parts[1].split(",")]
+        last = float(parts[2])
+    except ValueError:
+        raise CliUsage(f"bad {parts[0]} region {text!r}")
+    if not all(math.isfinite(x) for x in first + [last]):
+        raise CliUsage(f"{parts[0]} region {text!r} has a number that is not finite")
     if parts[0] == "arc":
-        if dim != 2:
-            raise CliUsage("arc regions need d=2 data")
-        if len(parts) != 3:
+        if len(first) != 1:
             raise CliUsage(f"bad arc region {text!r}")
-        try:
-            return Arc(float(parts[1]), float(parts[2])), text
-        except ValueError:
-            raise CliUsage(f"bad arc region {text!r}")
-    if parts[0] == "halfspace":
-        if len(parts) != 3:
-            raise CliUsage(f"bad halfspace region {text!r}")
-        try:
-            region = Halfspace(tuple(float(x) for x in parts[1].split(",")),
-                               float(parts[2]))
-        except ValueError:
-            raise CliUsage(f"bad halfspace region {text!r}")
-        if len(region.u) != dim:
-            raise CliUsage(f"halfspace direction has {len(region.u)} components, "
-                           f"data has {dim}")
-        return region, text
-    raise CliUsage(f"unknown region syntax {text!r}")
+        return Arc(first[0], last)
+    if len(first) != dim:
+        raise CliUsage(f"halfspace direction has {len(first)} components, data has {dim}")
+    return Halfspace(tuple(first), last)
 
 
 # ---------------------------------------------------------------- commands
@@ -403,9 +396,8 @@ def cmd_estimate(args) -> dict:
 
     regions = []
     for spec_text in args.region or []:
-        region, label = parse_region(spec_text, data.dim)
-        mass = estimators.spectral_mass(spectral, region)
-        entry = {"spec": label, "mass": mass}
+        mass = estimators.spectral_mass(spectral, parse_region(spec_text, data.dim))
+        entry = {"spec": spec_text, "mass": mass}
         if 0.0 < mass < 1.0:
             entry["ci"] = _interval_doc(estimators._proportion_ci(mass, spectral.n, args.level))
         regions.append(entry)
@@ -485,7 +477,7 @@ def cmd_coverage(args) -> dict:
     if args.kind == "spectral":
         if not args.region:
             raise CliUsage("spectral coverage needs --region")
-        region, _ = parse_region(args.region[0], model.dim)
+        region = parse_region(args.region[0], model.dim)
     elif args.region:
         raise CliUsage(f"coverage --kind {args.kind} reads no --region")
     r = _resolve_r(args, args.kind, model.alpha, model.beta)
@@ -516,6 +508,8 @@ _FLAGS = {
 }
 
 
+# parse_args does not change the parser, so one process builds it once
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="tailspec",

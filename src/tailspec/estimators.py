@@ -29,14 +29,13 @@ from .errors import (
     ZeroVariance,
 )
 from .numerics import gamma_fn, normal_quantile
-from .types import (GroupStats, Interval, NormalizedStat, Region, SpectralEstimate,
-                    region_mask)
+from .types import GroupStats, Interval, Region, SpectralEstimate, region_mask
 
 
-def _wald(stat: NormalizedStat, level: float) -> tuple[float, float]:
-    z = normal_quantile(0.5 + level / 2.0)
-    h = z * stat.stderr
-    return stat.point - h, stat.point + h
+def _wald(point: float, variance: float, n: int, level: float) -> tuple[float, float]:
+    """Normal interval for a mean ``point`` of n values with plug-in variance."""
+    h = normal_quantile(0.5 + level / 2.0) * math.sqrt(variance / n)
+    return point - h, point + h
 
 
 @dataclass(frozen=True)
@@ -47,11 +46,6 @@ class AlphaEstimate:
     alpha_hat: float
     kappa_var: float
     n: int
-
-    @property
-    def p_stat(self) -> NormalizedStat:
-        """The mean-ratio statistic S_n/n whose limit is alpha/(1+alpha)."""
-        return NormalizedStat(self.s_n / self.n, self.kappa_var, self.n)
 
 
 def estimate_alpha(stats: GroupStats) -> AlphaEstimate:
@@ -91,7 +85,8 @@ def alpha_ci(est: AlphaEstimate, level: float = 0.95) -> Interval:
         raise EmptySample("need n >= 2 groups for an interval")
     if est.kappa_var <= 0.0:
         raise ZeroVariance("all group ratios identical; interval undefined")
-    p_lo, p_hi = _wald(est.p_stat, level)
+    # the mean ratio S_n/n has the limit p = alpha/(1+alpha)
+    p_lo, p_hi = _wald(est.s_n / est.n, est.kappa_var, est.n, level)
     p_lo = max(p_lo, 0.0)
     lo = p_lo / (1.0 - p_lo)
     hi = math.inf if p_hi >= 1.0 else p_hi / (1.0 - p_hi)
@@ -139,7 +134,7 @@ def spectral_ci(est: SpectralEstimate, region: Region, level: float = 0.95) -> I
 def _proportion_ci(p: float, n: int, level: float) -> Interval:
     if p <= 0.0 or p >= 1.0:
         raise DegenerateProportion(f"empirical mass {p} admits no interval")
-    lo, hi = _wald(NormalizedStat(p, p * (1.0 - p), n), level)
+    lo, hi = _wald(p, p * (1.0 - p), n, level)
     return Interval(lo=max(lo, 0.0), hi=min(hi, 1.0), level=level)
 
 
@@ -161,7 +156,6 @@ class TotalMassEstimate:
     mean_q2t: float
     mass_hat: float
     n: int
-    m: int
 
 
 def estimate_total_mass(stats: GroupStats, m: int, alpha: float,
@@ -193,13 +187,13 @@ def estimate_total_mass(stats: GroupStats, m: int, alpha: float,
     mean_q2t = float(np.multiply(qt, qt, out=qt).mean())
     mass_hat = (mean_qt / gamma_fn(1.0 - t / alpha)) ** (alpha / t)
 
-    r_implied = math.log(n) / math.log(n * m) if n * m > 1 else 0.0
+    r_implied = math.log(n) / math.log(n * m)
     if t >= alpha * r_implied / 2.0:
         warnings.warn(f"t={t} is outside the consistency range t < alpha*r/2 = "
                       f"{alpha * r_implied / 2.0:.6g} (r inferred from n, m)",
                       EstimationWarning, stacklevel=2)
     return TotalMassEstimate(t=t, alpha_used=alpha, mean_qt=mean_qt,
-                             mean_q2t=mean_q2t, mass_hat=mass_hat, n=n, m=m)
+                             mean_q2t=mean_q2t, mass_hat=mass_hat, n=n)
 
 
 def total_mass_ci(est: TotalMassEstimate, level: float = 0.95) -> Interval:
@@ -215,7 +209,7 @@ def total_mass_ci(est: TotalMassEstimate, level: float = 0.95) -> Interval:
     # constant inputs leave a few ulps of rounding residue, not exact zero
     if v <= 1e-15 * est.mean_qt ** 2:
         raise ZeroVariance("q^t values are numerically constant")
-    a_lo, a_hi = _wald(NormalizedStat(est.mean_qt, v, est.n), level)
+    a_lo, a_hi = _wald(est.mean_qt, v, est.n, level)
     g = gamma_fn(1.0 - est.t / est.alpha_used)
     expo = est.alpha_used / est.t
     lo = 0.0 if a_lo <= 0.0 else (a_lo / g) ** expo

@@ -67,7 +67,6 @@ def draw_sample(model: ModelSpec, N: int, rng: SeededRng, sampler: str = "polar"
 class SweepResult:
     """Mean and spread of one estimator across an r grid."""
 
-    target: str
     one_minus_r: np.ndarray
     mean: np.ndarray
     stddev: np.ndarray
@@ -168,8 +167,7 @@ def run_r_sweep(model: ModelSpec, N: int, r_grid: Sequence[float], reps: int,
     mean = table.mean(axis=0)[order]
     std = (table.std(axis=0, ddof=1) if reps > 1
            else np.zeros(table.shape[1]))[order]
-    return SweepResult(target=target, one_minus_r=one_minus_r[order], mean=mean,
-                       stddev=std, reps=reps)
+    return SweepResult(one_minus_r=one_minus_r[order], mean=mean, stddev=std, reps=reps)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ def plan_grouping(N: int, r: float, *, min_group: int = 2) -> GroupScheme:
         raise ValueError("min_group must be 1 or 2")
     # N**r can land one ulp below an exact integer; nudge before flooring
     n = int(math.floor(N ** r + 1e-9))
-    n = max(n, 1)
     m = N // n
     if m < min_group:
         raise GroupTooSmall(

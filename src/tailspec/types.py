@@ -279,35 +279,11 @@ class SpectralEstimate(_ReadOnlyArrays):
     def dim(self) -> int:
         return self.atoms.shape[1]
 
-    @property
-    def weight(self) -> float:
-        return 1.0 / self.n
-
     def angles_2d(self) -> np.ndarray:
         """Planar angles of the atoms in [0, 2*pi), d=2 only."""
         if self.dim != 2:
             raise DimensionMismatch(f"angles need d=2, have d={self.dim}")
-        a = np.arctan2(self.atoms[:, 1], self.atoms[:, 0])
-        return np.mod(a, 2.0 * math.pi, out=a)
-
-
-@dataclass(frozen=True)
-class NormalizedStat:
-    """A centered estimator value with its plug-in variance and sample count."""
-
-    point: float
-    variance_hat: float
-    n: int
-
-    def __post_init__(self):
-        if self.variance_hat < 0.0:
-            raise InvalidModel("variance_hat must be nonnegative")
-        if self.n < 1:
-            raise EmptySample("n must be positive")
-
-    @property
-    def stderr(self) -> float:
-        return math.sqrt(self.variance_hat / self.n)
+        return _planar_angles(self.atoms)
 
 
 @dataclass(frozen=True)
@@ -333,6 +309,16 @@ class Interval:
 
 
 _TWO_PI = 2.0 * math.pi
+
+
+def _planar_angles(v: np.ndarray) -> np.ndarray:
+    """Angle of each row of an (n, 2) array in [0, 2*pi): arctan2 reduced
+    like ``np.mod(a, 2*pi)``, bit for bit, at about half its cost.  Only a
+    negative angle moves; adding 0.0 turns -0.0 into +0.0, as np.mod does."""
+    a = np.arctan2(v[:, 1], v[:, 0])
+    np.add(a, _TWO_PI, out=a, where=a < 0.0)
+    return np.add(a, 0.0, out=a)
+
 
 # Arc.mask recomputes with the scalar rule every atom whose vectorized angle
 # lies within this distance of start, end, 0 or 2*pi.  numpy's arctan2 (SIMD
@@ -371,8 +357,7 @@ class Arc:
         return _by_blocks(self._mask_rows, atoms, np.empty(atoms.shape[0], bool))
 
     def _mask_rows(self, atoms: np.ndarray, inside: np.ndarray) -> None:
-        a = np.arctan2(atoms[:, 1], atoms[:, 0])
-        np.mod(a, _TWO_PI, out=a)
+        a = _planar_angles(atoms)
         if self.start <= self.end:
             np.logical_and(self.start <= a, a < self.end, out=inside)
         else:
@@ -555,7 +540,7 @@ class ModelSpec(_ReadOnlyArrays):
             raise DimensionMismatch("spectral cdf needs d=2")
         a = np.asarray(angles, dtype=np.float64)
         if self.atoms is not None:
-            at = np.mod(np.arctan2(self.atoms[:, 1], self.atoms[:, 0]), 2 * math.pi)
+            at = _planar_angles(self.atoms)
             order = np.argsort(at, kind="stable")
             cum = np.concatenate([[0.0], np.cumsum(self.weights[order])]) / self.total_mass
             return cum[np.searchsorted(at[order], a, side="right")]

@@ -1,0 +1,73 @@
+"""The benchmark's wrap sites still exist and are called.
+
+perfbench's traced run wraps tailspec functions by module attribute and its
+work counters read some arguments by name (``est``, ``scheme``, ``data``,
+``path``, ``atoms``, ``N``), so a rename or a deletion in the package breaks
+the benchmark.  Each test runs one small op of a workload's path under
+``spans.Tracer`` and checks that every function the "Traced benchmark smoke"
+step of tier1.yml names for that workload was called.  Nothing in
+perfbench/ is changed.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from tailspec import cli, experiments
+from tailspec.simulation import SeededRng
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """perfbench's spans, inputs and workloads modules."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import inputs
+    import spans
+    import workloads
+    return spans, inputs, workloads
+
+
+def _traced(spans, op) -> tuple[object, set[str]]:
+    """op() under an installed tracer: its result and the names called."""
+    tracer = spans.Tracer()
+    with tracer.installed(0), contextlib.redirect_stdout(io.StringIO()):
+        result = op()
+    return result, {span[0] for span in tracer.spans}
+
+
+def test_estimate_csv_sites(bench, tmp_path):
+    spans, inputs, _ = bench
+    csv = tmp_path / "in.csv"
+    inputs.write_csv(str(csv), inputs.polar_abscos2t(1, rows=4000))
+    argv = ["estimate", "--input", str(csv), "--out", str(tmp_path / "doc.json"),
+            *inputs.ESTIMATE_FLAGS]
+    assert argv.count("--region") == 2  # one arc and one halfspace
+    rc, called = _traced(spans, lambda: cli.main(argv))
+    assert rc == 0
+    # spectral_mass too: its counter reads the argument named est
+    assert {"tuning.default_t", "estimators.estimate_total_mass", "cli.read_csv",
+            "grouping.summarize_groups", "estimators.spectral_mass"} <= called
+
+
+def test_r_sweep_sites(bench):
+    spans, _, workloads = bench
+    model, sampler, _ = cli.parse_model(workloads.RSweep.MODEL)
+    grid = experiments.default_r_grid(2000, "rho")
+    res, called = _traced(spans, lambda: experiments.run_r_sweep(
+        model, 2000, grid, 1, "rho", SeededRng(1), sampler=sampler, workers=1))
+    assert res.mean.shape == (len(grid),)
+    assert {"grouping.summarize_groups", "estimators.rho_1d"} <= called
+
+
+def test_simulate_stable_sites(bench, tmp_path):
+    spans, _, workloads = bench
+    argv = ["simulate", "--model", workloads.SimulateStable.MODEL, "--n", "2000",
+            "--seed", "1", "--out", str(tmp_path / "x.csv")]
+    rc, called = _traced(spans, lambda: cli.main(argv))
+    assert rc == 0
+    assert {"simulation.sample_stable_vector", "cli.write_csv",
+            "simulation.discretize_angular_density", "experiments.draw_sample"} <= called

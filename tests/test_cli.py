@@ -640,6 +640,19 @@ class TestBadInputsWithoutTraceback:
                      "--region", "halfspace:1:0", "--region", "halfspace:-1:0"]) == 2
         assert "error[usage]: coverage reads one --region, got 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("region", ["arc:nan:1", "arc:0:inf", "halfspace:nan,0:0",
+                                        "halfspace:1,0:nan"])
+    def test_non_finite_region_exit_2(self, tmp_path, capsys, region):
+        p = tmp_path / "in.csv"
+        write_csv(p, np.random.default_rng(8).standard_cauchy((4000, 2)))
+        assert main(["estimate", "--input", str(p), "--r", "0.6", "--alpha", "1",
+                     "--region", region]) == 2
+        assert "not finite" in capsys.readouterr().err
+        assert main(["coverage", "--model", self.STABLE_2D, "--n", "200", "--seed", "1",
+                     "--kind", "spectral", "--reps", "1", "--r", "0.5",
+                     "--region", region]) == 2
+        assert "not finite" in capsys.readouterr().err
+
     def test_unwritable_out_exit_3(self, six_row_csv, tmp_path, capsys):
         assert main(["estimate", "--input", str(six_row_csv), "--r", "0.4",
                      "--out", str(tmp_path / "no" / "doc.json")]) == 3
@@ -895,12 +908,12 @@ class TestExperimentCommands:
 
 class TestRegions:
     def test_arc_wraps(self):
-        region, _ = parse_region(f"arc:{3 * math.pi / 2}:{math.pi / 2}", 2)
+        region = parse_region(f"arc:{3 * math.pi / 2}:{math.pi / 2}", 2)
         assert region(np.array([1.0, 0.0]))       # angle 0 inside the wrap
         assert not region(np.array([-1.0, 0.0]))  # angle pi outside
 
     def test_arc_half_open(self):
-        region, _ = parse_region(f"arc:0:{math.pi / 2}", 2)
+        region = parse_region(f"arc:0:{math.pi / 2}", 2)
         assert region(np.array([1.0, 0.0]))
         assert not region(np.array([0.0, 1.0]))  # end excluded
 
@@ -911,6 +924,19 @@ class TestRegions:
     def test_unknown_syntax(self):
         with pytest.raises(CliUsage):
             parse_region("disc:0.3", 2)
+
+
+def test_parser_built_once_per_process(six_row_csv, capsys):
+    assert build_parser() is build_parser()
+    # one process, two commands on the shared parser: each prints the
+    # document a fresh process prints
+    for argv in (["estimate", "--input", str(six_row_csv), "--r", "0.4",
+                  "--region", "halfspace:1,0:0"],
+                 ["coverage", "--model", TestBadInputsWithoutTraceback.STABLE_2D,
+                  "--n", "200", "--seed", "1", "--kind", "spectral", "--reps", "2",
+                  "--r", "0.5", "--region", "arc:0:1"]):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == run_cli(*argv).stdout
 
 
 # ---------------------------------------------------------------- argv fuzz

@@ -18,9 +18,9 @@ from tailspec.types import (
     GroupScheme,
     Interval,
     ModelSpec,
-    NormalizedStat,
     SpectralEstimate,
     _density_grid,
+    _planar_angles,
     density_shape,
     validate_data,
 )
@@ -76,10 +76,6 @@ class TestGroupScheme:
 
 
 class TestSpectralEstimate:
-    def test_full_sphere_mass_is_one(self):
-        est = SpectralEstimate(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert est.weight * est.n == 1.0
-
     def test_non_unit_atom_rejected(self):
         with pytest.raises(InvalidModel):
             SpectralEstimate(np.array([[1.0, 1.0]]))
@@ -92,15 +88,15 @@ class TestSpectralEstimate:
         with pytest.raises(DimensionMismatch):
             SpectralEstimate(np.array([[1.0]])).angles_2d()
 
-
-class TestNormalizedStat:
-    def test_stderr_monotone_in_n(self):
-        errs = [NormalizedStat(0.0, 2.0, n).stderr for n in (1, 10, 100, 10000)]
-        assert all(a >= b for a, b in zip(errs, errs[1:]))
-
-    def test_negative_variance_rejected(self):
-        with pytest.raises(InvalidModel):
-            NormalizedStat(0.0, -1.0, 5)
+    def test_planar_angles_match_np_mod_bits(self):
+        g = np.random.default_rng(12)
+        v = g.standard_normal((4000, 2))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        edges = [[1.0, 0.0], [1.0, -0.0], [-1.0, 0.0], [-1.0, -0.0], [0.0, 0.0],
+                 [-0.0, -0.0], [np.nan, 1.0], [1e-300, -1.0], [1.0, -1e-300]]
+        v = np.concatenate([v, edges])
+        want = np.mod(np.arctan2(v[:, 1], v[:, 0]), 2.0 * math.pi)
+        assert (_planar_angles(v).view(np.uint64) == want.view(np.uint64)).all()
 
 
 class TestInterval:
