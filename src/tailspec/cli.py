@@ -602,6 +602,9 @@ def main(argv=None) -> int:
     except (TailspecError, OverflowError) as e:  # float ** can overflow
         print(f"error[{type(e).__name__}]: {e}", file=sys.stderr)
         return 4
+    except MemoryError as e:  # e.g. an --n or --grid-size numpy cannot allocate
+        print(f"error[MemoryError]: {e}", file=sys.stderr)
+        return 4
     return 0
 
 

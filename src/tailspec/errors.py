@@ -64,7 +64,8 @@ class InvalidSecondOrder(TailspecError):
 
 
 class UnsupportedAlpha(TailspecError):
-    """Stable generator called with an alpha outside its supported range."""
+    """A sampler was called with an alpha outside its supported range, or
+    with one so small that its sample overflows float64 to inf or NaN."""
 
 
 class InvalidModel(TailspecError):

@@ -5,11 +5,16 @@ Plain text is bytes that are only digits, '+', '-', '.', 'e'/'E', ',' and
 line ends ('\n', or '\r\n' throughout), with every line as wide as the
 first and no field empty.  Every value is what float() gives for its field,
 bit for bit; other text is left to the readers of cli.read_csv.
+
+The parse rounds in a long double stored in 16 bytes, x87 extended on x86-64
+or IEEE quad on aarch64 and s390x, and reads ties from its low significand
+bits; on other machines read_plain_csv declines every file.
 """
 
 from __future__ import annotations
 
 import io
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +29,18 @@ _MAX_M = 10**18
 _MAX_Q = 27
 _POW10 = np.cumprod(np.r_[1, np.full(_MAX_Q, 10)].astype(np.longdouble))
 # x87 extended (63) and IEEE quad (112) round every operation once; where
-# long double is double or double-double, read_plain_csv declines every file
-_EXACT_LONGDOUBLE = np.finfo(np.longdouble).nmant in (63, 112)
+# long double is double or double-double, or x87 in 12 bytes, read_plain_csv
+# declines every file
+_NMANT = np.finfo(np.longdouble).nmant
+_EXACT_LONGDOUBLE = _NMANT in (63, 112) and np.dtype(np.longdouble).itemsize == 16
+# rounding to float64 drops the last nmant - 52 bits of the significand, all
+# in the long double's low 64-bit word; they read 100...0 exactly halfway
+_LOW_WORD = int(sys.byteorder == "big")
+_ROUND_MASK = np.uint64((1 << (_NMANT - 52)) - 1)
+_ROUND_HALF = np.uint64((1 << (_NMANT - 52)) >> 1)
 # a block with a larger share of fields for float() goes to numpy, which
 # parses them faster than a loop over float()
 _SLOW_SHARE = 0.25
-_EXPONENT_BITS = np.uint64(0x7FF << 52)
 _FRACTION_BITS = np.uint64((1 << 52) - 1)
 
 
@@ -123,7 +134,12 @@ def _block_values(text: bytes, width: int) -> np.ndarray | None:
     start = np.empty_like(sep)
     start[0] = 0
     start[1:] = sep[:-1] + 1
-    fd = np.searchsorted(sep, dots)  # the field of each '.' and exponent
+    # the field of each '.' and exponent; where every field holds one '.',
+    # as %.17g text mostly does, the i-th '.' is field i's
+    if dots.size == n and ((dots >= start) & (dots < sep)).all():
+        fd = np.arange(n)
+    else:
+        fd = np.searchsorted(sep, dots)
     fe = np.searchsorted(sep, exps)
     end = sep.copy()  # where each mantissa ends
     end[fe] = exps
@@ -156,10 +172,8 @@ def _block_values(text: bytes, width: int) -> np.ndarray | None:
     up = np.flatnonzero(q > 0)
     rounded[up] = mantissa[up] * power[up]
     values = rounded.astype(np.float64)
-    bits = values.view(np.uint64)
-    half_ulp = (bits & _EXPONENT_BITS).view(np.float64) * 2.0**-53
-    slow |= np.abs((rounded - values).astype(np.float64)) == half_ulp
-    slow |= (bits & _FRACTION_BITS) == 0  # powers of two
+    slow |= _halfway(rounded)
+    slow |= (values.view(np.uint64) & _FRACTION_BITS) == 0  # powers of two
     zero = m == 0  # exact for any q; the sign is the field's first byte
     slow &= ~zero
     values[zero & neg] = -0.0
@@ -169,3 +183,9 @@ def _block_values(text: bytes, width: int) -> np.ndarray | None:
     for i in slow.tolist():
         values[i] = float(text[start[i]:sep[i]])
     return values
+
+
+def _halfway(rounded: np.ndarray) -> np.ndarray:
+    """Where long doubles lie halfway between two doubles of their binade;
+    the midpoint below 2**k rounds to 2**k, a power of two."""
+    return (rounded.view(np.uint64)[_LOW_WORD::2] & _ROUND_MASK) == _ROUND_HALF

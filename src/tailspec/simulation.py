@@ -123,10 +123,24 @@ def _cms(alpha: float, skew: float, u1: np.ndarray, u2: np.ndarray) -> np.ndarra
     return phi
 
 
+# a tiny alpha overflows float64 in the draws: the samplers draw without
+# float warnings and check their output with _finite_sample.  errstate holds
+# per thread, so _add_atom_terms sets its own.
+_overflow_checked_below = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+def _finite_sample(x: np.ndarray, alpha: float) -> DataMatrix:
+    """x as a DataMatrix, or UnsupportedAlpha if a draw left it non-finite."""
+    if not np.isfinite(x).all():
+        raise UnsupportedAlpha(f"alpha={alpha} is too small: the sample overflows float64")
+    return DataMatrix(x)
+
+
 # grid resolution for inverse-cdf sampling from an angular density
 _DENSITY_SAMPLING_GRID = 4096
 
 
+@_overflow_checked_below
 def sample_polar(model: ModelSpec, N: int, rng: SeededRng) -> DataMatrix:
     """Radius-direction sample with an exact power tail.
 
@@ -154,9 +168,10 @@ def sample_polar(model: ModelSpec, N: int, rng: SeededRng) -> DataMatrix:
         cdf /= cdf[-1]
         angles = np.interp(u_dir, cdf, edges)
         theta = np.c_[np.cos(angles), np.sin(angles)]
-    return DataMatrix(radius[:, None] * theta)
+    return _finite_sample(radius[:, None] * theta, model.alpha)
 
 
+@_overflow_checked_below
 def sample_stable_1d(alpha: float, rho: float, total_mass: float, N: int,
                      rng: SeededRng) -> DataMatrix:
     """Strictly stable scalars whose tails realize the spectral weights.
@@ -181,7 +196,7 @@ def sample_stable_1d(alpha: float, rho: float, total_mass: float, N: int,
     # (N=1e5) takes about 1830 minor page faults instead of 1210, refaulting
     # them for the row norms and group statistics (8000 and 1.4x the time
     # while summarize_groups recomputed the norms at every r).
-    return DataMatrix(scale * _cms(alpha, rho, u1, u2))
+    return _finite_sample(scale * _cms(alpha, rho, u1, u2), alpha)
 
 
 # rows a thread needs before splitting pays: 2 threads on 16384 rows took
@@ -207,6 +222,7 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+@_overflow_checked_below
 def _add_atom_terms(out: np.ndarray, alpha: float, atoms: np.ndarray, scales,
                     rng: SeededRng, lo: int, hi: int) -> None:
     """Add every atom's term, in atom order, to rows [lo, hi) of out.
@@ -267,7 +283,7 @@ def sample_stable_vector(alpha: float, atoms, weights, N: int,
         fill = partial(_add_atom_terms, out, alpha, atoms, scales, rng)
         with ThreadPoolExecutor(max_workers=parts) as pool:
             list(pool.map(fill, cuts[:-1], cuts[1:]))
-    return DataMatrix(out)
+    return _finite_sample(out, alpha)
 
 
 def discretize_angular_density(model: ModelSpec,

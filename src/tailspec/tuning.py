@@ -28,7 +28,7 @@ def _rate_r(alpha: float, beta: float, epsilon: float, zeta_cap: float) -> float
     """r = 2*zeta/(1+2*zeta) - epsilon, at most 1 - epsilon, with
     zeta = min((beta-alpha)/alpha, zeta_cap); beta = inf gives zeta_cap."""
     _check_eps(epsilon)
-    if alpha <= 0.0 or beta <= alpha:
+    if not (alpha > 0.0 and beta > alpha):  # NaN fails too
         raise InvalidSecondOrder(f"need beta > alpha > 0, got alpha={alpha}, beta={beta}")
     if math.isinf(beta) and math.isinf(zeta_cap):
         return 1.0 - epsilon  # the limit zeta -> inf
@@ -64,7 +64,7 @@ def optimal_r_mass(alpha: float, beta: float, epsilon: float = DEFAULT_EPSILON) 
     """
     if epsilon != 0.0:
         _check_eps(epsilon)
-    if alpha <= 0.0 or beta <= alpha + 1.0:
+    if not (alpha > 0.0 and beta > alpha + 1.0):
         raise InvalidSecondOrder(
             f"mass tuning needs beta > alpha + 1, got alpha={alpha}, beta={beta}"
         )
@@ -108,7 +108,7 @@ def default_t(alpha: float, r: float) -> float:
     Sits strictly inside both the consistency range t < alpha*r/2 and the
     case-a normality range t < alpha*r/4.
     """
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise InvalidSecondOrder(f"alpha={alpha} must be positive")
     if not (0.0 < r < 1.0):
         raise ValueError(f"r={r} outside (0,1)")

@@ -552,6 +552,8 @@ class TestBadInputsWithoutTraceback:
         (["--alpha", "inf"], "error[InvalidAlpha]: alpha=inf must be positive and finite"),
         (["--alpha", "1000"], "error[OverflowError]:"),
         (["--alpha", "1000", "--t", "100"], "error[InvalidT]: q^t overflows at t=100.0"),
+        (["--r", "auto", "--alpha", "0.5", "--beta", "nan"],
+         "error[InvalidSecondOrder]: need beta > alpha > 0, got alpha=0.5, beta=nan"),
     ])
     def test_mass_overflow_exit_4(self, tmp_path, capsys, flags, message):
         p = tmp_path / "in.csv"
@@ -570,6 +572,37 @@ class TestBadInputsWithoutTraceback:
         assert proc.returncode == 4, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "error[InvalidModel]: theta is not unit-norm" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--model", '{"alpha":0.01,"atoms":[[1,0,1]],"kind":"polar"}'],
+        ["simulate", "--model", '{"alpha":0.01,"rho":0.5,"kind":"stable"}'],
+        ["simulate", "--model",
+         '{"alpha":0.01,"atoms":[[1,0,0.5],[0,1,0.5]],"kind":"stable"}'],
+        ["sweep", "--model", '{"alpha":0.01,"atoms":[[1,0,1]],"kind":"polar"}',
+         "--target", "alpha", "--reps", "1"],
+    ])
+    def test_overflowing_sample_exit_4(self, tmp_path, argv):
+        out = tmp_path / "x.csv"
+        proc = run_cli(*argv, "--n", "10000", "--seed", "1", "--out", str(out))
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr == ("error[UnsupportedAlpha]: alpha=0.01 is too small: "
+                               "the sample overflows float64\n")
+        assert not out.exists()
+
+    # 10**15 doubles lie past a 47-bit address space, so numpy refuses them
+    # at once and touches no memory; a size the system could grant would be
+    # allocated, so none is tried
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--model", STABLE_1D, "--n", str(10**15), "--seed", "1",
+         "--out", "x.csv"],
+        ["ecdf", "--model", STABLE_2D, "--n", "200", "--seed", "1",
+         "--grid-size", str(10**15)],
+    ])
+    def test_allocation_failure_exit_4(self, tmp_path, capsys, argv):
+        argv = [str(tmp_path / a) if a == "x.csv" else a for a in argv]
+        assert main(argv) == 4
+        assert capsys.readouterr().err.startswith("error[MemoryError]: Unable to allocate")
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--model", STABLE_2D, "--n", "5", "--seed", "1", "--out", "x.csv",

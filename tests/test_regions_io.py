@@ -235,6 +235,58 @@ def test_powers_of_ten_are_exact():
     assert [int(p) for p in plaincsv._POW10] == [10 ** k for k in range(plaincsv._MAX_Q + 1)]
 
 
+@pytest.mark.parametrize("text", [
+    "1.5,2.25\n-3.0,4.125\n",  # one '.' in every field
+    ".5,-.25\n",                # a '.' first in its field
+    "1,2.5\n",                  # a field without one
+    "1.2.3,4\n",                # two in one field, none in the next
+    "1.2.3,45\n",               # the same with two digits in the next
+    "12.,3\n",                  # a '.' just before a separator
+    "12.,3.5\n",
+    "-1.5e-3,+2.0E4\n",         # signs and exponents
+])
+def test_plain_reader_finds_each_fields_dot(tmp_path, text):
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode("ascii"))
+    want = outcome(reference_read_csv, path, False)
+    with mock.patch.object(plaincsv, "_SLOW_SHARE", 1.0):
+        got = plaincsv.read_plain_csv(path, False)
+    if want[0] == "ok":
+        assert got.view(np.uint64).tolist() == want[2]
+    else:
+        assert got is None
+    assert outcome(read_csv, path, False) == want
+
+
+def subtraction_halfway(rounded):
+    """The tie test plaincsv._halfway replaced: rounded is half an ulp of
+    its double away from it."""
+    values = rounded.astype(np.float64)
+    half_ulp = (values.view(np.uint64) & np.uint64(0x7FF << 52)).view(np.float64) * 2.0**-53
+    return np.abs((rounded - values).astype(np.float64)) == half_ulp
+
+
+@pytest.mark.skipif(not plaincsv._EXACT_LONGDOUBLE, reason="the plain reader is off")
+def test_halfway_matches_subtraction():
+    # both tests decide the same fields for float() once powers of two go
+    # there too: below 2**k, the midpoint to 2**k is a tie only to _halfway
+    g = np.random.default_rng(12)
+    size = 200_000
+    d = np.copysign(10.0 ** g.uniform(-27, 45, size), g.standard_normal(size))
+    d[:400] = np.nextafter(np.ldexp(1.0, np.arange(-89, 111)), 0.0).repeat(2)
+    d[:400:2] *= -1.0
+    midpoints = d.astype(np.longdouble) + np.spacing(d).astype(np.longdouble) / 2
+    m = g.integers(-10**18 + 1, 10**18, size).astype(np.longdouble)
+    q = g.integers(-plaincsv._MAX_Q, plaincsv._MAX_Q + 1, size)
+    power = plaincsv._POW10[np.abs(q)]
+    quotients = np.where(q < 0, m / power, m * power)
+    assert plaincsv._halfway(midpoints).all()
+    for rounded in (midpoints, quotients):
+        two_power = (rounded.astype(np.float64).view(np.uint64) & plaincsv._FRACTION_BITS) == 0
+        assert np.array_equal(plaincsv._halfway(rounded) | two_power,
+                              subtraction_halfway(rounded) | two_power)
+
+
 @pytest.mark.parametrize("field", [
     "1.2.3", "1e5e5", "1e", "e1", "+-1", "--1", ".", "-", "+.", ".e5", "+.e1", "1-2",
     "1e+", "1e+-5", "1e5.5", "12e5.5", "12e-5.5", "1..", "5.-", "1.5e", "", "1e-.5",

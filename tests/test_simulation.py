@@ -3,6 +3,7 @@
 import hashlib
 import math
 import platform
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -282,6 +283,23 @@ def serial_stable_vector(alpha, atoms, scales, N, rng):
         z = scale * reference_cms(alpha, 1.0, g.random(N), g.random(N))
         out += z[:, None] * v[None, :]
     return out
+
+
+# alpha = 0.01 raises the draws to powers near 100: some of 10^4 rows pass
+# float64's range
+@pytest.mark.parametrize("draw", [
+    lambda N: sample_polar(one_atom_model(alpha=0.01), N, SeededRng(1)),
+    lambda N: sample_stable_1d(0.01, 0.5, 1.0, N, SeededRng(1)),
+    lambda N: sample_stable_vector(0.01, [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], N,
+                                   SeededRng(1)),
+], ids=["polar", "stable_1d", "stable_vector"])
+@pytest.mark.parametrize("N", [10**4, 2 * simulation._ROWS_PER_THREAD])
+def test_overflowing_sample_raises_unsupported_alpha(monkeypatch, draw, N):
+    monkeypatch.setattr(simulation, "_available_cpus", lambda: 2)  # threads at the larger N
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning, from a sampler thread either
+        with pytest.raises(UnsupportedAlpha, match="alpha=0.01 is too small"):
+            draw(N)
 
 
 # uniforms where the formula's edges sit: 0 and doubles below 1e-300, where

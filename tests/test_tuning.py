@@ -86,6 +86,18 @@ class TestDefaults:
                 assert t < alpha * r / 2.0
 
 
+@pytest.mark.parametrize("rule, args", [
+    (optimal_r_alpha, (math.nan, 2.0)), (optimal_r_alpha, (1.0, math.nan)),
+    (optimal_r_spectral, (math.nan, 2.0)), (optimal_r_spectral, (1.0, math.nan)),
+    (optimal_r_mass, (math.nan, 4.0)), (optimal_r_mass, (1.0, math.nan)),
+    (auto_r, ("mass", 1.0, math.nan)), (default_t, (math.nan, 0.5)),
+    (auto_t, (math.nan, 0.5)),
+])
+def test_nan_exponent_rejected(rule, args):
+    with pytest.raises(InvalidSecondOrder):
+        rule(*args)
+
+
 class TestAutoR:
     def test_each_kind_has_its_rule(self):
         assert auto_r("alpha", 1.0, 10.0) == pytest.approx(18 / 19 - 0.05)
