@@ -12,7 +12,6 @@ import io
 import json
 import math
 import os
-import stat
 import sys
 import warnings
 from pathlib import Path
@@ -50,79 +49,68 @@ class CliUsage(Exception):
 def read_csv(path: str | Path, skip_header: bool = False) -> DataMatrix:
     """Parse a comma-separated numeric matrix; errors carry 1-based lines.
 
-    Every value is what float() gives for its field, bit for bit.  Plain
-    decimal text (see plaincsv) goes to the exact vectorized reader
-    plaincsv.read_plain_csv.  Other text goes to numpy, which parses the
-    open file in one pass.  Text numpy rejects goes through the line reader,
-    which either raises CsvParseError at the first bad line or parses what
-    float() accepts and numpy does not (whitespace-only lines, ``1_0``,
-    non-ASCII digits).  Whatever numpy accepts, float() reads as the same
-    value.  A path that is not a regular file (a pipe such as /dev/stdin)
-    can be read only once, and the plain reader reads its file twice, so
-    such a path is read into memory first and every reader parses those
-    bytes.
+    Every value is what float() gives for its field, bit for bit.  The file
+    at ``path`` is opened once, and its three readers take turns on that
+    one handle, each from the start.  Plain decimal text (see plaincsv)
+    goes to the exact vectorized reader plaincsv.read_plain_csv.  Other text
+    goes to numpy, which parses the open file in one pass.  Text numpy
+    rejects goes through the line reader, which either raises CsvParseError
+    at the first bad line or parses what float() accepts and numpy does not
+    (whitespace-only lines, ``1_0``, non-ASCII digits).  Whatever numpy
+    accepts, float() reads as the same value.  An input that cannot seek (a
+    pipe such as /dev/stdin) is read into memory once.
     """
     # imported here: a process that reads no CSV does not compile it
     from .plaincsv import read_plain_csv
-    piped = None if stat.S_ISREG(os.stat(path).st_mode) else Path(path).read_bytes()
-    values = read_plain_csv(path if piped is None else io.BytesIO(piped), skip_header)
-    if values is not None:
-        return DataMatrix(values)
-    with _open_text(path, piped) as fh, warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        try:
-            values = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2,
-                                comments=None, skiprows=int(skip_header), encoding="utf-8")
-        except ValueError:
-            values = None
-    if values is None:
-        return _read_csv_lines(path, piped, skip_header)
+    with open(path, "rb") as fh, warnings.catch_warnings():
+        if not fh.seekable():
+            fh = io.BytesIO(fh.read())
+        values = read_plain_csv(fh, skip_header)
+        if values is None:
+            fh.seek(0)
+            # bytes that are not UTF-8 decode to lone surrogates, which numpy
+            # and float() both reject, so such a line fails with its number
+            text = io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape")
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            try:
+                values = np.loadtxt(text, delimiter=",", dtype=np.float64, ndmin=2,
+                                    comments=None, skiprows=int(skip_header))
+            except ValueError:
+                text.seek(0)
+                values = _read_csv_lines(text, skip_header)
     if values.shape[0] == 0:
         raise EmptySample(f"{path}: no data rows")
     return DataMatrix(values)
 
 
-def _open_text(path: str | Path, piped: bytes | None, errors: str = "strict"):
-    """The CSV input as UTF-8 text: the file at ``path``, or ``piped``, the
-    bytes already read from it."""
-    if piped is None:
-        return open(path, "r", encoding="utf-8", errors=errors)
-    return io.TextIOWrapper(io.BytesIO(piped), encoding="utf-8", errors=errors)
-
-
-def _read_csv_lines(path: str | Path, piped: bytes | None, skip_header: bool) -> DataMatrix:
-    """read_csv line by line with float(), for text numpy rejects."""
+def _read_csv_lines(lines, skip_header: bool) -> np.ndarray:
+    """read_csv's values line by line with float(), for text numpy rejects."""
     rows: list[list[float]] = []
     width = None
-    # bytes that are not UTF-8 decode to lone surrogates, which float()
-    # rejects, so such a line fails with its own number
-    with _open_text(path, piped, errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if lineno == 1 and skip_header:
-                continue
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
+    for lineno, line in enumerate(lines, start=1):
+        if lineno == 1 and skip_header:
+            continue
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        try:
+            row = [float(p) for p in parts]
+        except ValueError:
+            message = f"cannot parse {line!r}"
             try:
-                row = [float(p) for p in parts]
-            except ValueError:
-                message = f"cannot parse {line!r}"
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    message = "line is not valid UTF-8"
-                raise CsvParseError(lineno, message)
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise CsvParseError(
-                    lineno, f"expected {width} columns, found {len(row)}"
-                )
-            rows.append(row)
-    if not rows:
-        raise EmptySample(f"{path}: no data rows")
-    return DataMatrix(np.asarray(rows))
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                message = "line is not valid UTF-8"
+            raise CsvParseError(lineno, message)
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise CsvParseError(
+                lineno, f"expected {width} columns, found {len(row)}"
+            )
+        rows.append(row)
+    return np.asarray(rows)
 
 
 def write_csv(path: str | Path, values: np.ndarray) -> None:
@@ -313,13 +301,14 @@ def parse_region(text: str, dim: int) -> Region:
 # ---------------------------------------------------------------- commands
 
 
-def _parse_r(text: str) -> float:
+def _parse_r(text: str | float, flag: str = "--r") -> float:
+    """An exponent in (0,1): the --r value, or one --grid value when flag is --grid."""
     try:
         r = float(text)
     except ValueError:
         raise CliUsage(f"--r must be a number or 'auto', got {text!r}")
     if not (0.0 < r < 1.0):
-        raise CliUsage(f"--r={r} outside (0,1)")
+        raise CliUsage(f"{flag}={r} outside (0,1)")
     return r
 
 
@@ -437,6 +426,8 @@ def cmd_sweep(args) -> dict:
             r_grid = [float(x) for x in args.grid.split(",")]
         except ValueError:
             raise CliUsage(f"bad --grid {args.grid!r}")
+        for r in r_grid:
+            _parse_r(r, "--grid")
     else:
         r_grid = experiments.default_r_grid(args.n, args.target)
         if not r_grid:
@@ -570,6 +561,8 @@ def main(argv=None) -> int:
                 raise CliUsage(f"--model {args.model} is not UTF-8 text: {e}")
         if getattr(args, "n", 1) < 1:
             raise CliUsage(f"--n must be at least 1, got {args.n}")
+        if getattr(args, "reps", 1) < 1:
+            raise CliUsage(f"--reps must be at least 1, got {args.reps}")
         if getattr(args, "workers", 1) < 1:
             raise CliUsage(f"--workers must be at least 1, got {args.workers}")
         if getattr(args, "grid_size", 2) < 2:

@@ -30,7 +30,7 @@ def plan_grouping(N: int, r: float, *, min_group: int = 2) -> GroupScheme:
     that only need the group maximum (not the second largest) may pass
     ``min_group=1``.
     """
-    if not (0.0 < r < 1.0) or math.isnan(r):
+    if not (0.0 < r < 1.0):
         raise InvalidR(f"r={r} outside (0,1)")
     if N < 4:
         raise GroupTooSmall(f"need at least 4 rows, got {N}")

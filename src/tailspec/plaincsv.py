@@ -13,9 +13,8 @@ bits; on other machines read_plain_csv declines every file.
 
 from __future__ import annotations
 
-import io
 import sys
-from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -44,62 +43,59 @@ _SLOW_SHARE = 0.25
 _FRACTION_BITS = np.uint64((1 << 52) - 1)
 
 
-def read_plain_csv(source: str | Path | io.BytesIO, skip_header: bool) -> np.ndarray | None:
+def read_plain_csv(fh: BinaryIO, skip_header: bool) -> np.ndarray | None:
     """cli.read_csv's values for plain decimal text, or None for other text.
 
-    ``source`` is the path of a regular file, or the text's bytes in memory;
-    cli.read_csv reads any other file, such as a pipe, into memory first,
-    because this reader reads its source twice.  A first pass counts the
-    lines, to size the output.  The second reads _BLOCK bytes at a time, cut
-    after the last newline, and parses each block into the next rows of the
-    output.
+    ``fh`` is a seekable binary file at its start, which this reader reads
+    twice and leaves open.  A first pass counts the lines, to size the
+    output.  The second reads _BLOCK bytes at a time, cut after the last
+    newline, and parses each block into the next rows of the output.
     """
     if not _EXACT_LONGDOUBLE:
         return None
-    with source if isinstance(source, io.BytesIO) else open(source, "rb") as fh:
-        lines, size, last = 0, 0, b"\n"
-        while chunk := fh.read(_BLOCK):
-            lines += np.count_nonzero(np.frombuffer(chunk, np.uint8) == 10)
-            size += len(chunk)
-            last = chunk[-1:]
-        rows = lines + (last != b"\n") - skip_header
-        if rows < 1:
-            return None
-        fh.seek(0)
-        out, width, filled, carry, header = None, 0, 0, b"", skip_header
-        while True:
-            chunk = fh.read(_BLOCK)
-            text = carry + chunk
-            if not text:
-                break
-            if len(chunk) == _BLOCK:  # not the end of the file
-                cut = text.rfind(b"\n") + 1
-                if not cut:  # a line longer than a block
-                    return None
-                text, carry = text[:cut], text[cut:]
-            else:
-                carry = b""
-                if not text.endswith(b"\n"):
-                    text += b"\n"
-            if b"\r" in text:
-                # the other readers end a line at a lone '\r' too
-                if text.count(b"\r") != text.count(b"\r\n"):
-                    return None
-                text = text.replace(b"\r\n", b"\n")
-            if header:
-                text, header = text[text.index(b"\n") + 1:], False
-                if not text:
-                    continue
-            if out is None:
-                width = text.count(b",", 0, text.index(b"\n")) + 1
-                if 2 * rows * width > size + 1:  # a field takes 2 bytes
-                    return None
-                out = np.empty(rows * width)
-            values = _block_values(text, width)
-            if values is None or filled + values.size > out.size:
+    lines, size, last = 0, 0, b"\n"
+    while chunk := fh.read(_BLOCK):
+        lines += np.count_nonzero(np.frombuffer(chunk, np.uint8) == 10)
+        size += len(chunk)
+        last = chunk[-1:]
+    rows = lines + (last != b"\n") - skip_header
+    if rows < 1:
+        return None
+    fh.seek(0)
+    out, width, filled, carry, header = None, 0, 0, b"", skip_header
+    while True:
+        chunk = fh.read(_BLOCK)
+        text = carry + chunk
+        if not text:
+            break
+        if len(chunk) == _BLOCK:  # not the end of the file
+            cut = text.rfind(b"\n") + 1
+            if not cut:  # a line longer than a block
                 return None
-            out[filled:filled + values.size] = values
-            filled += values.size
+            text, carry = text[:cut], text[cut:]
+        else:
+            carry = b""
+            if not text.endswith(b"\n"):
+                text += b"\n"
+        if b"\r" in text:
+            # the other readers end a line at a lone '\r' too
+            if text.count(b"\r") != text.count(b"\r\n"):
+                return None
+            text = text.replace(b"\r\n", b"\n")
+        if header:
+            text, header = text[text.index(b"\n") + 1:], False
+            if not text:
+                continue
+        if out is None:
+            width = text.count(b",", 0, text.index(b"\n")) + 1
+            if 2 * rows * width > size + 1:  # a field takes 2 bytes
+                return None
+            out = np.empty(rows * width)
+        values = _block_values(text, width)
+        if values is None or filled + values.size > out.size:
+            return None
+        out[filled:filled + values.size] = values
+        filled += values.size
     if filled != rows * width:
         return None
     return out.reshape(rows, width)
@@ -135,8 +131,9 @@ def _block_values(text: bytes, width: int) -> np.ndarray | None:
     start[0] = 0
     start[1:] = sep[:-1] + 1
     # the field of each '.' and exponent; where every field holds one '.',
-    # as %.17g text mostly does, the i-th '.' is field i's
-    if dots.size == n and ((dots >= start) & (dots < sep)).all():
+    # as %.17g text mostly does, the i-th '.' is field i's (one past field
+    # i's end fails the dots > end[fd] check below, as another field holds two)
+    if dots.size == n and (dots >= start).all():
         fd = np.arange(n)
     else:
         fd = np.searchsorted(sep, dots)

@@ -542,6 +542,16 @@ class TestBadInputsWithoutTraceback:
           "--workers", "-3"], "error[usage]: --workers must be at least 1, got -3"),
         (["coverage", "--model", STABLE_1D, "--n", "200", "--seed", "1", "--kind", "alpha",
           "--workers", "0"], "error[usage]: --workers must be at least 1, got 0"),
+        (["sweep", "--model", STABLE_1D, "--n", "200", "--seed", "1", "--target", "rho",
+          "--reps", "0"], "error[usage]: --reps must be at least 1, got 0"),
+        (["coverage", "--model", STABLE_1D, "--n", "200", "--seed", "1", "--kind", "alpha",
+          "--reps", "0"], "error[usage]: --reps must be at least 1, got 0"),
+        (["sweep", "--model", STABLE_1D, "--n", "200", "--seed", "1", "--target", "rho",
+          "--grid", "2"], "error[usage]: --grid=2.0 outside (0,1)"),
+        (["sweep", "--model", STABLE_1D, "--n", "200", "--seed", "1", "--target", "rho",
+          "--grid", "nan"], "error[usage]: --grid=nan outside (0,1)"),
+        (["sweep", "--model", STABLE_1D, "--n", "200", "--seed", "1", "--target", "rho",
+          "--grid", "0.5,1.5"], "error[usage]: --grid=1.5 outside (0,1)"),
     ])
     def test_flag_out_of_range_exit_2(self, six_row_csv, capsys, argv, message):
         argv = [str(six_row_csv) if a == "six.csv" else a for a in argv]
@@ -855,13 +865,6 @@ class TestExperimentCommands:
     def test_model_beta_absent_is_none(self):
         assert parse_model('{"alpha":1.0,"rho":0.5}')[0].beta is None
         assert parse_model('{"alpha":1.75,"rho":0.5,"beta":3.5}')[0].beta == 3.5
-
-    def test_coverage_zero_reps_exit_4(self, capsys):
-        model = json.dumps({"kind": "polar", "alpha": 1.0, "total_mass": 1.0,
-                            "atoms": [[1.0, 0.0, 1.0]]})
-        assert main(["coverage", "--model", model, "--n", "1000", "--reps",
-                     "0", "--kind", "alpha", "--seed", "1"]) == 4
-        capsys.readouterr()
 
     def test_coverage_doc(self, capsys):
         model = json.dumps({"kind": "polar", "alpha": 1.0, "total_mass": 1.0,

@@ -1,5 +1,7 @@
 """Grouping plan arithmetic and per-group maxima statistics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,7 @@ class TestPlanGrouping:
         with pytest.raises(GroupTooSmall):
             plan_grouping(10, 0.95)
 
-    @pytest.mark.parametrize("r", [0.0, 1.0, -0.3, 1.7])
+    @pytest.mark.parametrize("r", [0.0, 1.0, -0.3, 1.7, math.nan])
     def test_invalid_r(self, r):
         with pytest.raises(InvalidR):
             plan_grouping(100, r)

@@ -3,6 +3,7 @@ they replace: read_csv against the line-by-line float() reader, Arc.mask and
 Halfspace.mask against their scalar predicates, write_csv against the
 per-value f-string writer, and pickle round-trips of regions and densities."""
 
+import builtins
 import math
 import pickle
 import tracemalloc
@@ -201,8 +202,8 @@ def assert_plain_reader_matches_float(path, rows):
     """The plain-text reader takes the file, also with every field that it
     cannot round itself sent to float(), and gives float()'s bits; read_csv
     gives them too."""
-    with mock.patch.object(plaincsv, "_SLOW_SHARE", 1.0):
-        got = plaincsv.read_plain_csv(path, False)
+    with mock.patch.object(plaincsv, "_SLOW_SHARE", 1.0), open(path, "rb") as fh:
+        got = plaincsv.read_plain_csv(fh, False)
     assert got is not None
     want = float_bits(rows)
     assert got.view(np.uint64).tolist() == want.tolist()
@@ -249,8 +250,8 @@ def test_plain_reader_finds_each_fields_dot(tmp_path, text):
     path = tmp_path / "in.csv"
     path.write_bytes(text.encode("ascii"))
     want = outcome(reference_read_csv, path, False)
-    with mock.patch.object(plaincsv, "_SLOW_SHARE", 1.0):
-        got = plaincsv.read_plain_csv(path, False)
+    with mock.patch.object(plaincsv, "_SLOW_SHARE", 1.0), open(path, "rb") as fh:
+        got = plaincsv.read_plain_csv(fh, False)
     if want[0] == "ok":
         assert got.view(np.uint64).tolist() == want[2]
     else:
@@ -294,8 +295,8 @@ def test_halfway_matches_subtraction():
 def test_plain_looking_bad_field_fails_like_line_reader(tmp_path, field):
     path = tmp_path / "in.csv"
     write_plain(path, [["1.5", "2"], ["3", field], ["4", "5e1"]])
-    with mock.patch.object(plaincsv, "_SLOW_SHARE", 1.0):
-        assert plaincsv.read_plain_csv(path, False) is None
+    with mock.patch.object(plaincsv, "_SLOW_SHARE", 1.0), open(path, "rb") as fh:
+        assert plaincsv.read_plain_csv(fh, False) is None
     got = outcome(read_csv, path, False)
     assert got[0] == "CsvParseError" and got[1] == 2
     assert got == outcome(reference_read_csv, path, False)
@@ -316,8 +317,8 @@ def test_plain_looking_bad_field_fails_like_line_reader(tmp_path, field):
 def test_plain_reader_declines_other_text(tmp_path, text, skip_header):
     path = tmp_path / "in.csv"
     path.write_bytes(text.encode("ascii"))
-    with mock.patch.object(plaincsv, "_SLOW_SHARE", 1.0):
-        assert plaincsv.read_plain_csv(path, skip_header) is None
+    with mock.patch.object(plaincsv, "_SLOW_SHARE", 1.0), open(path, "rb") as fh:
+        assert plaincsv.read_plain_csv(fh, skip_header) is None
     assert outcome(read_csv, path, skip_header) == outcome(reference_read_csv, path,
                                                            skip_header)
 
@@ -328,7 +329,8 @@ def test_plain_reader_allocates_no_more_than_the_file_holds(tmp_path):
     path.write_bytes((",".join(["1"] * 1000) + "\n" + "1\n" * 1000).encode("ascii"))
     tracemalloc.start()
     try:
-        assert plaincsv.read_plain_csv(path, False) is None
+        with open(path, "rb") as fh:
+            assert plaincsv.read_plain_csv(fh, False) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -361,6 +363,28 @@ def test_read_csv_takes_plain_reader(tmp_path, monkeypatch, newline, skip_header
     monkeypatch.setattr(plaincsv, "_EXACT_LONGDOUBLE", False)
     assert (read_csv(path, skip_header).values.view(np.uint64).tolist()
             == values.view(np.uint64).tolist())
+
+
+@pytest.mark.parametrize("text", ["1.5,2.5\n3,4\n", "1.5, 2.5\n3, 4\n", "1_0,2\n3,4\n"])
+def test_read_csv_opens_its_input_once(tmp_path, monkeypatch, text):
+    # plain text, text only numpy parses, and text only float() parses: each
+    # reader takes its turn on the one handle read_csv opened
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode("ascii"))
+    want = outcome(reference_read_csv, path, False)
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(builtins, "open", counting_open)
+        got = outcome(read_csv, path, False)
+    assert got == want and got[0] == "ok"
+    assert len(opened) == 1
 
 
 # ---------------------------------------------------------------- write_csv
