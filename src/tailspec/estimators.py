@@ -29,7 +29,7 @@ from .errors import (
     ZeroVariance,
 )
 from .numerics import gamma_fn, normal_quantile
-from .types import GroupStats, Interval, Region, SpectralEstimate, region_mask
+from .types import GroupStats, Interval, Region, SpectralEstimate
 
 
 def _wald(point: float, variance: float, n: int, level: float) -> tuple[float, float]:
@@ -99,9 +99,8 @@ def estimate_spectral(stats: GroupStats) -> SpectralEstimate:
 
 
 def spectral_mass(est: SpectralEstimate, region: Region) -> float:
-    """Fraction of atoms inside the region (a total membership predicate;
-    an Arc or Halfspace tests all atoms at once)."""
-    return int(np.count_nonzero(region_mask(region, est.atoms))) / est.n
+    """Fraction of atoms inside the region, an Arc or a Halfspace."""
+    return int(np.count_nonzero(region.mask(est.atoms))) / est.n
 
 
 def spectral_cdf_2d(est: SpectralEstimate,

@@ -78,13 +78,6 @@ class SweepResult:
             for o, m, s in zip(self.one_minus_r, self.mean, self.stddev)
         ]
 
-    def at(self, one_minus_r: float, tol: float = 1e-9) -> float:
-        """Mean estimate at a grid point (exact lookup)."""
-        idx = np.nonzero(np.abs(self.one_minus_r - one_minus_r) <= tol)[0]
-        if idx.size != 1:
-            raise KeyError(f"1-r={one_minus_r} not on the grid")
-        return float(self.mean[idx[0]])
-
 
 def default_r_grid(N: int, target: str) -> list[float]:
     """r values with 1-r in {0.05, ..., 0.95}, filtered by feasibility.
@@ -260,8 +253,7 @@ def run_ci_coverage(model: ModelSpec, N: int, r: float | None, kind: str,
     mass CI uses the model's alpha and the t of tuning.auto_t.  The
     EstimationWarnings of the run are not raised: the result lists each
     text once, in the order first seen.  With workers > 1 the model and the
-    region are pickled into the workers: every model, an Arc, a Halfspace or
-    a module-level function works, a lambda region does not.
+    region, an Arc or a Halfspace, are pickled into the workers.
     """
     if reps < 1:
         raise EmptyExperiment("reps must be >= 1")

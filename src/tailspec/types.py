@@ -5,8 +5,9 @@ at construction (the caller's own array stays writable and is not copied),
 columns computed on first read are read-only too, and both stay read-only
 after unpickling, so instances can be shared freely between threads or
 processes.  Regions and densities are plain data too, so they pickle into
-worker processes: a density model holds the name of a registered shape,
-and the registry below is the only code that evaluates one.
+worker processes: a region (an Arc or a Halfspace) has one membership rule,
+its vectorized ``mask``, and a density model holds the name of a registered
+shape, which the registry below is the only code to evaluate.
 
 Kernels that read every row (row norms, the unit-norm checks, second maxima
 and region masks) run over blocks of _BLOCK_ROWS rows and write each block's
@@ -44,8 +45,6 @@ _BLOCK_ROWS = 8192
 # 2-24 rows the column loops ran 1.4-4x faster than the reductions, at 32-48
 # about as fast, and from 64 slower.
 _SHORT_GROUP = 16
-
-Region = Callable[[np.ndarray], bool]
 
 
 def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -320,23 +319,13 @@ def _planar_angles(v: np.ndarray) -> np.ndarray:
     return np.add(a, 0.0, out=a)
 
 
-# Arc.mask recomputes with the scalar rule every atom whose vectorized angle
-# lies within this distance of start, end, 0 or 2*pi.  numpy's arctan2 (SIMD
-# code documented within 4 ulp) and libm's atan2 (within 1 ulp) differ by at
-# most 5 ulp(pi) = 2.2e-15 on a raw angle in [-pi, pi], and moving a negative
-# angle up by 2*pi rounds each once more, by at most ulp(2*pi)/2 = 4.4e-16.
-# The two reduced angles therefore differ by less than 3.2e-15, i.e. 3.6
-# ulp(2*pi), so an atom farther than 16 ulp(2*pi) from start and end falls on
-# the same side of both either way.  Raw angles of opposite sign lie within
-# that bound of 0 and reduce to next to 0 or next to 2*pi, hence the wrap.
-_ARC_GUARD = 16 * math.ulp(_TWO_PI)
-
-
 @dataclass(frozen=True)
 class Arc:
     """Directions whose planar angle lies in [start, end) within [0, 2*pi),
     wrapping through 0 when start > end (d=2).  Both ends are reduced mod
-    2*pi at construction; an angle exactly on start is inside, on end out."""
+    2*pi at construction; an angle exactly on start is inside, on end out.
+    A direction's angle is numpy's arctan2 reduced as ``np.mod(a, 2*pi)``
+    does, the angle of the d=2 cdf."""
 
     start: float
     end: float
@@ -345,14 +334,8 @@ class Arc:
         object.__setattr__(self, "start", float(self.start) % _TWO_PI)
         object.__setattr__(self, "end", float(self.end) % _TWO_PI)
 
-    def __call__(self, v: np.ndarray) -> bool:
-        a = math.atan2(v[1], v[0]) % _TWO_PI
-        if self.start <= self.end:
-            return self.start <= a < self.end
-        return a >= self.start or a < self.end
-
     def mask(self, atoms: np.ndarray) -> np.ndarray:
-        """``[self(v) for v in atoms]`` as a bool array, for (n, 2) atoms."""
+        """Membership of each row of (n, 2) atoms as a bool array."""
         atoms = np.asarray(atoms, dtype=np.float64)
         return _by_blocks(self._mask_rows, atoms, np.empty(atoms.shape[0], bool))
 
@@ -362,18 +345,13 @@ class Arc:
             np.logical_and(self.start <= a, a < self.end, out=inside)
         else:
             np.logical_or(a >= self.start, a < self.end, out=inside)
-        gap = np.abs(a - self.start)
-        np.minimum(gap, np.abs(a - self.end), out=gap)
-        np.minimum(gap, a, out=gap)
-        np.minimum(gap, _TWO_PI - a, out=gap)
-        # "not gap > guard" also sends NaN angles to the scalar rule
-        for i in np.flatnonzero(~(gap > _ARC_GUARD)):
-            inside[i] = self(atoms[i])
 
 
 @dataclass(frozen=True)
 class Halfspace:
-    """Directions v with <v, u> > c."""
+    """Directions v with <v, u> > c, the sum v_1 u_1 + ... + v_d u_d taken
+    left to right with one rounding per multiply and per add, so its bits
+    do not depend on a BLAS summation order or fused multiply-adds."""
 
     u: tuple[float, ...]
     c: float
@@ -382,43 +360,22 @@ class Halfspace:
         object.__setattr__(self, "u", tuple(float(x) for x in self.u))
         object.__setattr__(self, "c", float(self.c))
 
-    def __call__(self, v: np.ndarray) -> bool:
-        return float(np.dot(v, self.u)) > self.c
-
     def mask(self, atoms: np.ndarray) -> np.ndarray:
-        """``[self(v) for v in atoms]`` as a bool array, for (n, d) atoms."""
+        """Membership of each row of (n, d) atoms as a bool array."""
         atoms = np.asarray(atoms, dtype=np.float64)
         return _by_blocks(self._mask_rows, atoms, np.empty(atoms.shape[0], bool))
 
     def _mask_rows(self, atoms: np.ndarray, inside: np.ndarray) -> None:
-        u = np.asarray(self.u)
-        dots = atoms @ u
+        # rows of another dimension raise ValueError, as atoms @ u would
+        terms = zip(atoms.T, self.u, strict=True)
+        x, w = next(terms)
+        dots = x * w
+        for x, w in terms:
+            dots += x * w
         np.greater(dots, self.c, out=inside)
-        # Every evaluation order of a d-term dot product, fused multiply-adds
-        # or not, lies within gamma_d * sum|v_i u_i| of the exact value, with
-        # gamma_d = d*2^-53 / (1 - d*2^-53), plus less than the smallest normal
-        # number for products that underflow.  The matrix product and the
-        # scalar np.dot thus differ by under twice that, which the guard
-        # bounds with room to spare; rows farther than it from c compare the
-        # same way under both, and the rest (NaN included) use the scalar rule.
-        d = len(self.u)
-        guard = (4.0 * d * 2.0**-53 * (np.abs(atoms) @ np.abs(u))
-                 + np.finfo(np.float64).tiny)
-        for i in np.flatnonzero(~(np.abs(dots - self.c) > guard)):
-            inside[i] = self(atoms[i])
 
 
-def region_mask(region: Region, atoms: np.ndarray) -> np.ndarray:
-    """Membership of each row of ``atoms`` as a bool array.
-
-    Uses ``region.mask`` when the region has one (Arc, Halfspace).  Any other
-    predicate is called once per row: a plain ``lambda v: v[0] > v[1]`` would
-    mean something else if handed the whole array.
-    """
-    mask = getattr(region, "mask", None)
-    if mask is not None:
-        return mask(atoms)
-    return np.fromiter((bool(region(v)) for v in atoms), dtype=bool, count=len(atoms))
+Region = Arc | Halfspace
 
 
 def _abscos2t(theta, total: float):
@@ -522,13 +479,13 @@ class ModelSpec(_ReadOnlyArrays):
         return (pos - neg) / self.total_mass
 
     def normalized_mass(self, region: Region) -> float:
-        """sigma~(B) = sigma(B)/sigma(S) for a membership predicate B."""
+        """sigma~(B) = sigma(B)/sigma(S) for an Arc or Halfspace B."""
         if self.atoms is not None:
-            inside = region_mask(region, self.atoms)
+            inside = region.mask(self.atoms)
             return sum(self.weights[inside].tolist()) / self.total_mass
         mids, step = _density_grid()
         vals = self.density_at(mids)
-        inside = region_mask(region, np.c_[np.cos(mids), np.sin(mids)])
+        inside = region.mask(np.c_[np.cos(mids), np.sin(mids)])
         return float((vals * inside).sum() * step / self.total_mass)
 
     def spectral_cdf(self, angles: Sequence[float]) -> np.ndarray:

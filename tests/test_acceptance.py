@@ -26,7 +26,7 @@ from tailspec import estimators, grouping, tuning
 from tailspec.experiments import run_ci_coverage
 from tailspec.numerics import gamma_fn
 from tailspec.simulation import SeededRng, sample_polar
-from tailspec.types import DataMatrix, GroupScheme, ModelSpec
+from tailspec.types import Arc, DataMatrix, GroupScheme, Halfspace, ModelSpec
 
 # Per-criterion master seeds.  The tolerances below are fixed; the seeds make
 # the Monte Carlo runs reproducible.  Criterion 3's first clause sits ~1.5
@@ -130,7 +130,8 @@ def test_criterion_2_sup_distance_oracle():
 def test_criterion_3_example1_sweep():
     """Example-1 sweep: near-truth at 1-r=0.4, catastrophic at the extremes."""
     res = example1_sweep(SEED_SWEEP)
-    m40, m05, m90 = res.at(0.40), res.at(0.05), res.at(0.90)
+    m40, m05, m90 = (float(res.mean[np.argmin(np.abs(res.one_minus_r - x))])
+                     for x in (0.40, 0.05, 0.90))
     b40, b05, b90 = abs(m40 - 0.5), abs(m05 - 0.5), abs(m90 - 0.5)
     ok = b40 <= 0.05 and b40 < b05 and b40 < b90
     _report("criterion 3 (Example 1 r-sweep)", ok,
@@ -170,7 +171,7 @@ def test_criterion_4_polar_ground_truth():
     mass_hat = estimators.estimate_total_mass(
         summaries, scheme.m, model.alpha, t).mass_hat
     spectral = estimators.estimate_spectral(summaries)
-    frac_e1 = estimators.spectral_mass(spectral, lambda v: v[0] > v[1])
+    frac_e1 = estimators.spectral_mass(spectral, Halfspace((1.0, -1.0), 0.0))
     frac_e2 = 1.0 - frac_e1
     ok = (abs(alpha_hat - 1.0) <= 0.1 and abs(mass_hat - 2.0) <= 0.25
           and abs(frac_e1 - 0.6) <= 0.05 and abs(frac_e2 - 0.4) <= 0.05)
@@ -186,7 +187,7 @@ def test_criterion_4_polar_ground_truth():
 def test_criterion_5_ci_coverage():
     """95% CIs for alpha, spectral mass and total mass cover at nominal rate."""
     model = coverage_model()
-    quadrant = lambda v: (v[0] > 0.0) and (v[1] > 0.0)
+    quadrant = Arc(0.0, math.pi / 2)  # the model's atoms lie at pi/4 and 3pi/4
     master = SeededRng(SEED_COVERAGE)
     results = {}
     for kind, region in (("alpha", None), ("spectral", quadrant),

@@ -11,6 +11,7 @@ perfbench/ is changed.
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,25 @@ def test_estimate_csv_sites(bench, tmp_path):
     # spectral_mass too: its counter reads the argument named est
     assert {"tuning.default_t", "estimators.estimate_total_mass", "cli.read_csv",
             "grouping.summarize_groups", "estimators.spectral_mass"} <= called
+
+
+@pytest.mark.parametrize("rows", [4000, 2 * 10**4])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_estimate_csv_matches_reference(bench, tmp_path, seed, rows):
+    """The `estimate` document against perfbench's own reference, which
+    shares no code with tailspec, at the benchmark's relative tolerance."""
+    _, inputs, _ = bench
+    x = inputs.polar_abscos2t(seed, rows=rows)
+    csv, out = tmp_path / "in.csv", tmp_path / "doc.json"
+    inputs.write_csv(str(csv), x)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["estimate", "--input", str(csv), "--out", str(out),
+                         *inputs.ESTIMATE_FLAGS]) == 0
+    doc = json.loads(out.read_text())
+    arc, half = doc["spectral"]["regions"]
+    got = {"alpha.hat": doc["alpha"]["hat"], "mass.hat": doc["mass"]["hat"],
+           "region.arc": arc["mass"], "region.halfspace": half["mass"]}
+    assert got == pytest.approx(inputs.estimate_reference(x), rel=1e-9, abs=0.0)
 
 
 def test_r_sweep_sites(bench):

@@ -13,6 +13,7 @@ from tailspec.errors import InvalidModel
 from tailspec.grouping import plan_grouping, summarize_groups
 from tailspec.types import _BLOCK_ROWS as B
 from tailspec.types import Arc, DataMatrix, GroupScheme, Halfspace, SpectralEstimate
+from test_regions_io import reference_mask
 
 EDGES = [1, B - 1, B, B + 1, 3 * B + 5]
 
@@ -113,7 +114,7 @@ def test_masks_match_one_shot_kernel(rows, d):
         assert got.dtype == bool and got.shape == (rows,)
         np.testing.assert_array_equal(got, one_shot)
         if rows <= B + 1:
-            np.testing.assert_array_equal(got, [region(v) for v in atoms])
+            np.testing.assert_array_equal(got, reference_mask(region, atoms))
 
 
 def test_unit_norm_check_sees_every_block():

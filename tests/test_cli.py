@@ -945,13 +945,13 @@ class TestExperimentCommands:
 class TestRegions:
     def test_arc_wraps(self):
         region = parse_region(f"arc:{3 * math.pi / 2}:{math.pi / 2}", 2)
-        assert region(np.array([1.0, 0.0]))       # angle 0 inside the wrap
-        assert not region(np.array([-1.0, 0.0]))  # angle pi outside
+        assert region.mask(np.array([[1.0, 0.0]]))[0]       # angle 0 inside the wrap
+        assert not region.mask(np.array([[-1.0, 0.0]]))[0]  # angle pi outside
 
     def test_arc_half_open(self):
         region = parse_region(f"arc:0:{math.pi / 2}", 2)
-        assert region(np.array([1.0, 0.0]))
-        assert not region(np.array([0.0, 1.0]))  # end excluded
+        assert region.mask(np.array([[1.0, 0.0]]))[0]
+        assert not region.mask(np.array([[0.0, 1.0]]))[0]  # end excluded
 
     def test_halfspace_dimension_check(self):
         with pytest.raises(CliUsage):

@@ -33,7 +33,7 @@ from tailspec.estimators import (
 from tailspec.grouping import plan_grouping, summarize_groups
 from tailspec.numerics import gamma_fn
 from tailspec.simulation import SeededRng, sample_polar
-from tailspec.types import DataMatrix, GroupStats, ModelSpec, SpectralEstimate
+from tailspec.types import DataMatrix, GroupStats, Halfspace, ModelSpec, SpectralEstimate
 
 
 def summaries_from_kappas(kappas, theta=None):
@@ -126,26 +126,27 @@ class TestSpectral:
     def test_single_atom(self):
         est = estimate_spectral(summaries_from_kappas([0.5], theta=np.array([1.0, 0.0])))
         assert est.n == 1
-        assert spectral_mass(est, lambda v: v[0] > 0.5) == 1.0
+        assert spectral_mass(est, Halfspace((1.0, 0.0), 0.5)) == 1.0
 
     def test_two_atoms_half_each(self):
         s = GroupStats(m1=np.ones(2), norms=np.c_[np.ones(2), np.full(2, 0.5)],
                        theta=np.array([[1.0, 0.0], [0.0, 1.0]]),
                        argmax=np.zeros(2, dtype=np.intp))
         est = estimate_spectral(s)
-        assert spectral_mass(est, lambda v: v[0] > 0.5) == pytest.approx(0.5)
+        assert spectral_mass(est, Halfspace((1.0, 0.0), 0.5)) == pytest.approx(0.5)
 
     def test_full_and_empty_region(self):
         est = SpectralEstimate(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]))
-        assert spectral_mass(est, lambda v: True) == 1.0
-        assert spectral_mass(est, lambda v: False) == 0.0
+        assert spectral_mass(est, Halfspace((1.0, 0.0), -2.0)) == 1.0
+        assert spectral_mass(est, Halfspace((1.0, 0.0), 2.0)) == 0.0
 
     def test_finite_additivity_exact(self):
         rng = np.random.Generator(np.random.Philox(key=np.array([12, 0], np.uint64)))
         ang = rng.random(97) * 2 * math.pi
         est = SpectralEstimate(np.c_[np.cos(ang), np.sin(ang)])
-        a = lambda v: v[0] > 0.0
-        b = lambda v: v[0] <= 0.0
+        a = Halfspace((1.0, 0.0), 0.0)
+        # v[0] <= 0.0: -v[0] is above the largest float below zero
+        b = Halfspace((-1.0, 0.0), -math.ulp(0.0))
         assert spectral_mass(est, a) + spectral_mass(est, b) == 1.0
 
     def test_cdf_examples(self):
@@ -168,14 +169,14 @@ class TestSpectral:
 
     def test_ci_frozen_oracle(self):
         atoms = np.array([[1.0, 0.0]] * 50 + [[-1.0, 0.0]] * 50)
-        ci = spectral_ci(SpectralEstimate(atoms), lambda v: v[0] > 0, 0.95)
+        ci = spectral_ci(SpectralEstimate(atoms), Halfspace((1.0, 0.0), 0.0), 0.95)
         assert ci.lo == pytest.approx(0.4020018007729973, abs=1e-8)
         assert ci.hi == pytest.approx(0.5979981992270027, abs=1e-8)
 
     def test_ci_degenerate(self):
         est = SpectralEstimate(np.array([[1.0, 0.0], [1.0, 0.0]]))
         with pytest.raises(DegenerateProportion):
-            spectral_ci(est, lambda v: v[0] > 0)
+            spectral_ci(est, Halfspace((1.0, 0.0), 0.0))
 
     def test_rho_examples(self):
         all_pos = SpectralEstimate(np.ones((5, 1)))

@@ -22,7 +22,7 @@ from tailspec.experiments import (
     run_r_sweep,
 )
 from tailspec.simulation import SeededRng
-from tailspec.types import ModelSpec
+from tailspec.types import Halfspace, ModelSpec
 
 
 def polar_model(alpha=1.0, total=1.0):
@@ -130,7 +130,7 @@ class TestCoverage:
 
     def test_spectral_truth_from_model(self):
         res = run_ci_coverage(polar_model(), 2000, 0.5, "spectral", 0.95, 20,
-                              SeededRng(44), region=lambda v: v[0] > 0.5)
+                              SeededRng(44), region=Halfspace((1.0, 0.0), 0.5))
         assert res.truth == pytest.approx(0.6)
         assert 0.5 <= res.coverage <= 1.0
 

@@ -1,6 +1,6 @@
 """Vectorized CSV I/O and region masks against the per-line and per-atom code
 they replace: read_csv against the line-by-line float() reader, Arc.mask and
-Halfspace.mask against their scalar predicates, write_csv against the
+Halfspace.mask against their rules written out, write_csv against the
 per-value f-string writer, and pickle round-trips of regions and densities."""
 
 import builtins
@@ -434,8 +434,28 @@ def near(x):
             x, np.nextafter(x, np.inf), np.nextafter(np.nextafter(x, np.inf), np.inf)]
 
 
+def ltr_dot(v, u):
+    """v_1 u_1 + ... + v_d u_d in Python floats, left to right."""
+    acc = 0.0
+    for x, w in zip(v, u):
+        acc = acc + x * w
+    return acc
+
+
+def reference_mask(region, atoms):
+    """The README's membership rules written out: an arc reads the angle
+    np.mod(np.arctan2(y, x), 2*pi), as perfbench/inputs.py does; a halfspace
+    compares the left-to-right sum of v_i u_i with c, one row at a time."""
+    if isinstance(region, Arc):
+        a = np.mod(np.arctan2(atoms[:, 1], atoms[:, 0]), 2 * math.pi)
+        if region.start <= region.end:
+            return (region.start <= a) & (a < region.end)
+        return (a >= region.start) | (a < region.end)
+    return np.array([ltr_dot(v, region.u) > region.c for v in atoms.tolist()], dtype=bool)
+
+
 def assert_mask_matches_scalar(region, atoms):
-    want = np.array([region(v) for v in atoms], dtype=bool)
+    want = reference_mask(region, atoms)
     got = region.mask(atoms)
     assert got.dtype == bool and got.shape == (len(atoms),)
     bad = np.flatnonzero(got != want)
@@ -459,7 +479,7 @@ def test_arc_mask_matches_scalar(start, end):
 
 
 def test_arc_ends_on_atom_angles():
-    # ends exactly on atom angles as the scalar rule computes them, chosen
+    # ends exactly on atom angles as libm's atan2 computes them, chosen
     # where numpy's arctan2 rounds those angles differently, if it does here
     g = np.random.default_rng(12)
     atoms = unit_rows(g, 2000, 2)
@@ -486,9 +506,9 @@ def test_halfspace_mask_matches_scalar(d):
     g = np.random.default_rng(20 + d)
     atoms = unit_rows(g, 4000, d)
     for u in (unit_rows(g, 1, d)[0], g.standard_normal(d) * 3.0, np.eye(d)[0]):
-        # atoms exactly on the boundary as the scalar rule computes it, and
-        # thresholds one and two ulps to either side
-        for c in near(float(np.dot(atoms[0], u))) + [0.0, 0.5, -2.0]:
+        # atoms exactly on the boundary as the left-to-right sum computes it,
+        # and thresholds one and two ulps to either side
+        for c in near(ltr_dot(atoms[0].tolist(), u.tolist())) + [0.0, 0.5, -2.0]:
             assert_mask_matches_scalar(Halfspace(tuple(u), c), atoms)
 
 
@@ -498,7 +518,7 @@ def test_region_matches_on_an_estimate():
     g = np.random.default_rng(4)
     est = SpectralEstimate(np.vstack([unit_rows(g, 3000, 2), [[1.0, 0.0], [0.0, 1.0]]]))
     for region in (Arc(0.0, math.pi / 2), Halfspace((1.0, 0.0), 0.0)):
-        hits = sum(1 for atom in est.atoms if region(atom))
+        hits = int(reference_mask(region, est.atoms).sum())
         assert estimators.spectral_mass(est, region) == hits / est.n
 
 

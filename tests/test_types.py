@@ -14,8 +14,10 @@ from tailspec.errors import (
 )
 from tailspec.grouping import summarize_groups
 from tailspec.types import (
+    Arc,
     DataMatrix,
     GroupScheme,
+    Halfspace,
     Interval,
     ModelSpec,
     SpectralEstimate,
@@ -166,12 +168,11 @@ class TestModelSpec:
                       atoms=[[1.0, 0.0], [0.0, 1.0]], weights=[1.2, 0.8])
         assert m.spectral_cdf([0.0])[0] == pytest.approx(0.6)
         assert m.spectral_cdf([math.pi / 2])[0] == pytest.approx(1.0)
-        assert m.normalized_mass(lambda v: v[0] > 0.5) == pytest.approx(0.6)
+        assert m.normalized_mass(Halfspace((1.0, 0.0), 0.5)) == pytest.approx(0.6)
 
     def test_normalized_mass_density(self):
         m = ModelSpec(alpha=0.75, total_mass=1.0, density="abscos2t")
-        quad = m.normalized_mass(
-            lambda v: math.atan2(v[1], v[0]) % (2 * math.pi) < math.pi / 2)
+        quad = m.normalized_mass(Arc(0.0, math.pi / 2))
         assert quad == pytest.approx(0.25, abs=1e-4)
 
     def test_beta_must_exceed_alpha(self):
