@@ -11,6 +11,7 @@ from .estimators import (
     TotalMassEstimate,
     alpha_ci,
     estimate_alpha,
+    estimate_report,
     estimate_spectral,
     estimate_total_mass,
     rho_1d,
@@ -68,6 +69,7 @@ __all__ = [
     "default_t",
     "discretize_angular_density",
     "estimate_alpha",
+    "estimate_report",
     "estimate_spectral",
     "estimate_total_mass",
     "gamma_fn",

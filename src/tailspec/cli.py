@@ -1,7 +1,8 @@
 """Command-line front end: estimate / simulate / sweep / coverage / ecdf.
 
 Exit codes: 0 success, 2 usage error, 3 data error (missing or malformed
-input), 4 numeric or degeneracy error from the pipeline.
+input), 4 numeric or degeneracy error from the pipeline.  Usage errors come
+before any estimate.
 """
 
 from __future__ import annotations
@@ -18,22 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, estimators, experiments, grouping, tuning
-from .errors import (
-    CsvParseError,
-    EmptySample,
-    EstimationWarning,
-    InvalidModel,
-    NonFiniteEntry,
-    TailspecError,
-    ZeroVariance,
-)
+from . import __version__, estimators, experiments, tuning
+from .errors import CsvParseError, EmptySample, InvalidModel, NonFiniteEntry, TailspecError
 from .simulation import SeededRng
 from .types import (Arc, DataMatrix, Halfspace, ModelSpec, Region, density_shape,
                     validate_data)
 
 SCHEMA = "tailspec/1"
-_CDF_GRID = 128  # angles reported by `estimate` for d=2 input
 # rows formatted per write by write_csv; a small block keeps the Python row
 # lists and strings it builds (about 200 bytes a row) out of peak memory
 _WRITE_CHUNK = 1 << 10
@@ -130,20 +122,6 @@ def write_csv(path: str | Path, values: np.ndarray) -> None:
 
 
 # ------------------------------------------------------------- JSON plumbing
-
-
-def _interval_doc(ci) -> dict:
-    return {"lo": ci.lo, "hi": ci.hi, "level": ci.level}
-
-
-def _ci_doc(name: str, interval, est, level: float, notes: list[str]):
-    """interval(est, level) as a JSON object, or None with a warning naming
-    the interval when its plug-in variance is zero or there is one group."""
-    try:
-        return _interval_doc(interval(est, level))
-    except (ZeroVariance, EmptySample) as e:
-        notes.append(f"{name} ci is null: {e}")
-        return None
 
 
 def _doc(args, **fields) -> dict:
@@ -334,71 +312,14 @@ def cmd_estimate(args) -> dict:
         g = SeededRng(args.seed, stream=0xD47A).generator()
         data = DataMatrix(data.values[g.permutation(data.rows)])
     r = _resolve_r(args, "alpha", args.alpha, args.beta)
-
-    captured: list[str] = []
-    with warnings.catch_warnings(record=True) as wlist:
-        warnings.simplefilter("always", EstimationWarning)
-        scheme = grouping.plan_grouping(data.rows, r)
-        stats = grouping.summarize_groups(data, scheme)
-        alpha_est = estimators.estimate_alpha(stats)
-        spectral = estimators.estimate_spectral(stats)
-
-        alpha_used = args.alpha if args.alpha is not None else alpha_est.alpha_hat
-        alpha_mode = "fixed" if args.alpha is not None else "plugin"
-        if args.t == "auto":
-            t = tuning.auto_t(alpha_used, r, args.beta)
-        else:
-            try:
-                t = float(args.t)
-            except ValueError:
-                raise CliUsage(f"--t must be a number or 'auto', got {args.t!r}")
-        mass_est = estimators.estimate_total_mass(stats, scheme.m, alpha_used, t)
-        captured.extend(str(w.message) for w in wlist
-                        if issubclass(w.category, EstimationWarning))
-
-    undefined: list[str] = []
-    doc = _doc(
-        args,
-        input={"path": str(args.input), "N": data.rows, "d": data.dim},
-        scheme={"r": r, "n": scheme.n, "m": scheme.m, "discarded": scheme.discarded},
-        alpha={
-            "hat": alpha_est.alpha_hat,
-            "s_n": alpha_est.s_n,
-            "kappa_var": alpha_est.kappa_var,
-            "ci": _ci_doc("alpha", estimators.alpha_ci, alpha_est, args.level,
-                          undefined),
-        },
-        mass={
-            "hat": mass_est.mass_hat,
-            "t": t,
-            "alpha_used": alpha_used,
-            "alpha_mode": alpha_mode,
-            "mean_qt": mass_est.mean_qt,
-            "ci": _ci_doc("mass", estimators.total_mass_ci, mass_est, args.level,
-                          undefined),
-        },
-        spectral={},
-        warnings=captured + undefined,
-    )
-    if alpha_mode == "plugin":
-        doc["warnings"].append("mass estimate uses plug-in alpha_hat")
-
-    regions = []
-    for spec_text in args.region or []:
-        mass = estimators.spectral_mass(spectral, parse_region(spec_text, data.dim))
-        entry = {"spec": spec_text, "mass": mass}
-        if 0.0 < mass < 1.0:
-            entry["ci"] = _interval_doc(estimators._proportion_ci(mass, spectral.n, args.level))
-        regions.append(entry)
-    doc["spectral"]["regions"] = regions
-    if data.dim == 1:
-        doc["spectral"]["rho"] = estimators.rho_1d(spectral)
-    if data.dim == 2:
-        angles = np.linspace(0.0, 2.0 * math.pi, _CDF_GRID + 1)[1:]
-        doc["spectral"]["cdf"] = [
-            [a, v] for a, v in estimators.spectral_cdf_2d(spectral, angles)
-        ]
-    return doc
+    try:
+        t = None if args.t == "auto" else float(args.t)
+    except ValueError:
+        raise CliUsage(f"--t must be a number or 'auto', got {args.t!r}")
+    regions = [(text, parse_region(text, data.dim)) for text in args.region or ()]
+    return _doc(args, input={"path": str(args.input), "N": data.rows, "d": data.dim},
+                **estimators.estimate_report(data, r, args.alpha, t, args.beta,
+                                             regions, args.level))
 
 
 def cmd_simulate(args) -> dict:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import warnings
+from contextlib import contextmanager
+
 
 class TailspecError(Exception):
     """Base class for all errors raised by this package."""
@@ -93,3 +96,14 @@ class CsvParseError(TailspecError):
 
 class EstimationWarning(UserWarning):
     """Non-fatal degeneracy encountered while estimating (result still returned)."""
+
+
+@contextmanager
+def recorded_warnings():
+    """Yield a list that gets, when the block ends, the text of each
+    EstimationWarning raised in it; no warning raised in it is shown."""
+    texts: list[str] = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", EstimationWarning)
+        yield texts
+    texts.extend(str(w.message) for w in caught if issubclass(w.category, EstimationWarning))

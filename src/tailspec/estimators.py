@@ -1,22 +1,24 @@
 """Tail-index, spectral-measure and total-mass estimators with normal CIs.
 
-Everything here consumes the per-group statistics produced by
+Each estimator consumes the per-group statistics produced by
 ``grouping.summarize_groups``, one GroupStats of columns.  Confidence
 intervals are built by studentizing the underlying mean statistic (ratio of
 maxima, indicator mean, or mean of q^t) and mapping the resulting interval
 endpoint-wise through the monotone transform that defines the estimator, so
-interval order and coverage survive the mapping.
+interval order and coverage survive the mapping.  estimate_report runs them
+all on one sample and returns the body of the ``estimate`` document.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import grouping, tuning
 from .errors import (
     AllKappaOne,
     DegenerateProportion,
@@ -27,9 +29,12 @@ from .errors import (
     InvalidAlpha,
     InvalidT,
     ZeroVariance,
+    recorded_warnings,
 )
 from .numerics import gamma_fn, normal_quantile
-from .types import GroupStats, Interval, Region, SpectralEstimate
+from .types import DataMatrix, GroupStats, Interval, Region, SpectralEstimate
+
+_CDF_GRID = 128  # angles of the d=2 cdf in an estimate report
 
 
 def _wald(point: float, variance: float, n: int, level: float) -> tuple[float, float]:
@@ -214,3 +219,66 @@ def total_mass_ci(est: TotalMassEstimate, level: float = 0.95) -> Interval:
     lo = 0.0 if a_lo <= 0.0 else (a_lo / g) ** expo
     hi = (a_hi / g) ** expo
     return Interval(lo=lo, hi=hi, level=level)
+
+
+def estimate_report(data: DataMatrix, r: float, alpha: float | None = None,
+                    t: float | None = None, beta: float | None = None,
+                    regions: Sequence[tuple[str, Region]] = (),
+                    level: float = 0.95) -> dict:
+    """The ``scheme``, ``alpha``, ``mass``, ``spectral`` and ``warnings``
+    entries of the ``estimate`` document for a sample grouped at exponent r.
+
+    alpha=None plugs in alpha_hat, t=None takes tuning.auto_t(alpha, r,
+    beta), and regions are (spec text, Arc or Halfspace) pairs.  An
+    undefined interval, and the mass interval with a plug-in alpha, is
+    None, with a warning ``"<alpha|mass> ci is null: <reason>"``.
+    """
+    with recorded_warnings() as notes:
+        scheme = grouping.plan_grouping(data.rows, r)
+        stats = grouping.summarize_groups(data, scheme)
+        alpha_est = estimate_alpha(stats)
+        spectral = estimate_spectral(stats)
+        alpha_used = alpha_est.alpha_hat if alpha is None else alpha
+        if t is None:
+            t = tuning.auto_t(alpha_used, r, beta)
+        mass_est = estimate_total_mass(stats, scheme.m, alpha_used, t)
+
+    def ci(name, interval, est):
+        try:
+            c = interval(est, level)
+        except (ZeroVariance, EmptySample) as e:
+            notes.append(f"{name} ci is null: {e}")
+            return None
+        return asdict(c)
+
+    alpha_doc = {"hat": alpha_est.alpha_hat, "s_n": alpha_est.s_n,
+                 "kappa_var": alpha_est.kappa_var, "ci": ci("alpha", alpha_ci, alpha_est)}
+    mass_ci = ci("mass", total_mass_ci, mass_est)
+    if alpha is None:
+        if mass_ci is not None:
+            mass_ci = None
+            notes.append("mass ci is null: alpha is the plug-in alpha_hat, and an "
+                         "interval that treats it as known does not hold its level")
+        notes.append("mass estimate uses plug-in alpha_hat")
+
+    entries = []
+    for spec, region in regions:
+        entry = {"spec": spec, "mass": spectral_mass(spectral, region)}
+        if 0.0 < entry["mass"] < 1.0:
+            entry["ci"] = asdict(_proportion_ci(entry["mass"], spectral.n, level))
+        entries.append(entry)
+    spectral_doc = {"regions": entries}
+    if data.dim == 1:
+        spectral_doc["rho"] = rho_1d(spectral)
+    if data.dim == 2:
+        angles = np.linspace(0.0, 2.0 * math.pi, _CDF_GRID + 1)[1:]
+        spectral_doc["cdf"] = [[a, v] for a, v in spectral_cdf_2d(spectral, angles)]
+    return {
+        "scheme": {"r": r, "n": scheme.n, "m": scheme.m, "discarded": scheme.discarded},
+        "alpha": alpha_doc,
+        "mass": {"hat": mass_est.mass_hat, "t": t, "alpha_used": alpha_used,
+                 "alpha_mode": "plugin" if alpha is None else "fixed",
+                 "mean_qt": mass_est.mean_qt, "ci": mass_ci},
+        "spectral": spectral_doc,
+        "warnings": notes,
+    }

@@ -22,6 +22,7 @@ from .errors import (
     EstimationWarning,
     GroupTooSmall,
     InvalidModel,
+    recorded_warnings,
 )
 from .simulation import (
     SeededRng,
@@ -221,8 +222,7 @@ def _coverage_rep(model, N, r, kind, level, sampler, n_atoms, region, truth, t,
                   rep_rng) -> tuple[bool, list[str]]:
     """Whether one replication's CI contains the truth, and the texts of the
     EstimationWarnings it raised, which it keeps off stderr."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", EstimationWarning)
+    with recorded_warnings() as notes:
         data = draw_sample(model, N, rep_rng, sampler, n_atoms)
         scheme = grouping.plan_grouping(N, r)
         stats = grouping.summarize_groups(data, scheme)
@@ -234,11 +234,7 @@ def _coverage_rep(model, N, r, kind, level, sampler, n_atoms, region, truth, t,
         else:
             tm = estimators.estimate_total_mass(stats, scheme.m, model.alpha, t)
             ci = estimators.total_mass_ci(tm, level)
-    return ci.contains(truth), _warning_texts(caught)
-
-
-def _warning_texts(caught) -> list[str]:
-    return [str(w.message) for w in caught if issubclass(w.category, EstimationWarning)]
+    return ci.contains(truth), notes
 
 
 def run_ci_coverage(model: ModelSpec, N: int, r: float | None, kind: str,
@@ -271,10 +267,8 @@ def run_ci_coverage(model: ModelSpec, N: int, r: float | None, kind: str,
         r = tuning.auto_r(kind, model.alpha, model.beta)
     t, notes = None, []
     if kind == "mass":  # t depends on alpha, r and beta only: its note comes once
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", EstimationWarning)
+        with recorded_warnings() as notes:
             t = tuning.auto_t(model.alpha, r, model.beta)
-        notes = _warning_texts(caught)
     rngs = [rng.split(_EXP_COVERAGE, _COVERAGE_KIND_IDS[kind], rep) for rep in range(reps)]
     results = _run_reps(partial(_coverage_rep, model, N, r, kind, level, sampler, n_atoms,
                                 region, truth, t), rngs, workers)

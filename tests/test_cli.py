@@ -219,6 +219,44 @@ class TestEstimateCommand:
         ]
         assert err == ""
 
+    def test_plugin_mass_ci_is_null(self, tmp_path, capsys):
+        # a mass interval that treats alpha_hat as known does not hold its
+        # level, so only a fixed --alpha gets one
+        p = tmp_path / "in.csv"
+        write_csv(p, np.random.default_rng(5).standard_cauchy((2000, 2)))
+        docs = []
+        for alpha in ([], ["--alpha", "1"]):
+            assert main(["estimate", "--input", str(p), "--r", "0.5", *alpha]) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        plugin, fixed = docs
+        assert plugin["mass"]["ci"] is None
+        assert [w for w in plugin["warnings"] if "ci is null" in w] == [
+            "mass ci is null: alpha is the plug-in alpha_hat, and an interval that "
+            "treats it as known does not hold its level",
+        ]
+        ci = fixed["mass"]["ci"]
+        assert list(ci) == ["lo", "hi", "level"] and ci["level"] == 0.95
+        assert ci["lo"] < fixed["mass"]["hat"] < ci["hi"]
+        assert not [w for w in fixed["warnings"] if "ci is null" in w]
+
+    def test_shuffle_is_the_seeded_permutation(self, tmp_path, capsys):
+        # rows sorted by norm put the largest norms of a group side by side
+        values = np.random.default_rng(6).standard_cauchy((2000, 2))
+        values = values[np.argsort(np.hypot(values[:, 0], values[:, 1]), kind="stable")]
+        p = tmp_path / "sorted.csv"
+        write_csv(p, values)
+        docs = []
+        for shuffle in (["--shuffle", "--seed", "11"], ["--shuffle", "--seed", "11"], []):
+            assert main(["estimate", "--input", str(p), "--r", "0.5", "--alpha", "1",
+                         *shuffle]) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        perm = SeededRng(11, stream=0xD47A).generator().permutation(2000)
+        want = tailspec.estimate_report(tailspec.DataMatrix(values[perm]), 0.5, alpha=1.0)
+        assert docs[0]["input"] == {"path": str(p), "N": 2000, "d": 2}
+        assert {k: docs[0][k] for k in want} == json.loads(json.dumps(want))
+        assert docs[1] == docs[0]
+        assert docs[2]["alpha"]["hat"] != docs[0]["alpha"]["hat"]
+
     def test_consistency_warning_listed_once(self, tmp_path, capsys):
         p = tmp_path / "in.csv"
         write_csv(p, np.random.default_rng(5).standard_cauchy((2000, 2)))
