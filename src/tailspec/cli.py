@@ -490,6 +490,8 @@ def main(argv=None) -> int:
             raise CliUsage(f"--grid-size must be at least 2, got {args.grid_size}")
         if not 0.0 < getattr(args, "level", 0.5) < 1.0:
             raise CliUsage(f"--level={args.level} outside (0,1)")
+        if 0.5 + getattr(args, "level", 0.5) / 2.0 >= 1.0:  # the quantile _wald reads
+            raise CliUsage(f"--level={args.level} too close to 1: 0.5 + level/2 rounds to 1")
         if getattr(args, "epsilon", None) is not None:
             if args.r != "auto":
                 raise CliUsage(f"{args.command} reads --epsilon only with --r auto")

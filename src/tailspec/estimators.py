@@ -162,10 +162,10 @@ class TotalMassEstimate:
     n: int
 
 
-def estimate_total_mass(stats: GroupStats, m: int, alpha: float,
-                        t: float) -> TotalMassEstimate:
+def estimate_total_mass(stats: GroupStats, alpha: float, t: float) -> TotalMassEstimate:
     """mass_hat = (mean of q^t / Gamma(1 - t/alpha)) ^ (alpha/t).
 
+    The group size m in q = M1/m^(1/alpha) is the width of stats.norms.
     Requires 0 < t < alpha/2 so both Gamma(1 - t/alpha) and the variance term
     Gamma(1 - 2t/alpha) are finite, and 1 - t/alpha < 1 in float64: for a
     smaller t, q^t and the Gamma factor round to 1 and say nothing of the
@@ -179,11 +179,10 @@ def estimate_total_mass(stats: GroupStats, m: int, alpha: float,
         raise InvalidT(f"t={t} outside (0, alpha/2) = (0, {alpha / 2.0})")
     if 1.0 - t / alpha == 1.0:  # Gamma(1 - t/alpha) would be exactly 1
         raise InvalidT(f"t={t} is too small: 1 - t/alpha rounds to 1 (alpha={alpha})")
+    n, m = stats.norms.shape
     if m < 2:
         raise GroupTooSmall(f"total mass needs m >= 2, got {m}")
-    m1 = stats.m1
-    n = m1.size
-    qt = m1 / m ** (1.0 / alpha)  # q, raised to the power t in place
+    qt = stats.m1 / m ** (1.0 / alpha)  # q, raised to the power t in place
     qt **= t
     mean_qt = float(qt.mean())
     if not math.isfinite(mean_qt):
@@ -241,7 +240,7 @@ def estimate_report(data: DataMatrix, r: float, alpha: float | None = None,
         alpha_used = alpha_est.alpha_hat if alpha is None else alpha
         if t is None:
             t = tuning.auto_t(alpha_used, r, beta)
-        mass_est = estimate_total_mass(stats, scheme.m, alpha_used, t)
+        mass_est = estimate_total_mass(stats, alpha_used, t)
 
     def ci(name, interval, est):
         try:

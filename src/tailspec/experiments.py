@@ -115,8 +115,7 @@ def _estimate_target(data: DataMatrix, r: float, target: str,
             return estimators.rho_1d(estimators.estimate_spectral(stats))
         if target == "mass":
             t = tuning.auto_t(model.alpha, r, model.beta)
-            return estimators.estimate_total_mass(stats, scheme.m,
-                                                  model.alpha, t).mass_hat
+            return estimators.estimate_total_mass(stats, model.alpha, t).mass_hat
     raise ValueError(f"unknown target {target!r}")
 
 
@@ -232,21 +231,20 @@ def _coverage_rep(model, N, r, kind, level, sampler, n_atoms, region, truth, t,
             est = estimators.estimate_spectral(stats)
             ci = estimators.spectral_ci(est, region, level)
         else:
-            tm = estimators.estimate_total_mass(stats, scheme.m, model.alpha, t)
+            tm = estimators.estimate_total_mass(stats, model.alpha, t)
             ci = estimators.total_mass_ci(tm, level)
     return ci.contains(truth), notes
 
 
-def run_ci_coverage(model: ModelSpec, N: int, r: float | None, kind: str,
+def run_ci_coverage(model: ModelSpec, N: int, r: float, kind: str,
                     level: float, reps: int, rng: SeededRng,
                     sampler: str = "polar", region: Region | None = None,
                     n_atoms: int = DEFAULT_STABLE_ATOMS,
                     workers: int = 1) -> CoverageResult:
     """Fraction of replications whose CI contains the model truth.
 
-    kind is alpha, spectral (needs a region) or mass.  r=None selects the
-    kind's exponent from the model's alpha and beta (tuning.auto_r).  The
-    mass CI uses the model's alpha and the t of tuning.auto_t.  The
+    kind is alpha, spectral (needs a region) or mass, at grouping exponent
+    r.  The mass CI uses the model's alpha and the t of tuning.auto_t.  The
     EstimationWarnings of the run are not raised: the result lists each
     text once, in the order first seen.  With workers > 1 the model and the
     region, an Arc or a Halfspace, are pickled into the workers.
@@ -263,8 +261,6 @@ def run_ci_coverage(model: ModelSpec, N: int, r: float | None, kind: str,
         truth = model.alpha
     else:
         truth = model.total_mass
-    if r is None:
-        r = tuning.auto_r(kind, model.alpha, model.beta)
     t, notes = None, []
     if kind == "mass":  # t depends on alpha, r and beta only: its note comes once
         with recorded_warnings() as notes:

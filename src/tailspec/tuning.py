@@ -30,9 +30,9 @@ def _rate_r(alpha: float, beta: float, epsilon: float, zeta_cap: float) -> float
     _check_eps(epsilon)
     if not (alpha > 0.0 and beta > alpha):  # NaN fails too
         raise InvalidSecondOrder(f"need beta > alpha > 0, got alpha={alpha}, beta={beta}")
-    if math.isinf(beta) and math.isinf(zeta_cap):
-        return 1.0 - epsilon  # the limit zeta -> inf
     zeta = min((beta - alpha) / alpha, zeta_cap)
+    if math.isinf(2.0 * zeta):
+        return 1.0 - epsilon  # the limit zeta -> inf, where inf/inf would give NaN
     r = min(2.0 * zeta / (1.0 + 2.0 * zeta) - epsilon, 1.0 - epsilon)
     if r <= 0.0:
         raise InvalidSecondOrder(

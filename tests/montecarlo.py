@@ -129,14 +129,14 @@ def example2_replication(seed: int, rep: int):
     alpha_est = estimators.estimate_alpha(summaries)
     a_ci = estimators.alpha_ci(alpha_est, 0.95)
     t = tuning.default_t(model.alpha, 0.5)
-    mass_est = estimators.estimate_total_mass(summaries, scheme.m, model.alpha, t)
+    mass_est = estimators.estimate_total_mass(summaries, model.alpha, t)
     m_ci = estimators.total_mass_ci(mass_est, 0.95)
     # plug-in variant reported alongside (not part of the tolerance checks)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EstimationWarning)
         t_plug = tuning.default_t(alpha_est.alpha_hat, 0.5)
         plug = estimators.estimate_total_mass(
-            summaries, scheme.m, alpha_est.alpha_hat, t_plug).mass_hat
+            summaries, alpha_est.alpha_hat, t_plug).mass_hat
     return (alpha_est.alpha_hat, a_ci.halfwidth, mass_est.mass_hat,
             m_ci.halfwidth, plug)
 

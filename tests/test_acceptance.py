@@ -168,8 +168,7 @@ def test_criterion_4_polar_ground_truth():
     summaries = grouping.summarize_groups(data, scheme)
     alpha_hat = estimators.estimate_alpha(summaries).alpha_hat
     t = tuning.default_t(model.alpha, 0.5)
-    mass_hat = estimators.estimate_total_mass(
-        summaries, scheme.m, model.alpha, t).mass_hat
+    mass_hat = estimators.estimate_total_mass(summaries, model.alpha, t).mass_hat
     spectral = estimators.estimate_spectral(summaries)
     frac_e1 = estimators.spectral_mass(spectral, Halfspace((1.0, -1.0), 0.0))
     frac_e2 = 1.0 - frac_e1
@@ -192,7 +191,8 @@ def test_criterion_5_ci_coverage():
     results = {}
     for kind, region in (("alpha", None), ("spectral", quadrant),
                          ("mass", None)):
-        res = run_ci_coverage(model, 20000, None, kind, 0.95, 200, master,
+        res = run_ci_coverage(model, 20000, tuning.auto_r(kind, model.alpha, model.beta),
+                              kind, 0.95, 200, master,
                               sampler="polar", region=region)
         results[kind] = res.coverage
     ok = all(0.90 <= c <= 0.99 for c in results.values())
@@ -228,8 +228,8 @@ def test_criterion_7_exact_identities():
 
     # total-mass scaling: mass(4 x data) = 4^alpha mass(data), alpha = 0.5
     alpha_fixed, t = 0.5, 0.1
-    m_base = estimators.estimate_total_mass(base, scheme.m, alpha_fixed, t)
-    m_scaled = estimators.estimate_total_mass(scaled, scheme.m, alpha_fixed, t)
+    m_base = estimators.estimate_total_mass(base, alpha_fixed, t)
+    m_scaled = estimators.estimate_total_mass(scaled, alpha_fixed, t)
     scale_rel = abs(m_scaled.mass_hat / m_base.mass_hat - 2.0) / 2.0
     mass_scaling_ok = scale_rel <= 1e-12
 

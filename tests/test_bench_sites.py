@@ -49,9 +49,14 @@ def test_estimate_csv_sites(bench, tmp_path):
     assert argv.count("--region") == 2  # one arc and one halfspace
     rc, called = _traced(spans, lambda: cli.main(argv))
     assert rc == 0
-    # spectral_mass too: its counter reads the argument named est
-    assert {"tuning.default_t", "estimators.estimate_total_mass", "cli.read_csv",
-            "grouping.summarize_groups", "estimators.spectral_mass"} <= called
+    # spectral_mass's counter reads the argument named est
+    assert {"cli.main", "cli.parse_region", "cli.read_csv", "types.validate_data",
+            "grouping.plan_grouping", "grouping.summarize_groups",
+            "estimators.estimate_alpha", "estimators.alpha_ci",
+            "estimators.estimate_spectral", "estimators.spectral_mass",
+            "estimators.spectral_cdf_2d", "estimators.estimate_total_mass",
+            "estimators.total_mass_ci", "numerics.gamma_fn", "numerics.normal_quantile",
+            "tuning.default_t"} <= called
 
 
 @pytest.mark.parametrize("rows", [4000, 2 * 10**4])
@@ -80,7 +85,10 @@ def test_r_sweep_sites(bench):
     res, called = _traced(spans, lambda: experiments.run_r_sweep(
         model, 2000, grid, 1, "rho", SeededRng(1), sampler=sampler, workers=1))
     assert res.mean.shape == (len(grid),)
-    assert {"grouping.summarize_groups", "estimators.rho_1d"} <= called
+    assert {"experiments.run_r_sweep", "experiments.draw_sample",
+            "simulation.sample_stable_1d", "grouping.plan_grouping",
+            "grouping.summarize_groups", "estimators.estimate_spectral",
+            "estimators.rho_1d", "numerics.gamma_fn"} <= called
 
 
 def test_simulate_stable_sites(bench, tmp_path):
@@ -89,5 +97,6 @@ def test_simulate_stable_sites(bench, tmp_path):
             "--seed", "1", "--out", str(tmp_path / "x.csv")]
     rc, called = _traced(spans, lambda: cli.main(argv))
     assert rc == 0
-    assert {"simulation.sample_stable_vector", "cli.write_csv",
-            "simulation.discretize_angular_density", "experiments.draw_sample"} <= called
+    assert {"cli.main", "cli.parse_model", "cli.write_csv", "experiments.draw_sample",
+            "simulation.discretize_angular_density", "simulation.sample_stable_vector",
+            "numerics.gamma_fn"} <= called

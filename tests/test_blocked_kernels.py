@@ -139,7 +139,7 @@ def test_estimate_path_scratch_is_bounded():
             kept = [stats,
                     estimators.estimate_alpha(stats),
                     spectral := estimators.estimate_spectral(stats),
-                    estimators.estimate_total_mass(stats, scheme.m, 0.75, 0.08),
+                    estimators.estimate_total_mass(stats, 0.75, 0.08),
                     estimators.spectral_cdf_2d(spectral, np.linspace(0.1, 6.2, 128)),
                     arc.mask(spectral.atoms),
                     half.mask(spectral.atoms)]

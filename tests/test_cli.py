@@ -149,8 +149,7 @@ class TestEstimateCommand:
         summaries = grouping.summarize_groups(data, scheme)
         alpha = estimators.estimate_alpha(summaries)
         t = tuning.default_t(alpha.alpha_hat, 0.4)
-        mass = estimators.estimate_total_mass(summaries, scheme.m,
-                                              alpha.alpha_hat, t)
+        mass = estimators.estimate_total_mass(summaries, alpha.alpha_hat, t)
         assert doc["alpha"]["hat"] == alpha.alpha_hat
         assert doc["mass"]["hat"] == mass.mass_hat
         assert doc["mass"]["t"] == t
@@ -590,6 +589,12 @@ class TestBadInputsWithoutTraceback:
           "--grid", "nan"], "error[usage]: --grid=nan outside (0,1)"),
         (["sweep", "--model", STABLE_1D, "--n", "200", "--seed", "1", "--target", "rho",
           "--grid", "0.5,1.5"], "error[usage]: --grid=1.5 outside (0,1)"),
+        (["estimate", "--input", "six.csv", "--r", "0.9", "--alpha", "0.75",
+          "--level", "0.9999999999999999"],
+         "error[usage]: --level=0.9999999999999999 too close to 1"),
+        (["coverage", "--model", STABLE_1D, "--n", "50", "--seed", "1", "--kind", "alpha",
+          "--level", "0.9999999999999999"],
+         "error[usage]: --level=0.9999999999999999 too close to 1"),
     ])
     def test_flag_out_of_range_exit_2(self, six_row_csv, capsys, argv, message):
         argv = [str(six_row_csv) if a == "six.csv" else a for a in argv]
@@ -963,7 +968,7 @@ class TestExperimentCommands:
             data = experiments.draw_sample(spec, 5000, rng)
             scheme = grouping.plan_grouping(5000, r)
             tm = estimators.estimate_total_mass(grouping.summarize_groups(data, scheme),
-                                                scheme.m, spec.alpha, t)
+                                                spec.alpha, t)
             hits += estimators.total_mass_ci(tm, 0.95).contains(1.0)
         assert (doc["hits"], doc["coverage"]) == (hits, hits / 3)
 

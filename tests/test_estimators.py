@@ -45,12 +45,15 @@ def summaries_from_kappas(kappas, theta=None):
                       argmax=np.zeros(n, dtype=np.intp))
 
 
-def summaries_from_m1(m1s, dim=1):
+def summaries_from_m1(m1s, dim=1, m=2):
+    """Groups of m rows: norm m1 in the first, m1/2 in the other m - 1."""
     vec = np.zeros(dim)
     vec[0] = 1.0
     m1 = np.array(m1s, dtype=float)
     n = m1.size
-    return GroupStats(m1=m1, norms=np.c_[m1, m1 / 2],
+    norms = np.repeat(m1[:, None] / 2, m, axis=1)
+    norms[:, 0] = m1
+    return GroupStats(m1=m1, norms=norms,
                       theta=np.tile(vec, (n, 1)), argmax=np.zeros(n, dtype=np.intp))
 
 
@@ -196,7 +199,7 @@ class TestTotalMass:
         m1 = g ** (1.0 / t) * m ** (1.0 / alpha)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EstimationWarning)
-            est = estimate_total_mass(summaries_from_m1([m1] * 8), m, alpha, t)
+            est = estimate_total_mass(summaries_from_m1([m1] * 8, m=m), alpha, t)
         assert est.mass_hat == pytest.approx(1.0, rel=1e-12)
 
     def test_mass_hat_matches_invariant(self):
@@ -204,7 +207,7 @@ class TestTotalMass:
         m1s = 1.0 + rng.random(50) * 5
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EstimationWarning)
-            est = estimate_total_mass(summaries_from_m1(m1s), 1000, 1.5, 0.3)
+            est = estimate_total_mass(summaries_from_m1(m1s, m=1000), 1.5, 0.3)
         recomputed = (est.mean_qt / gamma_fn(1 - est.t / est.alpha_used)) ** (
             est.alpha_used / est.t)
         assert est.mass_hat == pytest.approx(recomputed, rel=1e-14)
@@ -213,30 +216,30 @@ class TestTotalMass:
         rng = np.random.Generator(np.random.Philox(key=np.array([14, 0], np.uint64)))
         m1s = 1.0 + rng.random(64) * 9
         alpha, t, m = 0.5, 0.1, 256
-        a = estimate_total_mass(summaries_from_m1(m1s), m, alpha, t)
-        b = estimate_total_mass(summaries_from_m1(4.0 * m1s), m, alpha, t)
+        a = estimate_total_mass(summaries_from_m1(m1s, m=m), alpha, t)
+        b = estimate_total_mass(summaries_from_m1(4.0 * m1s, m=m), alpha, t)
         assert b.mass_hat == pytest.approx(2.0 * a.mass_hat, rel=1e-12)
 
     def test_invalid_t(self):
-        s = summaries_from_m1([1.0, 2.0])
+        s = summaries_from_m1([1.0, 2.0], m=10)
         with pytest.raises(InvalidT):
-            estimate_total_mass(s, 10, 1.0, 0.5)  # t = alpha/2 excluded
+            estimate_total_mass(s, 1.0, 0.5)  # t = alpha/2 excluded
         with pytest.raises(InvalidT):
-            estimate_total_mass(s, 10, 1.0, 0.0)
+            estimate_total_mass(s, 1.0, 0.0)
 
     def test_invalid_alpha(self):
         with pytest.raises(InvalidAlpha):
-            estimate_total_mass(summaries_from_m1([1.0]), 10, -1.0, 0.1)
+            estimate_total_mass(summaries_from_m1([1.0], m=10), -1.0, 0.1)
 
     def test_consistency_warning_attached(self):
         # n = m = 4 implies r = 1/2, so t >= alpha/4 leaves the consistency range
         with pytest.warns(EstimationWarning, match="consistency range"):
-            estimate_total_mass(summaries_from_m1([1.0, 2.0, 3.0, 4.0]), 4, 1.0, 0.3)
+            estimate_total_mass(summaries_from_m1([1.0, 2.0, 3.0, 4.0], m=4), 1.0, 0.3)
 
     def test_ci_zero_variance(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EstimationWarning)
-            est = estimate_total_mass(summaries_from_m1([2.0] * 6), 50, 1.0, 0.2)
+            est = estimate_total_mass(summaries_from_m1([2.0] * 6, m=50), 1.0, 0.2)
         with pytest.raises(ZeroVariance):
             total_mass_ci(est)
 
@@ -244,7 +247,7 @@ class TestTotalMass:
         # tiny n and huge spread push the mean-q^t interval below zero
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EstimationWarning)
-            est = estimate_total_mass(summaries_from_m1([0.01, 80.0]), 9, 1.0, 0.4)
+            est = estimate_total_mass(summaries_from_m1([0.01, 80.0], m=9), 1.0, 0.4)
         ci = total_mass_ci(est, 0.99)
         assert ci.lo == 0.0
         assert ci.hi > 0.0
@@ -252,7 +255,7 @@ class TestTotalMass:
     def test_ci_brackets_point_estimate(self):
         rng = np.random.Generator(np.random.Philox(key=np.array([15, 0], np.uint64)))
         m1s = 1.0 + rng.random(200) * 4
-        est = estimate_total_mass(summaries_from_m1(m1s), 4000, 1.2, 0.2)
+        est = estimate_total_mass(summaries_from_m1(m1s, m=4000), 1.2, 0.2)
         ci = total_mass_ci(est, 0.95)
         assert ci.lo < est.mass_hat < ci.hi
         wider = total_mass_ci(est, 0.99)

@@ -12,7 +12,7 @@ from montecarlo import (
     run_frechet_check,
     sample_polar_block_maxima,
 )
-from tailspec import estimators, experiments, grouping
+from tailspec import estimators, experiments, grouping, tuning
 from tailspec.errors import DimensionMismatch, EmptyExperiment, GroupTooSmall
 from tailspec.experiments import (
     draw_sample,
@@ -119,8 +119,9 @@ class TestCoverage:
 
     def test_alpha_coverage_half_level(self):
         # level 0.5 puts coverage near 0.5: binomial band at 200 reps
-        res = run_ci_coverage(polar_model(), 2000, None, "alpha", 0.5, 200,
-                              SeededRng(42), sampler="polar")
+        model = polar_model()
+        res = run_ci_coverage(model, 2000, tuning.auto_r("alpha", model.alpha, model.beta),
+                              "alpha", 0.5, 200, SeededRng(42), sampler="polar")
         assert 0.39 <= res.coverage <= 0.61
 
     def test_spectral_needs_region(self):

@@ -208,7 +208,7 @@ def test_second_maxima_computed_on_first_read():
     data = DataMatrix(sample(6, 40, 2, ties=True))
     stats = summarize_groups(data, GroupScheme(r=0.5, n=10, m=4, discarded=0))
     estimators.estimate_spectral(stats)
-    estimators.estimate_total_mass(stats, 4, 1.0, 0.2)
+    estimators.estimate_total_mass(stats, 1.0, 0.2)
     assert "m2" not in vars(stats) and "kappa" not in vars(stats)
     ref = reference_summarize_groups(data, GroupScheme(r=0.5, n=10, m=4, discarded=0))
     assert estimators.estimate_alpha(stats) == estimators.estimate_alpha(ref)
@@ -297,4 +297,6 @@ def test_singleton_groups_make_estimate_alpha_raise():
     stats = summarize_groups(data, GroupScheme(r=0.5, n=9, m=1, discarded=0))
     with pytest.raises(GroupTooSmall):
         estimators.estimate_alpha(stats)
+    with pytest.raises(GroupTooSmall):
+        estimators.estimate_total_mass(stats, 1.0, 0.1)
     assert stats.m2 is None and stats.kappa is None

@@ -24,6 +24,11 @@ class TestOptimalRAlpha:
     def test_infinite_beta_cap(self):
         assert optimal_r_alpha(1.0, math.inf, 0.05) == pytest.approx(0.95)
 
+    def test_huge_finite_beta_takes_the_cap(self):
+        # 2*zeta overflows to inf; the limit zeta -> inf is 1 - epsilon, not NaN
+        assert optimal_r_alpha(1.0, 1e308, 0.05) == 0.95
+        assert auto_r("alpha", 1e-10, 1e300) == 0.95
+
     def test_zeta_not_capped(self):
         # zeta = 9 -> r = 18/19 - eps, above the spectral rule's 2/3 cap
         assert optimal_r_alpha(1.0, 10.0, 0.01) == pytest.approx(18 / 19 - 0.01)
