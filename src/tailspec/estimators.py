@@ -252,13 +252,19 @@ def estimate_report(data: DataMatrix, r: float, alpha: float | None = None,
 
     alpha_doc = {"hat": alpha_est.alpha_hat, "s_n": alpha_est.s_n,
                  "kappa_var": alpha_est.kappa_var, "ci": ci("alpha", alpha_ci, alpha_est)}
-    mass_ci = ci("mass", total_mass_ci, mass_est)
     if alpha is None:
-        if mass_ci is not None:
-            mass_ci = None
+        # the interval is dropped, so an end past float64 does not matter
+        try:
+            defined = ci("mass", total_mass_ci, mass_est) is not None
+        except OverflowError:
+            defined = True
+        if defined:
             notes.append("mass ci is null: alpha is the plug-in alpha_hat, and an "
                          "interval that treats it as known does not hold its level")
         notes.append("mass estimate uses plug-in alpha_hat")
+        mass_ci = None
+    else:
+        mass_ci = ci("mass", total_mass_ci, mass_est)
 
     entries = []
     for spec, region in regions:

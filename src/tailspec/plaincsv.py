@@ -1,14 +1,15 @@
-"""Exact vectorized parse of plain decimal CSV text, the first reader of
-cli.read_csv.
+"""Exact vectorized plain decimal CSV, both ways: the parse that is the
+first reader of cli.read_csv, and the '%.17g' text that cli.write_csv writes.
 
 Plain text is bytes that are only digits, '+', '-', '.', 'e'/'E', ',' and
 line ends ('\n', or '\r\n' throughout), with every line as wide as the
 first and no field empty.  Every value is what float() gives for its field,
 bit for bit; other text is left to the readers of cli.read_csv.
 
-The parse rounds in a long double stored in 16 bytes, x87 extended on x86-64
-or IEEE quad on aarch64 and s390x, and reads ties from its low significand
-bits; on other machines read_plain_csv declines every file.
+Both directions scale by a power of ten in a long double stored in 16
+bytes, x87 extended on x86-64 or IEEE quad on aarch64 and s390x, and decide
+ties from what the one rounding can leave; on other machines read_plain_csv
+declines every file and format_rows formats every value with '%.17g'.
 """
 
 from __future__ import annotations
@@ -186,3 +187,161 @@ def _halfway(rounded: np.ndarray) -> np.ndarray:
     """Where long doubles lie halfway between two doubles of their binade;
     the midpoint below 2**k rounds to 2**k, a power of two."""
     return (rounded.view(np.uint64)[_LOW_WORD::2] & _ROUND_MASK) == _ROUND_HALF
+
+
+# ---------------------------------------------------------------- writing
+
+# format_rows builds words of little-endian bytes; on big-endian machines it
+# formats every value with '%'
+_WRITE_EXACT = _EXACT_LONGDOUBLE and sys.byteorder == "little"
+# The tables below are built in Python or with the numpy loops format_rows
+# runs anyway: each other loop maps 64 KB or more of numpy into memory.
+# Leading decimal exponents e for which 10**(16 - e) is one entry of _POW10,
+# and per e the factor and divisor that scale by it, one of them 1.
+_EXPONENTS = range(16 - _MAX_Q, 16 + _MAX_Q + 1)
+_SCALE_UP = _POW10.take([max(16 - e, 0) for e in _EXPONENTS])
+_SCALE_DOWN = _POW10.take([max(e - 16, 0) for e in _EXPONENTS])
+# whether 0..99 is one leading digit
+_LEADING_DIGIT = np.array([False] + [True] * 9 + [False] * 90)
+# '%.17g' writes 17 digits less trailing zeros after the '.': in fixed form
+# where -4 <= e < 17, else as d.ddde+XX (|e| < 100 here)
+_FIXED = [-4 <= e < 17 for e in _EXPONENTS]
+
+
+def _words(texts) -> np.ndarray:
+    """Byte strings of 8 or 24 bytes as rows of uint64 words."""
+    return np.frombuffer(b"".join(texts), np.uint64).reshape(len(texts), -1)
+
+
+# A value's text sits in four words, its unused bytes NUL, which format_rows
+# drops at the end: the sign and any "0.000" head, right-aligned in word 0;
+# 18 bytes of digits and '.'; the exponent; the separator.
+_HEAD = _words([(sign + ("0." + "0" * (-e - 1) if f and e < 0 else "")).encode().rjust(8, b"\0")
+                for sign in ("", "-") for e, f in zip(_EXPONENTS, _FIXED)])[:, 0]
+_TAIL = _words([b"\0\0" + (b"" if f else b"e%+03d" % e).ljust(4, b"\0") + sep + b"\0"
+                for sep in (b",", b"\n") for e, f in zip(_EXPONENTS, _FIXED)])[:, 0]
+# the four digits of 0..9999 as bytes in one word, and their trailing zeros
+_TENS, _UNITS = np.divmod(np.arange(100), 10)
+_PAIRS = 48 + _TENS + (48 + _UNITS) * 256
+_GROUP = (_PAIRS[:, None] + _PAIRS * 65536).ravel().view(np.uint64)
+_PAIR_ZEROS = np.array([2 - len(f"{k:02d}".rstrip("0")) for k in range(100)])
+_PAIR_IS_00 = np.array([1] + [0] * 99)
+_GROUP_ZEROS = (_PAIR_ZEROS + _PAIR_IS_00 * _PAIR_ZEROS[:, None]).ravel()
+
+
+def _block(e: int, fixed: bool, last: int) -> tuple[bytes, bytes, bytes]:
+    """Three 24-byte masks of a value's digits and '.', for its leading
+    exponent e and the index `last` of its last nonzero digit: the bytes
+    taken from the digits, those taken from the digits one byte later, and
+    the '.'.  A '.' follows the integer digits where a nonzero digit follows
+    them; no digit after `last` is written but an integer digit."""
+    int_digits = max(e + 1, 0) if fixed else 1
+    dot = int_digits if 0 < int_digits <= last else 24
+    kept = max(last, int_digits - 1) + 1 + (dot < 24)  # bytes up to the last one kept
+    if dot == 24:
+        return b"\xff" * kept + b"\0" * (24 - kept), bytes(24), bytes(24)
+    return (b"\xff" * dot + b"\0" * (24 - dot),
+            b"\0" * (dot + 1) + b"\xff" * (kept - dot - 1) + b"\0" * (24 - kept),
+            b"\0" * dot + b"." + b"\0" * (23 - dot))
+
+
+# per exponent and last nonzero digit (row 17 * e + last), each word of the
+# three masks in one table
+_KEEP, _KEEP_SHIFTED, _DOT = (
+    _words([_block(e, f, last)[i] for e, f in zip(_EXPONENTS, _FIXED) for last in range(17)])
+    .T.copy() for i in range(3))
+_B8, _B24, _B40, _B56 = (np.uint64(b) for b in (8, 24, 40, 56))
+
+
+def format_rows(rows: np.ndarray) -> bytes:
+    """The CSV text of a 2-d numeric array: each value as '%.17g' writes it,
+    ',' between the values of a row and '\n' after each row.
+
+    A finite x with leading decimal exponent e (a guess from log10) is
+    D * 10**(e - 16), D the 17-digit integer nearest |x| * 10**(16 - e).
+    Where |16 - e| <= _MAX_Q that product is one long-double operation,
+    and D its rounding unless the product falls outside [10**16, 10**17)
+    (a wrong guess, or D = 10**17) or has a fraction of exactly 1/2.  Those
+    values, zeros, non-finite values and the rest go to '%'.  Integer work
+    stays in int64 and uint64: each other dtype would map more of numpy's
+    loops into memory on the first call, 64 KB or more each.
+    """
+    if not (_WRITE_EXACT and rows.shape[1] and rows.dtype.kind in "biuf"
+            and rows.dtype.itemsize <= 8):
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        return ((line * rows.shape[0]) % tuple(rows.ravel().tolist())).encode()
+    with np.errstate(invalid="ignore", divide="ignore"):  # float32 nan, log10(0)
+        x = np.asarray(rows, np.float64).ravel()
+        mag = np.abs(x)
+        e = np.log10(mag)
+    np.floor(e, out=e)
+    fast = (e >= _EXPONENTS.start) & (e < _EXPONENTS.stop)  # not 0, nan or inf
+    e[~fast] = 0
+    mag[~fast] = 1.0
+    row = e.astype(np.intp)  # the exponent's row in the tables
+    divide = e.max() > 16  # only values from 1e17 up are divided
+    row -= _EXPONENTS.start
+    del e
+    y = mag.astype(np.longdouble)
+    del mag
+    y *= _SCALE_UP.take(row)
+    if divide:
+        y /= _SCALE_DOWN.take(row)
+    digits = y.astype(np.int64)  # truncated
+    # y < 10**18 < 2**63, so k + 1/2 is a long double and, rounding being
+    # monotone, y's fraction is above or below 1/2 where the exact one is;
+    # a fraction of 1/2 may be a rounded one, so '%' decides it.  Rounding
+    # the fraction to a double keeps its side of 1/2.
+    frac = (y - digits).astype(np.float64)
+    fast &= (y >= 1e16) & (frac != 0.5)  # below 1e16 e was guessed too high
+    del y
+    digits += np.rint(frac).astype(np.int64)  # 0 or 1: ties go to '%'
+    del frac
+
+    # D is a digit d0, then four groups of four, g1 to g4; a d0 past 9 is
+    # a guess of e too low or D = 10**17.  The digits of values for '%' are
+    # left as they come: '%' overwrites their text.
+    high, low = np.divmod(digits, 10**8)
+    del digits
+    d0, high = np.divmod(high, 10**8)
+    fast &= _LEADING_DIGIT.take(d0, mode="clip")
+    g1, g2 = np.divmod(high, 10**4)
+    g3, g4 = np.divmod(low, 10**4)
+    del high, low
+    # a group has 4 trailing zeros only when it is 0, and 4 >> 2 == 1
+    z4, z3, z2, z1 = (_GROUP_ZEROS.take(g) for g in (g4, g3, g2, g1))
+    zeros = z4 + (z4 >> 2) * (z3 + (z3 >> 2) * (z2 + (z2 >> 2) * z1))
+    block = row * 17 + (16 - zeros)  # the exponent's and the last nonzero digit's
+    del z4, z3, z2, z1, zeros
+    g1, g2, g3, g4 = (_GROUP.take(g) for g in (g1, g2, g3, g4))
+    # the digits as bytes 0-16 of three words, and one byte later
+    a0 = d0.view(np.uint64)
+    del d0
+    a0 += np.uint64(48)
+    a0 |= g1 << _B8
+    a0 |= g2 << _B40
+    a1 = g2 >> _B24
+    a1 |= g3 << _B8
+    a1 |= g4 << _B40
+    a2 = g4 >> _B24
+    del g1, g2, g3, g4
+    shifted = (a0 << _B8, (a1 << _B8) | (a0 >> _B56), (a2 << _B8) | (a1 >> _B56))
+
+    out = np.empty((x.size, 4), np.uint64)
+    signed = np.where(x < 0, row + len(_EXPONENTS), row)
+    out[:, 0] = _HEAD.take(signed)
+    for w, (a, b) in enumerate(zip((a0, a1, a2), shifted)):
+        a &= _KEEP[w].take(block)
+        b &= _KEEP_SHIFTED[w].take(block)
+        a |= b
+        a |= _DOT[w].take(block)
+        out[:, w + 1] = a
+    del a0, a1, a2, a, b, shifted, block, signed
+    row.reshape(rows.shape)[:, -1] += len(_EXPONENTS)  # '\n' ends a row
+    out[:, 3] |= _TAIL.take(row)
+    text = out.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text[slow, :30] = np.array(["%.17g" % v for v in x[slow].tolist()], "S30"
+                                   ).view(np.uint8).reshape(-1, 30)
+    return text[text != 0].tobytes()

@@ -872,7 +872,18 @@ class TestExperimentCommands:
         assert main(["ecdf", "--model", model, "--n", "2000", "--r", "auto",
                      "--grid-size", "4", "--seed", "1"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["r"] == tuning.optimal_r_alpha(0.75, 3.0, 0.05)
+        assert doc["r"] == tuning.optimal_r_spectral(0.75, 3.0, 0.05)
+
+    def test_ecdf_auto_r_tunes_for_the_spectral_cdf(self, capsys):
+        # the tail-index rule gives r = 0.95 for beta = inf, which leaves
+        # groups of one row at this N; the spectral rule caps zeta at 1
+        model = json.dumps({"kind": "polar", "alpha": 0.75, "density": "abscos2t",
+                            "beta": "inf"})
+        assert main(["ecdf", "--model", model, "--n", "200000", "--r", "auto",
+                     "--grid-size", "4", "--seed", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["r"] == tuning.auto_r("spectral", 0.75, math.inf)
+        assert doc["r"] == pytest.approx(2 / 3 - 0.05)
 
     @pytest.mark.parametrize("kind, extra", [
         ("alpha", []), ("spectral", ["--region", "halfspace:1:0"]), ("mass", []),

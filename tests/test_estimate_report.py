@@ -158,6 +158,14 @@ def cases(draw):
             draw(st.floats(0.5, 0.99)), halfspace, arc)
 
 
+# six groups of 65 rows whose two largest norms differ by 0.01%: alpha_hat
+# is 9999, and the plug-in mass interval, which the document drops, ends
+# past float64 while the mass estimate does not
+NEAR_TIED_GROUPS = np.full((391, 1), 0.01)
+NEAR_TIED_GROUPS[0:390:65, 0] = [2.25, 0.25] * 3
+NEAR_TIED_GROUPS[1:390:65, 0] = [-0.9999 * 2.25, -0.9999 * 0.25] * 3
+
+
 @given(cases())
 # two groups whose intervals reach past their ranges: alpha's p-interval and
 # the mean q^t interval below zero, then alpha's p-interval above one
@@ -165,6 +173,7 @@ def cases(draw):
           0.4, 1.0, None, 0.98, 0.95, ((1.0,), 0.0), (0.0, 1.0)))
 @example((np.array([[3.0, 4], [-3, -4], [1, 0], [0, 1], [0, 10], [8, 0], [1, 0], [0, 1]]),
           0.4, None, None, None, 0.95, ((1.0, 0.0), 0.0), (0.0, 1.0)))
+@example((NEAR_TIED_GROUPS, 0.3125, None, None, None, 0.75, ((1.0,), 0.0), (0.0, 1.0)))
 @settings(max_examples=60, deadline=None)
 def test_report_matches_paper_formulas(case):
     x, r, alpha, beta, t_frac, level, halfspace, arc = case

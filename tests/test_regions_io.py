@@ -397,7 +397,8 @@ def test_read_csv_opens_its_input_once(tmp_path, monkeypatch, text):
     np.empty((0, 2)),
     np.empty((3, 0)),
     np.float32([[0.1, 1e-3]]),
-    # two full 1024-row blocks of a wider row, then a partial one
+    # two full write_csv chunks (cli._WRITE_CHUNK rows) of a wider row, then
+    # a partial one
     np.random.default_rng(5).standard_normal((2500, 3)) * 1e5,
 ])
 def test_write_csv_bytes_match_per_value_writer(tmp_path, values):
@@ -415,6 +416,127 @@ def test_write_csv_bytes_match_across_chunks(tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     assert (read_csv(tmp_path / "new.csv").values.view(np.uint64)
             == values.view(np.uint64)).all()
+
+
+def assert_writes_like_per_value_writer(directory, values):
+    write_csv(directory / "new.csv", values)
+    reference_write_csv(directory / "old.csv", values)
+    assert (directory / "new.csv").read_bytes() == (directory / "old.csv").read_bytes()
+
+
+# doubles whose 17-digit rounding is an exact tie: 18 significant digits,
+# the last a 5 ('%' rounds them half to even)
+WRITER_TIES = [
+    1172544271229520.2, 511068191852274.9, 39538387329252.44, 7704875632394.719,
+    441130516974.2344, 13148732647.507812, 105173997.95117188, 1325489.2563476562,
+    25106.453247070312, 87.60783386230469, 1.8255081176757812, 0.10306167602539062,
+    0.0032548904418945312, 1.5974044799804688e-05, 1.7881393432617188e-07,
+]
+# doubles x whose product x * 10**(16 - e) in x87's long double has a
+# fraction of exactly 1/2 while the exact product's lies above 1/2 (the
+# first 14) or below it: found by random search
+WRITER_NEAR_TIES = [
+    8.029343829614017e-11, 5.324871544882976e-09, 74816.56625794417, 207370822279.5634,
+    8.827817780418239e+24, 6.0341175660520256e+35, 1.228816491562506e+36, 1.5752511151745739e-10,
+    8.353729259578364e-05, 980432175.4042712, 117323715949.25826, 2.7170715504093138e+26,
+    2.083577226950882e+31, 8.927192479106136e+39,
+    8.334753190785534e-11, 9.13804859533679e-09, 60593325.696683004, 80221878660206.69,
+    6.001611168144064e+21, 5.115728825579099e+28, 3.3108054028937827e+40,
+]
+
+
+def writer_boundaries():
+    """10**k and both neighbours for every k a double reaches, which include
+    the ends of the fixed form (1e-5, 1e-4, 1e16, 1e17) and doubles whose
+    log10 rounds to an integer (the double nearest 1e-7); ties and near
+    ties; subnormals, the extremes, zeros and non-finite values."""
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    out = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+                          WRITER_TIES, WRITER_NEAR_TIES,
+                          [5e-324, 1e-323, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                           1.7976931348623157e308, 0.0, np.inf, np.nan, 9007199254740993.0]])
+    return np.concatenate([out, -out])
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_write_csv_boundaries(tmp_path, width):
+    values = writer_boundaries()
+    values = values[:values.size // width * width].reshape(-1, width)
+    assert_writes_like_per_value_writer(tmp_path, values)
+
+
+@pytest.mark.parametrize("values", [
+    # int64 past 2**53 rounds to the nearest double, ties to even
+    np.array([[2**53 + 1, 2**53 + 3, 2**63 - 1, -2**63, -(2**53) - 1, 10**17 - 1]]),
+    np.random.default_rng(6).integers(-2**63, 2**63, (300, 2)),
+    np.random.default_rng(7).integers(0, 2**64, (300, 2), dtype=np.uint64),
+    np.random.default_rng(8).integers(0, 2**32, (200, 3), dtype=np.uint32).view(np.float32),
+    np.float32([[np.float32(0.1), -np.float32(3e-39), np.float32(3.4028235e38)]]),
+    np.array([[True, False]]),
+])
+def test_write_csv_converts_other_dtypes_like_per_value_writer(tmp_path, values):
+    assert_writes_like_per_value_writer(tmp_path, values)
+
+
+@pytest.mark.parametrize("shift", [-0.5, 0.5, -1e-12, 1e-12])
+def test_write_csv_is_exact_whatever_exponent_log10_guesses(tmp_path, shift):
+    # numpy's log10 kernels differ between CPUs; a guess one too high or too
+    # low leaves the scaled value outside [10**16, 10**17) and goes to '%'
+    log10 = np.log10
+    values = np.concatenate([writer_boundaries(),
+                             np.random.default_rng(10).standard_normal(2000) * 1e3])
+    with mock.patch.object(np, "log10", lambda a: log10(a) + shift):
+        assert_writes_like_per_value_writer(tmp_path, values.reshape(-1, 2))
+
+
+@st.composite
+def float64_bits(draw, finite=False):
+    """A float64 matrix of 1-4 columns, its row count small or across write
+    chunks, from random bit patterns (half of them with an exponent that
+    format_rows formats itself, from 2**-37 to 2**146) and up to eight bit
+    patterns hypothesis picks, at random places."""
+    width = draw(st.integers(1, 4))
+    chunk = cli._WRITE_CHUNK
+    rows = draw(st.one_of(st.integers(1, 40), st.integers(chunk - 2, 2 * chunk + 40)))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = g.integers(0, 2**64, rows * width, dtype=np.uint64)
+    picked = draw(st.lists(st.integers(0, 2**64 - 1), max_size=8))
+    bits[g.integers(0, bits.size, len(picked))] = np.array(picked, np.uint64)
+    exponent = np.uint64(0x7FF << 52)
+    in_range = g.random(bits.size) < 0.5
+    bits[in_range] = (bits[in_range] & ~exponent) | (
+        g.integers(1023 - 37, 1023 + 147, np.count_nonzero(in_range)).astype(np.uint64) << 52)
+    if finite:
+        non_finite = (bits & exponent) == exponent
+        bits[non_finite] &= ~np.uint64(1 << 62)
+    return bits.view(np.float64).reshape(rows, width)
+
+
+@given(values=float64_bits())
+@settings(max_examples=40, deadline=None)
+def test_write_csv_bytes_match_per_value_writer_for_bit_patterns(tmp_path_factory, values):
+    assert_writes_like_per_value_writer(tmp_path_factory.mktemp("write"), values)
+
+
+@given(values=float64_bits(finite=True))
+@settings(max_examples=40, deadline=None)
+def test_read_csv_reads_back_what_write_csv_writes(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("roundtrip") / "out.csv"
+    write_csv(path, values)
+    assert read_csv(path).values.view(np.uint64).tolist() == values.view(np.uint64).tolist()
+
+
+def test_read_csv_reads_back_writer_boundaries(tmp_path):
+    # with the powers of two, whose fields the reader sends to float(); no
+    # field of this text lands the reader on a tie, as 17 digits put it
+    # within 0.45 ulp of its double
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    values = np.concatenate([writer_boundaries(), powers, np.nextafter(powers, 0.0),
+                             np.nextafter(powers, np.inf)])
+    values = values[np.isfinite(values)]
+    path = tmp_path / "out.csv"
+    write_csv(path, values[:, None])
+    assert read_csv(path).values.ravel().view(np.uint64).tolist() == values.view(np.uint64).tolist()
 
 
 # ---------------------------------------------------------------- regions
