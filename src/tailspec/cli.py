@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, estimators, experiments, tuning
-from .errors import CsvParseError, EmptySample, InvalidModel, NonFiniteEntry, TailspecError
+from .errors import (CsvParseError, EmptySample, InvalidModel, NonFiniteEntry, NormOverflow,
+                     TailspecError)
 from .simulation import SeededRng
 from .types import (Arc, DataMatrix, Halfspace, ModelSpec, Region, density_shape,
                     validate_data)
@@ -505,7 +506,7 @@ def main(argv=None) -> int:
     except CliUsage as e:
         print(f"error[usage]: {e}", file=sys.stderr)
         return 2
-    except (CsvParseError, NonFiniteEntry, EmptySample) as e:
+    except (CsvParseError, NonFiniteEntry, NormOverflow, EmptySample) as e:
         print(f"error[{type(e).__name__}]: {e}", file=sys.stderr)
         return 3
     except OSError as e:  # also a reader closing stdout early (BrokenPipeError)

@@ -26,6 +26,17 @@ class NonFiniteEntry(TailspecError):
         super().__init__(f"non-finite entry at row {self.row}, column {self.col}")
 
 
+class NormOverflow(TailspecError):
+    """A row of finite entries has a Euclidean norm past the float64 range.
+
+    Carries the 0-based row.
+    """
+
+    def __init__(self, row: int):
+        self.row = int(row)
+        super().__init__(f"row {self.row}: Euclidean norm exceeds the float64 range")
+
+
 class InvalidR(TailspecError):
     """Grouping exponent r outside the open interval (0, 1)."""
 

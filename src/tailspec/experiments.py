@@ -219,21 +219,14 @@ class CoverageResult:
 
 def _coverage_rep(model, N, r, kind, level, sampler, n_atoms, region, truth, t,
                   rep_rng) -> tuple[bool, list[str]]:
-    """Whether one replication's CI contains the truth, and the texts of the
-    EstimationWarnings it raised, which it keeps off stderr."""
-    with recorded_warnings() as notes:
-        data = draw_sample(model, N, rep_rng, sampler, n_atoms)
-        scheme = grouping.plan_grouping(N, r)
-        stats = grouping.summarize_groups(data, scheme)
-        if kind == "alpha":
-            ci = estimators.alpha_ci(estimators.estimate_alpha(stats), level)
-        elif kind == "spectral":
-            est = estimators.estimate_spectral(stats)
-            ci = estimators.spectral_ci(est, region, level)
-        else:
-            tm = estimators.estimate_total_mass(stats, model.alpha, t)
-            ci = estimators.total_mass_ci(tm, level)
-    return ci.contains(truth), notes
+    """Whether the interval that the ``estimate`` document of one
+    replication's sample reports contains the truth (an undefined interval
+    misses), and that document's warnings."""
+    data = draw_sample(model, N, rep_rng, sampler, n_atoms)
+    regions = [("", region)] if kind == "spectral" else ()
+    doc = estimators.estimate_report(data, r, model.alpha, t, model.beta, regions, level)
+    ci = doc["spectral"]["regions"][0].get("ci") if kind == "spectral" else doc[kind]["ci"]
+    return ci is not None and ci["lo"] <= truth <= ci["hi"], doc["warnings"]
 
 
 def run_ci_coverage(model: ModelSpec, N: int, r: float, kind: str,
@@ -244,7 +237,9 @@ def run_ci_coverage(model: ModelSpec, N: int, r: float, kind: str,
     """Fraction of replications whose CI contains the model truth.
 
     kind is alpha, spectral (needs a region) or mass, at grouping exponent
-    r.  The mass CI uses the model's alpha and the t of tuning.auto_t.  The
+    r.  Each replication reads its interval from estimators.estimate_report,
+    with the model's alpha and beta and the t of tuning.auto_t; a
+    replication whose interval is undefined counts as a miss.  The
     EstimationWarnings of the run are not raised: the result lists each
     text once, in the order first seen.  With workers > 1 the model and the
     region, an Arc or a Halfspace, are pickled into the workers.
@@ -261,10 +256,11 @@ def run_ci_coverage(model: ModelSpec, N: int, r: float, kind: str,
         truth = model.alpha
     else:
         truth = model.total_mass
-    t, notes = None, []
-    if kind == "mass":  # t depends on alpha, r and beta only: its note comes once
-        with recorded_warnings() as notes:
-            t = tuning.auto_t(model.alpha, r, model.beta)
+    # t depends on alpha, r and beta only: tuned once, its note kept once and
+    # only where the interval reads t
+    with recorded_warnings() as t_notes:
+        t = tuning.auto_t(model.alpha, r, model.beta)
+    notes = t_notes if kind == "mass" else []
     rngs = [rng.split(_EXP_COVERAGE, _COVERAGE_KIND_IDS[kind], rep) for rep in range(reps)]
     results = _run_reps(partial(_coverage_rep, model, N, r, kind, level, sampler, n_atoms,
                                 region, truth, t), rngs, workers)

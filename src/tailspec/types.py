@@ -30,6 +30,7 @@ from .errors import (
     EmptySample,
     InvalidModel,
     NonFiniteEntry,
+    NormOverflow,
 )
 
 UNIT_NORM_TOL = 1e-12
@@ -73,6 +74,11 @@ def _by_blocks(kernel, a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+# Row norms in this range are the one-shot formula's; the squares of a row
+# outside it can overflow or fall below float64's normal range.
+_NORM_LO, _NORM_HI = 2.0 ** -500, 2.0 ** 500
+
+
 def _norms_kernel(b: np.ndarray, out: np.ndarray) -> None:
     if b.shape[1] > 2:
         (b * b).sum(axis=1, out=out)
@@ -89,9 +95,33 @@ def _norms_kernel(b: np.ndarray, out: np.ndarray) -> None:
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a 2-D float64 array,
-    ``sqrt((v*v).sum(axis=1))`` bit for bit, computed by blocks."""
-    return _by_blocks(_norms_kernel, v, np.empty(v.shape[0]))
+    """Euclidean norm of each row of a 2-D float64 array, computed by blocks.
+
+    A norm in [_NORM_LO, _NORM_HI] is ``sqrt((v*v).sum(axis=1))`` bit for
+    bit.  A row outside that range, a zero row included, is taken again
+    divided by the power of two just above its largest |entry|, so that its
+    squares neither overflow nor underflow, and the norm is scaled back:
+    the norm of 2^k times a row is then 2^k times its norm wherever both
+    stay normal.  A row whose norm exceeds float64 raises NormOverflow; a
+    row with a NaN or an infinite entry keeps its NaN or infinite norm.
+    """
+    with np.errstate(over="ignore"):  # the rows whose squares overflow are redone
+        out = _by_blocks(_norms_kernel, v, np.empty(v.shape[0]))
+        if (np.fmin.reduce(out, initial=np.inf) >= _NORM_LO
+                and np.fmax.reduce(out, initial=0.0) <= _NORM_HI):
+            return out
+        far = np.flatnonzero((out < _NORM_LO) | (out > _NORM_HI))
+        for lo in range(0, far.size, _BLOCK_ROWS):
+            rows = far[lo:lo + _BLOCK_ROWS]
+            top = np.abs(v[rows]).max(axis=1)
+            keep = (top > 0.0) & (top < np.inf)
+            rows, exp = rows[keep], np.frexp(top[keep])[1]
+            norms = np.empty(rows.size)
+            _norms_kernel(np.ldexp(v[rows], -exp[:, None]), norms)
+            out[rows] = norms = np.ldexp(norms, exp)
+            if np.isinf(norms).any():
+                raise NormOverflow(int(rows[np.isinf(norms)][0]))
+    return out
 
 
 def _unit_norm_error(a: np.ndarray) -> float:

@@ -8,19 +8,18 @@ package; the tests import this module (pytest puts tests/ on sys.path).
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 import scipy.stats
 
-from tailspec import estimators, grouping, tuning
-from tailspec.errors import EmptyExperiment, EstimationWarning, GroupTooSmall, InvalidModel
+from tailspec import estimators, grouping
+from tailspec.errors import EmptyExperiment, GroupTooSmall, InvalidModel
 from tailspec.experiments import (EcdfComparison, SweepResult, draw_sample, run_ecdf_compare,
                                   run_r_sweep)
 from tailspec.simulation import SeededRng, sample_polar
-from tailspec.types import GroupScheme, ModelSpec
+from tailspec.types import GroupScheme, Interval, ModelSpec
 
 # experiment ids feeding SeededRng.split, after tailspec.experiments' 1-3
 _EXP_FRECHET = 4
@@ -120,25 +119,16 @@ def coverage_model() -> ModelSpec:
 
 
 def example2_replication(seed: int, rep: int):
-    """One Example-2 style run: alpha, mass (known alpha) and both CIs."""
+    """One Example-2 style run: alpha, mass (known alpha) and both CI
+    halfwidths as the ``estimate`` document reports them, and the plug-in
+    mass reported alongside (not part of the tolerance checks)."""
     model = example2_model()
     data = draw_sample(model, 50000, SeededRng(seed).split(100, rep),
                        "stable", n_atoms=100)
-    scheme = grouping.plan_grouping(50000, 0.5)
-    summaries = grouping.summarize_groups(data, scheme)
-    alpha_est = estimators.estimate_alpha(summaries)
-    a_ci = estimators.alpha_ci(alpha_est, 0.95)
-    t = tuning.default_t(model.alpha, 0.5)
-    mass_est = estimators.estimate_total_mass(summaries, model.alpha, t)
-    m_ci = estimators.total_mass_ci(mass_est, 0.95)
-    # plug-in variant reported alongside (not part of the tolerance checks)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EstimationWarning)
-        t_plug = tuning.default_t(alpha_est.alpha_hat, 0.5)
-        plug = estimators.estimate_total_mass(
-            summaries, alpha_est.alpha_hat, t_plug).mass_hat
-    return (alpha_est.alpha_hat, a_ci.halfwidth, mass_est.mass_hat,
-            m_ci.halfwidth, plug)
+    doc = estimators.estimate_report(data, 0.5, model.alpha, beta=model.beta)
+    return (doc["alpha"]["hat"], Interval(**doc["alpha"]["ci"]).halfwidth,
+            doc["mass"]["hat"], Interval(**doc["mass"]["ci"]).halfwidth,
+            estimators.estimate_report(data, 0.5)["mass"]["hat"])
 
 
 @functools.lru_cache(maxsize=None)

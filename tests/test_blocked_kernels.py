@@ -1,18 +1,25 @@
 """The blocked kernels against their one-shot formulas, at the block edges,
-and the scratch memory of the estimate path."""
+the row norms of data at extreme scales, and the scratch memory of the
+estimate path."""
 
+import json
 import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tailspec import estimators
-from tailspec.errors import InvalidModel
+from tailspec.cli import main, write_csv
+from tailspec.errors import InvalidModel, NormOverflow, TailspecError
 from tailspec.grouping import plan_grouping, summarize_groups
 from tailspec.types import _BLOCK_ROWS as B
 from tailspec.types import Arc, DataMatrix, GroupScheme, Halfspace, SpectralEstimate
+from test_groupstats import reference_norm
 from test_regions_io import reference_mask
 
 EDGES = [1, B - 1, B, B + 1, 3 * B + 5]
@@ -33,12 +40,17 @@ def test_norms_match_one_shot_formula(rows, d):
     v = sample(rows, d)
     np.testing.assert_array_equal(as_bits(DataMatrix(v).norms),
                                   as_bits(np.sqrt((v * v).sum(axis=1))))
-    # squares that overflow to +inf, and NaNs, which compare by position
+    # squares that overflow to +inf, and NaNs, which compare by position:
+    # norms in [2^-500, 2^500] keep the one-shot bits, all of them match
+    # the rescaling reference
     v[::5, 0] = 1e200
     v[1::7, d - 1] = -1e200
     v[2::11, 0] = np.nan
     with np.errstate(over="ignore"):
-        got, want = DataMatrix(v).norms, np.sqrt((v * v).sum(axis=1))
+        got, one_shot = DataMatrix(v).norms, np.sqrt((v * v).sum(axis=1))
+    in_range = (2.0 ** -500 <= one_shot) & (one_shot <= 2.0 ** 500)
+    np.testing.assert_array_equal(as_bits(got[in_range]), as_bits(one_shot[in_range]))
+    want = np.array([reference_norm(row) for row in v.tolist()])
     np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
     np.testing.assert_array_equal(as_bits(got[~np.isnan(want)]), as_bits(want[~np.isnan(want)]))
 
@@ -148,3 +160,72 @@ def test_estimate_path_scratch_is_bounded():
         tracemalloc.stop()
     assert kept[-1].shape == (scheme.n,)
     assert peak - live < 1.5 * 2**20, f"scratch peak {(peak - live) / 2**20:.2f} MB"
+
+
+@st.composite
+def scaled_samples(draw):
+    """A sample whose entries have magnitudes in [2^-8, 2^8], and a power of
+    two k that puts every row's norm past 2^500 or below 2^-500 while every
+    scaled entry stays a normal float64."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    magnitude = st.floats(2.0 ** -8, 2.0 ** 8)
+    entry = st.builds(lambda x, negative: -x if negative else x, magnitude, st.booleans())
+    x = draw(arrays(np.float64, (draw(st.integers(16, 200)), d), elements=entry))
+    k = draw(st.integers(510, 1010)) * draw(st.sampled_from([1, -1]))
+    return x, k, draw(st.sampled_from([0.5, 0.75, 1.0]))
+
+
+@given(scaled_samples())
+@settings(max_examples=60, deadline=None)
+def test_report_of_data_times_power_of_two(case):
+    """The alpha and spectral entries of data x 2^k are those of the data,
+    and the mass, at a fixed alpha, is 2^(k alpha) times the data's."""
+    x, k, alpha = case
+    d = x.shape[1]
+    regions = [("halfspace", Halfspace((1.0,) + (0.5,) * (d - 1), 0.1))]
+    if d == 2:
+        regions.append(("arc", Arc(0.3, 2.5)))
+
+    def report(values):
+        try:
+            return estimators.estimate_report(DataMatrix(values), 0.5, alpha, regions=regions)
+        except TailspecError as e:  # e.g. AllKappaOne where every norm ties
+            return type(e).__name__
+
+    base, scaled = report(x), report(np.ldexp(x, k))
+    if isinstance(base, str):
+        assert scaled == base
+        return
+    assert scaled["alpha"] == base["alpha"]
+    assert scaled["spectral"] == base["spectral"]
+    assert scaled["mass"]["hat"] == pytest.approx(2.0 ** (k * alpha) * base["mass"]["hat"],
+                                                  rel=1e-10)
+
+
+def test_one_huge_entry_keeps_alpha_and_spectral(tmp_path, capsys):
+    """A normal sample with one entry of 1e200 gives the alpha and spectral
+    entries of the same sample times 2^-400, whose norms all lie in
+    [2^-500, 2^500].  The alpha is fixed: with the plug-in alpha_hat (5.8)
+    this sample's mass is near 1e1150, and a mass past float64 exits 4."""
+    x = np.random.default_rng(1).standard_normal((400, 2))
+    x[5, 0] = 1e200
+    docs = []
+    for values in (x, np.ldexp(x, -400)):
+        write_csv(tmp_path / "in.csv", values)
+        assert main(["estimate", "--input", str(tmp_path / "in.csv"), "--r", "0.5",
+                     "--alpha", "1", "--region", "arc:0:1"]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    assert docs[0]["alpha"] == docs[1]["alpha"]
+    assert docs[0]["spectral"] == docs[1]["spectral"]
+
+
+def test_norm_past_float64_exits_3_naming_its_row(tmp_path, capsys):
+    x = np.random.default_rng(1).standard_normal((400, 2))
+    x[7] = [1.5e308, -1.5e308]
+    write_csv(tmp_path / "in.csv", x)
+    assert main(["estimate", "--input", str(tmp_path / "in.csv"), "--r", "0.5"]) == 3
+    assert capsys.readouterr().err == (
+        "error[NormOverflow]: row 7: Euclidean norm exceeds the float64 range\n")
+    with pytest.raises(NormOverflow) as e:
+        DataMatrix(x).norms
+    assert e.value.row == 7

@@ -24,6 +24,7 @@ from tailspec.cli import (CliUsage, build_parser, main, parse_model, parse_regio
                           write_csv)
 from tailspec.errors import CsvParseError
 from tailspec.simulation import SeededRng, sample_stable_1d
+from tailspec.types import Halfspace
 
 SIX_ROWS = "3,4\n0,1\n-6,8\n1,0\n0,1\n0,0\n"
 
@@ -615,16 +616,20 @@ class TestBadInputsWithoutTraceback:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("scale", [1e200, 1e-160])
-    def test_squares_out_of_range_exit_4(self, tmp_path, scale):
-        # finite entries whose squares overflow (or underflow) give row norms
-        # of inf (or rounded subnormals); only the unit-norm check on the
-        # group directions stops them
-        p = tmp_path / "in.csv"
-        write_csv(p, np.random.default_rng(6).standard_cauchy((400, 2)) * scale)
-        proc = run_cli("estimate", "--input", str(p), "--r", "0.5")
-        assert proc.returncode == 4, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert "error[InvalidModel]: theta is not unit-norm" in proc.stderr
+    def test_squares_out_of_range_keep_their_norms(self, tmp_path, scale):
+        # finite entries whose squares overflow (or underflow) still get their
+        # row norms: the document is the unscaled sample's, up to the rounding
+        # of the scaling itself
+        x = np.random.default_rng(6).standard_cauchy((400, 2))
+        docs = []
+        for values in (x, x * scale):
+            p = tmp_path / "in.csv"
+            write_csv(p, values)
+            proc = run_cli("estimate", "--input", str(p), "--r", "0.5")
+            assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+            docs.append(json.loads(proc.stdout))
+        assert docs[1]["alpha"]["hat"] == pytest.approx(docs[0]["alpha"]["hat"], rel=1e-12)
+        assert docs[1]["spectral"] == docs[0]["spectral"]
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--model", '{"alpha":0.01,"atoms":[[1,0,1]],"kind":"polar"}'],
@@ -959,29 +964,62 @@ class TestExperimentCommands:
 
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_coverage_mass_keeps_warnings_in_document(self, tmp_path, capfd, workers):
+    @pytest.mark.parametrize("kind", ["alpha", "spectral", "mass"])
+    def test_coverage_keeps_warnings_in_document(self, tmp_path, capfd, kind, workers):
         model = '{"kind":"polar","alpha":1.9,"rho":0.2,"beta":3.8}'
+        region = ["--region", "halfspace:1:0"] if kind == "spectral" else []
         out = tmp_path / "cov.json"
         assert main(["coverage", "--model", model, "--n", "5000", "--reps", "3",
-                     "--kind", "mass", "--seed", "5", "--workers", workers,
+                     "--kind", kind, "--seed", "5", "--workers", workers, *region,
                      "--out", str(out)]) == 0
         assert capfd.readouterr().err == ""
         doc = json.loads(out.read_text())
-        assert [w.split(":")[0] for w in doc["warnings"]] == ["t-outside-normality"]
-        # the replications as they ran before t moved into run_ci_coverage
+        # the case-b t note comes from tuning t, which only the mass interval reads
+        assert ([w.split(":")[0] for w in doc["warnings"]]
+                == (["t-outside-normality"] if kind == "mass" else []))
+        # the replications as they ran before they read estimate_report
         spec = parse_model(model)[0]
-        r = tuning.auto_r("mass", 1.9, 3.8)
+        r = tuning.auto_r(kind, 1.9, 3.8)
+        halfspace = Halfspace((1.0,), 0.0)
         hits = 0
         for rep in range(3):
-            rng = SeededRng(5).split(experiments._EXP_COVERAGE, 3, rep)
-            with pytest.warns(tailspec.EstimationWarning):
-                t = tuning.auto_t(spec.alpha, r, spec.beta)
+            rng = SeededRng(5).split(experiments._EXP_COVERAGE,
+                                     experiments._COVERAGE_KIND_IDS[kind], rep)
             data = experiments.draw_sample(spec, 5000, rng)
-            scheme = grouping.plan_grouping(5000, r)
-            tm = estimators.estimate_total_mass(grouping.summarize_groups(data, scheme),
-                                                spec.alpha, t)
-            hits += estimators.total_mass_ci(tm, 0.95).contains(1.0)
+            stats = grouping.summarize_groups(data, grouping.plan_grouping(5000, r))
+            if kind == "alpha":
+                ci, truth = estimators.alpha_ci(estimators.estimate_alpha(stats), 0.95), 1.9
+            elif kind == "spectral":
+                ci = estimators.spectral_ci(estimators.estimate_spectral(stats), halfspace, 0.95)
+                truth = spec.normalized_mass(halfspace)
+            else:
+                with pytest.warns(tailspec.EstimationWarning):
+                    t = tuning.auto_t(spec.alpha, r, spec.beta)
+                tm = estimators.estimate_total_mass(stats, spec.alpha, t)
+                ci, truth = estimators.total_mass_ci(tm, 0.95), 1.0
+            hits += ci.contains(truth)
         assert (doc["hits"], doc["coverage"]) == (hits, hits / 3)
+
+    def test_coverage_counts_an_undefined_interval_as_a_miss(self, monkeypatch, capfd):
+        model = '{"kind":"polar","alpha":1.0,"rho":0.5}'
+        argv = ["coverage", "--model", model, "--n", "5000", "--reps", "3",
+                "--kind", "alpha", "--seed", "1", "--r", "0.5"]
+        assert main(argv) == 0
+        assert json.loads(capfd.readouterr().out)["hits"] == 3
+        calls, interval = [], estimators.alpha_ci
+
+        def alpha_ci(est, level):  # undefined in the second replication
+            calls.append(est)
+            if len(calls) == 2:
+                raise tailspec.errors.ZeroVariance("all group ratios identical")
+            return interval(est, level)
+
+        monkeypatch.setattr(estimators, "alpha_ci", alpha_ci)
+        assert main(argv) == 0
+        doc = json.loads(capfd.readouterr().out)
+        assert len(calls) == 3
+        assert (doc["hits"], doc["warnings"]) == (
+            2, ["alpha ci is null: all group ratios identical"])
 
     def test_coverage_records_each_estimator_warning_once(self, monkeypatch, capfd):
         plan = grouping.plan_grouping

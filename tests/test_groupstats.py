@@ -19,12 +19,28 @@ from tailspec.grouping import plan_grouping, summarize_groups
 from tailspec.types import UNIT_NORM_TOL, DataMatrix, GroupScheme, GroupStats
 
 
+def reference_norm(row) -> float:
+    """Euclidean norm of one row, its squares summed left to right.  Where
+    that falls outside [2^-500, 2^500], the row is divided by the power of
+    two above its largest |entry| first and the norm multiplied back; a norm
+    past float64 raises OverflowError."""
+    norm = math.sqrt(sum(x * x for x in row))
+    if 2.0 ** -500 <= norm <= 2.0 ** 500 or math.isnan(norm):
+        return norm
+    top = max(abs(x) for x in row)
+    if top == 0.0 or math.isinf(top):
+        return norm
+    e = math.frexp(top)[1]
+    scaled = [math.ldexp(x, -e) for x in row]
+    return math.ldexp(math.sqrt(sum(y * y for y in scaled)), e)
+
+
 def reference_groups(values, n, m):
     """(m1, m2, kappa, theta, argmax) of each group, one group at a time."""
     out = []
     for i in range(n):
         block = values[i * m:(i + 1) * m].tolist()
-        norms = [math.sqrt(sum(x * x for x in row)) for row in block]
+        norms = [reference_norm(row) for row in block]
         j1 = 0
         for j, v in enumerate(norms):
             if v > norms[j1]:  # strict: the lowest index keeps a tie
@@ -40,7 +56,8 @@ def reference_groups(values, n, m):
 def reference_summarize_groups(data, scheme):
     """summarize_groups as it was before the row norms were cached and the
     second maxima computed on first read: every column built at once from
-    norms computed per block, in a plain namespace.  A GroupStats is built
+    norms computed per block (reference_norm where they fall outside
+    [2^-500, 2^500]), in a plain namespace.  A GroupStats is built
     from the same columns only to run its checks."""
     if data.rows != scheme.total_rows:
         raise ValueError(
@@ -49,6 +66,8 @@ def reference_summarize_groups(data, scheme):
     n, m = scheme.n, scheme.m
     blocks = data.values[: n * m].reshape(n, m, data.dim)
     norms = np.sqrt((blocks * blocks).sum(axis=2))
+    for i, j in zip(*np.nonzero((norms < 2.0 ** -500) | (norms > 2.0 ** 500))):
+        norms[i, j] = reference_norm(blocks[i, j].tolist())
     rows = np.arange(n)
     j1 = norms.argmax(axis=1)  # argmax returns the lowest index on ties
     m1 = norms[rows, j1]
@@ -215,7 +234,8 @@ def test_second_maxima_computed_on_first_read():
     assert stats.kappa is stats.kappa and stats.m2 is stats.m2
 
 
-# entries whose squares overflow, that are infinite, or NaN
+# entries whose squares overflow (their rows' norms do not), that are
+# infinite, or NaN
 SPECIAL = {"overflow": 1e200, "negative_overflow": -1e200, "infinite": -np.inf, "nan": np.nan}
 
 
@@ -230,8 +250,8 @@ def tie_block(kind, m, d):
     elif kind == "zeros_beside_nonzero":
         block[m - 1, d - 1] = 3.0
     elif kind in SPECIAL:
-        # a finite first row, then two rows whose norms are +inf or NaN:
-        # ties at +inf and NaNs go to the lowest index, as argmax has them
+        # a finite first row, then two rows whose norms are 1e200, +inf or
+        # NaN: ties at +inf and NaNs go to the lowest index, as argmax has them
         block[:, 0] = 0.5
         block[0, 0] = 4.0
         block[[(m - 1) // 2, m - 1], d - 1] = SPECIAL[kind]
