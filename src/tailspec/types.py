@@ -95,18 +95,24 @@ def _norms_kernel(b: np.ndarray, out: np.ndarray) -> None:
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a 2-D float64 array, computed by blocks.
+    """Euclidean norm of each row of a 2-D float64 array,
+    ``sqrt((v*v).sum(axis=1))`` bit for bit, computed by blocks."""
+    return _by_blocks(_norms_kernel, v, np.empty(v.shape[0]))
 
-    A norm in [_NORM_LO, _NORM_HI] is ``sqrt((v*v).sum(axis=1))`` bit for
-    bit.  A row outside that range, a zero row included, is taken again
-    divided by the power of two just above its largest |entry|, so that its
-    squares neither overflow nor underflow, and the norm is scaled back:
-    the norm of 2^k times a row is then 2^k times its norm wherever both
-    stay normal.  A row whose norm exceeds float64 raises NormOverflow; a
-    row with a NaN or an infinite entry keeps its NaN or infinite norm.
+
+def _sample_row_norms(v: np.ndarray) -> np.ndarray:
+    """_row_norms of a sample, safe at any scale.
+
+    A norm in [_NORM_LO, _NORM_HI] is _row_norms' bit for bit.  A row outside
+    that range, a zero row included, is taken again divided by the power of
+    two just above its largest |entry|, so that its squares neither overflow
+    nor underflow, and the norm is scaled back: the norm of 2^k times a row
+    is then 2^k times its norm wherever both stay normal.  A row whose norm
+    exceeds float64 raises NormOverflow; a row with a NaN or an infinite
+    entry keeps its NaN or infinite norm.
     """
     with np.errstate(over="ignore"):  # the rows whose squares overflow are redone
-        out = _by_blocks(_norms_kernel, v, np.empty(v.shape[0]))
+        out = _row_norms(v)
         if (np.fmin.reduce(out, initial=np.inf) >= _NORM_LO
                 and np.fmax.reduce(out, initial=0.0) <= _NORM_HI):
             return out
@@ -116,8 +122,7 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
             top = np.abs(v[rows]).max(axis=1)
             keep = (top > 0.0) & (top < np.inf)
             rows, exp = rows[keep], np.frexp(top[keep])[1]
-            norms = np.empty(rows.size)
-            _norms_kernel(np.ldexp(v[rows], -exp[:, None]), norms)
+            norms = _row_norms(np.ldexp(v[rows], -exp[:, None]))
             out[rows] = norms = np.ldexp(norms, exp)
             if np.isinf(norms).any():
                 raise NormOverflow(int(rows[np.isinf(norms)][0]))
@@ -138,7 +143,8 @@ class DataMatrix(_ReadOnlyArrays):
     ``values`` is coerced to a read-only float64 array of shape (N, d);
     1-D input is treated as a single-column (d=1) sample.  ``norms``, the
     Euclidean norm of each row, is computed on first read and kept, so
-    groupings of one sample at several r share one norm pass.
+    groupings of one sample at several r share one norm pass; rows at
+    extreme scales are rescaled for it (_sample_row_norms).
     """
 
     values: np.ndarray
@@ -163,7 +169,7 @@ class DataMatrix(_ReadOnlyArrays):
 
     @cached_property
     def norms(self) -> np.ndarray:
-        return _frozen(_row_norms(self.values))
+        return _frozen(_sample_row_norms(self.values))
 
 
 def validate_data(data: DataMatrix) -> DataMatrix:
