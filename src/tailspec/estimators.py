@@ -171,7 +171,7 @@ def estimate_total_mass(stats: GroupStats, alpha: float, t: float) -> TotalMassE
     smaller t, q^t and the Gamma factor round to 1 and say nothing of the
     mass.  When t falls outside the strong consistency range t < alpha*r/2
     (r inferred from n and m), the estimate is still returned, with an
-    EstimationWarning.
+    EstimationWarning; so is a mass past the float64 range, as inf.
     """
     if not 0.0 < alpha < math.inf:
         raise InvalidAlpha(f"alpha={alpha} must be positive and finite")
@@ -188,7 +188,12 @@ def estimate_total_mass(stats: GroupStats, alpha: float, t: float) -> TotalMassE
     if not math.isfinite(mean_qt):
         raise InvalidT(f"q^t overflows at t={t}")
     mean_q2t = float(np.multiply(qt, qt, out=qt).mean())
-    mass_hat = (mean_qt / gamma_fn(1.0 - t / alpha)) ** (alpha / t)
+    try:
+        mass_hat = (mean_qt / gamma_fn(1.0 - t / alpha)) ** (alpha / t)
+    except OverflowError:
+        mass_hat = math.inf
+        warnings.warn(f"mass hat is inf: the estimate exceeds the float64 range "
+                      f"(alpha={alpha}, t={t})", EstimationWarning, stacklevel=2)
 
     r_implied = math.log(n) / math.log(n * m)
     if t >= alpha * r_implied / 2.0:
@@ -229,8 +234,9 @@ def estimate_report(data: DataMatrix, r: float, alpha: float | None = None,
 
     alpha=None plugs in alpha_hat, t=None takes tuning.auto_t(alpha, r,
     beta), and regions are (spec text, Arc or Halfspace) pairs.  An
-    undefined interval, and the mass interval with a plug-in alpha, is
-    None, with a warning ``"<alpha|mass> ci is null: <reason>"``.
+    undefined interval, one with an end past the float64 range, and the
+    mass interval with a plug-in alpha, is None, with a warning
+    ``"<alpha|mass> ci is null: <reason>"``.  A mass past float64 is inf.
     """
     with recorded_warnings() as notes:
         scheme = grouping.plan_grouping(data.rows, r)
@@ -264,7 +270,11 @@ def estimate_report(data: DataMatrix, r: float, alpha: float | None = None,
         notes.append("mass estimate uses plug-in alpha_hat")
         mass_ci = None
     else:
-        mass_ci = ci("mass", total_mass_ci, mass_est)
+        try:
+            mass_ci = ci("mass", total_mass_ci, mass_est)
+        except OverflowError:
+            notes.append("mass ci is null: an end exceeds the float64 range")
+            mass_ci = None
 
     entries = []
     for spec, region in regions:

@@ -240,8 +240,9 @@ def run_ci_coverage(model: ModelSpec, N: int, r: float, kind: str,
     r.  Each replication reads its interval from estimators.estimate_report,
     with the model's alpha and beta and the t of tuning.auto_t; a
     replication whose interval is undefined counts as a miss.  The
-    EstimationWarnings of the run are not raised: the result lists each
-    text once, in the order first seen.  With workers > 1 the model and the
+    warnings of the replications' reports, about every entry and not only
+    the one measured, are not raised: the result lists each text once, in
+    the order first seen.  With workers > 1 the model and the
     region, an Arc or a Halfspace, are pickled into the workers.
     """
     if reps < 1:

@@ -52,13 +52,10 @@ def fake_runner(calls, parent):
     return run
 
 
-def test_recorder_pairs_sides_and_summarizes(tmp_path, parent):
+def test_recorder_pairs_sides_and_summarizes(parent):
     calls = []
-    out = tmp_path / "BENCH_t.json"
-    assert bench_record.main(["--label", "t", "--parent", str(parent), "--pairs", "3",
-                              "--seconds", "2", "--out", str(out)],
-                             run=fake_runner(calls, parent)) == 0
-    doc = json.loads(out.read_text())
+    doc = bench_record.record("t", parent.resolve(), 3, 2.0, run=fake_runner(calls, parent))
+    assert json.loads(json.dumps(doc)) == doc
     assert doc["seeds"] == [1, 2, 3]
     assert list(doc["workloads"]) == WORKLOADS
     # per workload: the pairs alternate which side runs first, both at one seed
@@ -86,20 +83,16 @@ def test_recorder_pairs_sides_and_summarizes(tmp_path, parent):
         assert (tier1["passed"], tier1["failed"]) == (743, 1) and tier1["wall_s"] >= 0.0
 
 
-def test_recorder_runs_tier1_once_for_one_checkout(tmp_path):
+def test_recorder_runs_tier1_once_for_one_checkout():
     calls = []
-    out = tmp_path / "BENCH_ci.json"
-    bench_record.main(["--label", "ci", "--parent", str(ROOT), "--pairs", "1",
-                       "--seconds", "2", "--out", str(out)], run=fake_runner(calls, ROOT))
-    doc = json.loads(out.read_text())
+    doc = bench_record.record("ci", ROOT, 1, 2.0, run=fake_runner(calls, ROOT))
     assert sum("pytest" in cmd for cmd, _ in calls) == 1
     assert doc["sides"]["change"]["tier1"] == doc["sides"]["parent"]["tier1"]
     metrics = doc["workloads"][WORKLOADS[0]]["metrics"]["op_norm_s.p50"]
     assert metrics["change"]["q1"] == metrics["change"]["q3"] == metrics["change"]["min"]
 
 
-def test_recorder_stops_on_a_failed_run(parent, tmp_path):
+def test_recorder_stops_on_a_failed_run(parent):
     with pytest.raises(RuntimeError, match="run.py exited 1"):
-        bench_record.main(["--label", "x", "--parent", str(parent), "--pairs", "1",
-                           "--out", str(tmp_path / "x.json")],
-                          run=lambda cmd, cwd, timeout: (1, ""))
+        bench_record.record("x", parent.resolve(), 1, 10.0,
+                            run=lambda cmd, cwd, timeout: (1, ""))

@@ -205,18 +205,19 @@ def test_report_of_data_times_power_of_two(case):
 def test_one_huge_entry_keeps_alpha_and_spectral(tmp_path, capsys):
     """A normal sample with one entry of 1e200 gives the alpha and spectral
     entries of the same sample times 2^-400, whose norms all lie in
-    [2^-500, 2^500].  The alpha is fixed: with the plug-in alpha_hat (5.8)
-    this sample's mass is near 1e1150, and a mass past float64 exits 4."""
+    [2^-500, 2^500].  Its mass with the plug-in alpha_hat is past float64:
+    inf, with a warning."""
     x = np.random.default_rng(1).standard_normal((400, 2))
     x[5, 0] = 1e200
     docs = []
     for values in (x, np.ldexp(x, -400)):
         write_csv(tmp_path / "in.csv", values)
-        assert main(["estimate", "--input", str(tmp_path / "in.csv"), "--r", "0.5",
-                     "--alpha", "1", "--region", "arc:0:1"]) == 0
+        assert main(["estimate", "--input", str(tmp_path / "in.csv"), "--r", "0.5"]) == 0
         docs.append(json.loads(capsys.readouterr().out))
     assert docs[0]["alpha"] == docs[1]["alpha"]
     assert docs[0]["spectral"] == docs[1]["spectral"]
+    assert docs[0]["mass"]["hat"] == "inf"
+    assert docs[0]["warnings"][0].startswith("mass hat is inf: ")
 
 
 def test_norm_past_float64_exits_3_naming_its_row(tmp_path, capsys):

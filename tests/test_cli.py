@@ -604,7 +604,7 @@ class TestBadInputsWithoutTraceback:
 
     @pytest.mark.parametrize("flags, message", [
         (["--alpha", "inf"], "error[InvalidAlpha]: alpha=inf must be positive and finite"),
-        (["--alpha", "1000"], "error[OverflowError]:"),
+        (["--alpha", "0.001"], "error[OverflowError]:"),  # m^(1/alpha)
         (["--alpha", "1000", "--t", "100"], "error[InvalidT]: q^t overflows at t=100.0"),
         (["--r", "auto", "--alpha", "0.5", "--beta", "nan"],
          "error[InvalidSecondOrder]: need beta > alpha > 0, got alpha=0.5, beta=nan"),
@@ -614,6 +614,18 @@ class TestBadInputsWithoutTraceback:
         write_csv(p, np.random.default_rng(6).standard_cauchy((400, 2)) * 1e3)
         assert main(["estimate", "--input", str(p), "--r", "0.5", *flags]) == 4
         assert message in capsys.readouterr().err
+
+    def test_mass_past_float64_is_inf(self, tmp_path, capsys):
+        # the other entries of the document stay
+        p = tmp_path / "in.csv"
+        write_csv(p, np.random.default_rng(6).standard_cauchy((400, 2)) * 1e3)
+        assert main(["estimate", "--input", str(p), "--r", "0.5", "--alpha", "1000"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["mass"]["hat"], doc["mass"]["ci"]) == ("inf", None)
+        assert doc["alpha"]["ci"] is not None
+        assert doc["warnings"] == [
+            "mass hat is inf: the estimate exceeds the float64 range (alpha=1000.0, t=0.5)",
+            "mass ci is null: an end exceeds the float64 range"]
 
     @pytest.mark.parametrize("scale", [1e200, 1e-160])
     def test_squares_out_of_range_keep_their_norms(self, tmp_path, scale):
@@ -1020,6 +1032,19 @@ class TestExperimentCommands:
         assert len(calls) == 3
         assert (doc["hits"], doc["warnings"]) == (
             2, ["alpha ci is null: all group ratios identical"])
+
+    def test_coverage_lists_notes_of_every_entry(self, capfd):
+        # one group per sample: neither interval is defined, and the alpha
+        # study lists the mass notes of each replication's report too
+        assert main(["coverage", "--model", '{"kind":"polar","alpha":1.0,"rho":0.5}',
+                     "--n", "4", "--reps", "2", "--kind", "alpha", "--seed", "1",
+                     "--r", "0.3"]) == 0
+        doc = json.loads(capfd.readouterr().out)
+        assert (doc["hits"], doc["warnings"]) == (0, [
+            "degenerate grouping: n=1 group for N=4, r=0.3",
+            "t=0.0375 is outside the consistency range t < alpha*r/2 = 0 (r inferred from n, m)",
+            "alpha ci is null: need n >= 2 groups for an interval",
+            "mass ci is null: need n >= 2 groups for an interval"])
 
     def test_coverage_records_each_estimator_warning_once(self, monkeypatch, capfd):
         plan = grouping.plan_grouping

@@ -25,6 +25,14 @@ def wald(point, variance, n, level):
     return point - h, point + h
 
 
+def power(base, expo):
+    """base ** expo, or inf where that is past float64."""
+    try:
+        return base ** expo
+    except OverflowError:
+        return math.inf
+
+
 def reference(x, r, alpha, t, level, halfspace, arc):
     """The scheme, alpha, mass and spectral entries for the sample x, or the
     name of the error the sample must raise.
@@ -34,8 +42,9 @@ def reference(x, r, alpha, t, level, halfspace, arc):
     norm, its direction theta the first row reaching M1.  alpha_hat =
     S_n/(n - S_n) with S_n the sum of M2/M1; mass_hat = (mean q^t /
     Gamma(1 - t/alpha))^(alpha/t) with q = M1/m^(1/alpha), where t=None
-    means 0.5*min(alpha*r/4, 1).  Each interval is a Wald interval of a
-    mean, mapped through the estimator's monotone transform.
+    means 0.5*min(alpha*r/4, 1), and is inf past float64.  Each interval is
+    a Wald interval of a mean, mapped through the estimator's monotone
+    transform, and None where an end is past float64.
     """
     N, d = x.shape
     n = int(math.floor(N ** r + 1e-9))
@@ -73,8 +82,9 @@ def reference(x, r, alpha, t, level, halfspace, arc):
     # does not hold its level
     if alpha is not None and n >= 2 and v > 1e-15 * mean_qt ** 2:
         lo, hi = wald(mean_qt, v, n, level)
-        mass_ci = {"lo": 0.0 if lo <= 0.0 else (lo / gam) ** (a / t),
-                   "hi": (hi / gam) ** (a / t), "level": level}
+        lo, hi = 0.0 if lo <= 0.0 else power(lo / gam, a / t), power(hi / gam, a / t)
+        if hi < math.inf:
+            mass_ci = {"lo": lo, "hi": hi, "level": level}
 
     theta = blocks[np.arange(n), j1] / m1[:, None]
     regions = []
@@ -105,7 +115,7 @@ def reference(x, r, alpha, t, level, halfspace, arc):
     return {
         "scheme": {"r": r, "n": n, "m": m, "discarded": N - n * m},
         "alpha": {"hat": alpha_hat, "s_n": s_n, "kappa_var": kappa_var, "ci": alpha_ci},
-        "mass": {"hat": (mean_qt / gam) ** (a / t), "t": t, "alpha_used": a,
+        "mass": {"hat": power(mean_qt / gam, a / t), "t": t, "alpha_used": a,
                  "alpha_mode": "plugin" if alpha is None else "fixed",
                  "mean_qt": mean_qt, "ci": mass_ci},
         "spectral": spectral,
@@ -174,6 +184,9 @@ NEAR_TIED_GROUPS[1:390:65, 0] = [-0.9999 * 2.25, -0.9999 * 0.25] * 3
 @example((np.array([[3.0, 4], [-3, -4], [1, 0], [0, 1], [0, 10], [8, 0], [1, 0], [0, 1]]),
           0.4, None, None, None, 0.95, ((1.0, 0.0), 0.0), (0.0, 1.0)))
 @example((NEAR_TIED_GROUPS, 0.3125, None, None, None, 0.75, ((1.0,), 0.0), (0.0, 1.0)))
+# a fixed alpha whose mass estimate and interval are past float64
+@example((np.random.default_rng(6).standard_cauchy((400, 2)) * 1e3, 0.5, 1000.0, None, None,
+          0.95, ((1.0, 0.0), 0.0), (0.0, 1.0)))
 @settings(max_examples=60, deadline=None)
 def test_report_matches_paper_formulas(case):
     x, r, alpha, beta, t_frac, level, halfspace, arc = case
@@ -188,7 +201,7 @@ def test_report_matches_paper_formulas(case):
     report = partial(estimate_report, DataMatrix(x), r, alpha, t, beta, regions, level)
     try:
         want = reference(x, r, alpha, t, level, halfspace, arc)
-    except OverflowError:  # m^(1/alpha) or the mass past float64
+    except OverflowError:  # m^(1/alpha) past float64
         with pytest.raises(OverflowError):
             report()
         return

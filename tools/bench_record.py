@@ -9,7 +9,7 @@ alternates from pair to pair, so that drift of a shared machine falls on
 both sides alike.  Then it runs each side's tier-1 tests once (once in all
 when --parent is this checkout).
 
-It writes BENCH_<label>.json at the root of this checkout, or at --out:
+It writes BENCH_<label>.json at the root of this checkout:
 
 - per workload, end-to-end metric and side: every run's value and their
   min, quartiles and median (statistics.quantiles, n=4), and in how many
@@ -123,20 +123,19 @@ def record(label: str, parent: Path, pairs: int, seconds: float,
     return doc
 
 
-def main(argv=None, run=run_command) -> int:
+def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--label", required=True)
     p.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     p.add_argument("--pairs", type=int, default=5)
     p.add_argument("--seconds", type=float, default=10.0, help="run.py's --seconds")
-    p.add_argument("--out", type=Path, default=None)
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
     if not (args.parent / "perfbench" / "run.py").is_file():
         p.error(f"--parent {args.parent} has no perfbench/run.py")
-    doc = record(args.label, args.parent.resolve(), args.pairs, args.seconds, run)
-    out = args.out or ROOT / f"BENCH_{args.label}.json"
+    doc = record(args.label, args.parent.resolve(), args.pairs, args.seconds)
+    out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(out)
     return 0
