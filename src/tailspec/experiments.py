@@ -32,7 +32,7 @@ from .simulation import (
     sample_stable_1d,
     sample_stable_vector,
 )
-from .types import DataMatrix, ModelSpec, Region
+from .types import DataMatrix, GroupScheme, ModelSpec, Region
 
 # experiment ids feeding SeededRng.split
 _EXP_SWEEP = 1
@@ -80,43 +80,36 @@ class SweepResult:
         ]
 
 
-def default_r_grid(N: int, target: str) -> list[float]:
-    """r values with 1-r in {0.05, ..., 0.95}, filtered by feasibility.
+def _plan(N: int, r: float, target: str) -> GroupScheme:
+    """The grouping a sweep point uses: the rho target needs only each group's
+    maximum, so it keeps m = 1; the others need m >= 2.  n = 1 is not warned."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EstimationWarning)
+        return grouping.plan_grouping(N, r, min_group=1 if target == "rho" else 2)
 
-    The rho target keeps singleton-group points (only the maximum direction is
-    needed); other targets require m >= 2.
-    """
-    min_group = 1 if target == "rho" else 2
+
+def default_r_grid(N: int, target: str) -> list[float]:
+    """r values with 1-r in {0.05, ..., 0.95} that ``_plan`` accepts."""
     out = []
     for k in range(1, 20):
         r = 1.0 - 0.05 * k
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", EstimationWarning)
-                grouping.plan_grouping(N, r, min_group=min_group)
+            _plan(N, r, target)
         except GroupTooSmall:
             continue
         out.append(r)
     return out
 
 
-def _estimate_target(data: DataMatrix, r: float, target: str,
+def _estimate_target(data: DataMatrix, scheme: GroupScheme, target: str,
                      model: ModelSpec) -> float:
-    min_group = 1 if target == "rho" else 2
-    with warnings.catch_warnings():
-        # grid extremes (n = 1, t past the consistency or normality bound) are explored
-        # deliberately in sweeps; per-point warnings would only repeat
-        warnings.simplefilter("ignore", EstimationWarning)
-        scheme = grouping.plan_grouping(data.rows, r, min_group=min_group)
-        stats = grouping.summarize_groups(data, scheme)
-        if target == "alpha":
-            return estimators.estimate_alpha(stats).alpha_hat
-        if target == "rho":
-            return estimators.rho_1d(estimators.estimate_spectral(stats))
-        if target == "mass":
-            t = tuning.auto_t(model.alpha, r, model.beta)
-            return estimators.estimate_total_mass(stats, model.alpha, t).mass_hat
-    raise ValueError(f"unknown target {target!r}")
+    stats = grouping.summarize_groups(data, scheme)
+    if target == "alpha":
+        return estimators.estimate_alpha(stats).alpha_hat
+    if target == "rho":
+        return estimators.rho_1d(estimators.estimate_spectral(stats))
+    t = tuning.auto_t(model.alpha, scheme.r, model.beta)  # the mass target
+    return estimators.estimate_total_mass(stats, model.alpha, t).mass_hat
 
 
 def _run_reps(rep: Callable, rngs: Sequence[SeededRng], workers: int) -> list:
@@ -132,9 +125,13 @@ def _run_reps(rep: Callable, rngs: Sequence[SeededRng], workers: int) -> list:
         return list(pool.map(rep, rngs))
 
 
-def _sweep_rep(model, N, r_grid, target, sampler, n_atoms, rep_rng) -> np.ndarray:
+def _sweep_rep(model, N, schemes, target, sampler, n_atoms, rep_rng) -> np.ndarray:
     data = draw_sample(model, N, rep_rng, sampler, n_atoms)
-    return np.array([_estimate_target(data, r, target, model) for r in r_grid])
+    with warnings.catch_warnings():
+        # grid extremes (n = 1, t past the consistency or normality bound) are
+        # explored deliberately; per-point warnings would only repeat
+        warnings.simplefilter("ignore", EstimationWarning)
+        return np.array([_estimate_target(data, s, target, model) for s in schemes])
 
 
 def run_r_sweep(model: ModelSpec, N: int, r_grid: Sequence[float], reps: int,
@@ -152,7 +149,10 @@ def run_r_sweep(model: ModelSpec, N: int, r_grid: Sequence[float], reps: int,
     r_grid = list(r_grid)
     if not r_grid:
         raise ValueError("empty r grid")
-    per_rep = _run_reps(partial(_sweep_rep, model, N, r_grid, target, sampler, n_atoms),
+    schemes = [_plan(N, r, target) for r in r_grid]
+    if target not in ("alpha", "rho", "mass"):
+        raise ValueError(f"unknown target {target!r}")
+    per_rep = _run_reps(partial(_sweep_rep, model, N, schemes, target, sampler, n_atoms),
                         [rng.split(_EXP_SWEEP, rep) for rep in range(reps)], workers)
     table = np.stack(per_rep)  # (reps, n_r), replication order
     one_minus_r = 1.0 - np.asarray(r_grid, dtype=np.float64)
@@ -192,8 +192,8 @@ def run_ecdf_compare(model: ModelSpec, N: int, r: float, grid_size: int,
         raise DimensionMismatch("ecdf comparison needs a d=2 model")
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    data = draw_sample(model, N, rng.split(_EXP_ECDF, 0), sampler, n_atoms)
     scheme = grouping.plan_grouping(N, r)
+    data = draw_sample(model, N, rng.split(_EXP_ECDF, 0), sampler, n_atoms)
     est = estimators.estimate_spectral(grouping.summarize_groups(data, scheme))
     angles = np.linspace(0.0, 2.0 * math.pi, grid_size + 1)[1:]
     est_cdf = np.array([v for _, v in estimators.spectral_cdf_2d(est, angles)])

@@ -1,13 +1,14 @@
 """Monte Carlo helpers shared by the tests.
 
 The limit-law and bias-decay checks of the group maxima, the direct
-block-maxima sampler behind the bias check, and the acceptance suite's models
-and cached runs.  Only tests read them, so they live here and not in the
+block-maxima sampler behind the bias check, the acceptance suite's models
+and cached runs, and the key of the golden digests.  Only tests read them, so they live here and not in the
 package; the tests import this module (pytest puts tests/ on sys.path).
 """
 
 import functools
 import math
+import platform
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,6 +21,16 @@ from tailspec.experiments import (EcdfComparison, SweepResult, draw_sample, run_
                                   run_r_sweep)
 from tailspec.simulation import SeededRng, sample_polar
 from tailspec.types import GroupScheme, Interval, ModelSpec
+
+def digest_key() -> tuple[str, str, bool]:
+    """(numpy version, machine, AVX-512 dispatch), the key of a golden digest:
+    numpy's float64 kernels round differently across each of them."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return np.__version__, platform.machine(), bool(__cpu_features__.get("AVX512_SKX"))
+
 
 # experiment ids feeding SeededRng.split, after tailspec.experiments' 1-3
 _EXP_FRECHET = 4

@@ -723,6 +723,24 @@ class TestBadInputsWithoutTraceback:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--model", "[1.5]"], "--model must be a JSON object"),
+        (["simulate", "--model", '{"kind": "gauss", "alpha": 1.5, "rho": 0}'],
+         "model kind must be polar or stable, got 'gauss'"),
+        (["simulate", "--model", '{"rho": 0.5}'], "--model needs an alpha"),
+        (["simulate", "--model", '{"alpha": 1.5, "rho": 1.5}'], "rho=1.5 outside [-1,1]"),
+        (["estimate", "--input", "six.csv", "--r", "0.5", "--t", "abc"],
+         "--t must be a number or 'auto', got 'abc'"),
+        (["sweep", "--model", STABLE_1D, "--target", "rho", "--grid", "0.5,x"],
+         "bad --grid '0.5,x'"),
+    ])
+    def test_unreadable_value_exit_2(self, six_row_csv, tmp_path, capsys, argv, message):
+        argv = [str(six_row_csv) if a == "six.csv" else a for a in argv]
+        if argv[0] != "estimate":
+            argv += ["--n", "200", "--seed", "1", "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 2
+        assert f"error[usage]: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["sweep", "--model", STABLE_1D, "--n", "200", "--seed", "1", "--target", "rho",
          "--reps", "1", "--grid", "0.5"],
@@ -828,6 +846,17 @@ class TestBadInputsWithoutTraceback:
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
         assert "error[CsvParseError]: line 1: line is not valid UTF-8" in proc.stderr
+
+
+@pytest.mark.parametrize("text, dim, message", [
+    ("arc:0:1", 1, "arc regions need d=2 data"),
+    ("halfspace:1,0", 2, "bad halfspace region"),
+    ("halfspace:1,x:0", 2, "bad halfspace region"),
+    ("arc:0,1:2", 2, "bad arc region"),
+])
+def test_bad_region_text(text, dim, message):
+    with pytest.raises(CliUsage, match=message):
+        parse_region(text, dim)
 
 
 @pytest.mark.parametrize("model, message", [

@@ -12,6 +12,7 @@ from tailspec.errors import (
     AllKappaOne,
     DegenerateProportion,
     DimensionMismatch,
+    EmptySample,
     EstimationWarning,
     GroupTooSmall,
     InvalidAlpha,
@@ -296,3 +297,8 @@ class TestPipelineStatistics:
         assert a0.alpha_hat == a1.alpha_hat  # exact
         s0, s1 = estimate_spectral(base), estimate_spectral(scaled)
         assert (s0.atoms == s1.atoms).all()
+
+
+def test_spectral_ci_needs_two_atoms():
+    with pytest.raises(EmptySample, match="n >= 2 atoms"):
+        spectral_ci(SpectralEstimate([[1.0, 0.0]]), Halfspace((1.0, 0.0), 0.0))

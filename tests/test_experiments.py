@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from montecarlo import (
     sample_polar_block_maxima,
 )
 from tailspec import estimators, experiments, grouping, tuning
-from tailspec.errors import DimensionMismatch, EmptyExperiment, GroupTooSmall
+from tailspec.errors import (DimensionMismatch, EmptyExperiment, EstimationWarning, GroupTooSmall,
+                             InvalidModel)
 from tailspec.experiments import (
     draw_sample,
     default_r_grid,
@@ -87,6 +89,64 @@ class TestSweep:
         res = run_r_sweep(polar_model(), 20000, [0.5], reps=2, target="mass",
                           rng=SeededRng(37), sampler="polar")
         assert res.mean[0] > 0.0
+
+
+class TestPlanBeforeDraw:
+    """A sweep or comparison plans its groupings before it draws a sample."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def draw(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+        monkeypatch.setattr(experiments, "draw_sample", draw)
+
+    def test_infeasible_grid_point(self):
+        with pytest.raises(GroupTooSmall):
+            run_r_sweep(stable_1d_model(), 10000, [0.5, 0.999], reps=1,
+                        target="alpha", rng=SeededRng(56), sampler="stable")
+
+    def test_unknown_target(self):
+        with pytest.raises(ValueError, match="unknown target"):
+            run_r_sweep(stable_1d_model(), 10000, [0.5], reps=1,
+                        target="kappa", rng=SeededRng(57), sampler="stable")
+
+    def test_infeasible_ecdf(self):
+        # N = 1000, r = 0.999: n = 993 groups of m = 1 row
+        with pytest.raises(GroupTooSmall):
+            run_ecdf_compare(polar_model(), 1000, 0.999, 16, SeededRng(58))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: draw_sample(polar_model(), 10, SeededRng(59), "gauss"), InvalidModel,
+     "unknown sampler 'gauss'"),
+    (lambda: run_r_sweep(polar_model(), 1000, [], reps=1, target="alpha",
+                         rng=SeededRng(60)), ValueError, "empty r grid"),
+    (lambda: run_ecdf_compare(ModelSpec(alpha=1.0, total_mass=1.0, density="uniform"),
+                              1000, 0.5, 1, SeededRng(61)), ValueError, "grid_size must be"),
+    (lambda: run_ci_coverage(polar_model(), 1000, 0.5, "rho", 0.95, 5, SeededRng(62)),
+     ValueError, "unknown estimator kind 'rho'"),
+], ids=["unknown-sampler", "empty-grid", "ecdf-grid-size-1", "coverage-unknown-kind"])
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize("target", ["alpha", "rho", "mass"])
+@pytest.mark.parametrize("N", [10, 2000, 10**5])
+def test_default_grid_is_what_plan_grouping_accepts(N, target):
+    want = []
+    for k in range(1, 20):
+        r = 1.0 - 0.05 * k
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", EstimationWarning)
+                grouping.plan_grouping(N, r, min_group=1 if target == "rho" else 2)
+        except GroupTooSmall:
+            continue
+        want.append(r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # n = 1 points are kept without a warning
+        assert default_r_grid(N, target) == want
 
 
 class TestEcdf:

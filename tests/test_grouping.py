@@ -147,3 +147,13 @@ class TestSummarizeGroups:
                 top = np.sort(norms[i])[::-1]
                 assert summaries.m1[i] == top[0]
                 assert summaries.m2[i] == top[1]
+
+
+def test_min_group_must_be_1_or_2():
+    with pytest.raises(ValueError, match="min_group must be 1 or 2"):
+        plan_grouping(100, 0.5, min_group=3)
+
+
+def test_scheme_for_other_row_count_rejected():
+    with pytest.raises(ValueError, match="scheme is for 12 rows, data has 10"):
+        summarize_groups(DataMatrix(np.ones((10, 2))), plan_grouping(12, 0.5))

@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import platform
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 
@@ -12,7 +11,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from montecarlo import sample_polar_block_maxima
+from montecarlo import digest_key, sample_polar_block_maxima
 from tailspec import simulation
 from tailspec.grouping import summarize_groups
 from tailspec.errors import InvalidModel, UnsupportedAlpha
@@ -226,7 +225,7 @@ class TestStableVector:
             assert pool.submit(simulation._available_cpus).result() == 1
 
     def test_golden_digest(self):
-        env = (np.__version__, platform.machine(), _numpy_dispatches_avx512())
+        env = digest_key()
         if env not in _GOLDEN_ABSCOS2T:
             pytest.skip(f"no digest recorded for numpy {env[0]} on {env[1]} "
                         f"(AVX-512 dispatch: {env[2]}); the CPU-count tests "
@@ -248,14 +247,6 @@ _GOLDEN_ABSCOS2T = {
     ("2.4.6", "x86_64", False):
         "d67e5b7129aecbb41d5103c1c0a7147ed0bfc3c0aa215ad210f722c1fdd0299e",
 }
-
-
-def _numpy_dispatches_avx512():
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:  # numpy < 2
-        from numpy.core._multiarray_umath import __cpu_features__
-    return bool(__cpu_features__.get("AVX512_SKX"))
 
 
 def _scales(alpha, weights):
@@ -416,3 +407,20 @@ class TestBlockMaximaShortcut:
             - np.arange(1, n + 1) / n
         ).max()
         assert gap <= 1.95 * math.sqrt(2.0 / n)
+
+
+@pytest.mark.parametrize("draw, error, message", [
+    (lambda: stable_tail_constant(1.0), UnsupportedAlpha, "alpha=1.0 outside"),
+    (lambda: sample_polar(one_atom_model(), 0, SeededRng(1)), InvalidModel,
+     "N must be positive"),
+    (lambda: sample_stable_1d(1.5, 2.0, 1.0, 10, SeededRng(1)), InvalidModel,
+     "rho=2.0 outside"),
+    (lambda: sample_stable_1d(1.5, 0.0, 0.0, 10, SeededRng(1)), InvalidModel,
+     "total_mass must be positive"),
+    (lambda: sample_stable_vector(0.5, [1.0, 0.0], [1.0], 10, SeededRng(1)), InvalidModel,
+     "need a \\(K, d\\) atom array"),
+], ids=["tail-constant-alpha-1", "polar-N-0", "stable-1d-rho-2", "stable-1d-mass-0",
+        "stable-vector-1d-atoms"])
+def test_sampler_input_checks(draw, error, message):
+    with pytest.raises(error, match=message):
+        draw()

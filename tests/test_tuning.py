@@ -169,3 +169,24 @@ class TestAutoT:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert auto_t(alpha, r, beta) == default_t(alpha, r)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.5, -0.1, math.nan])
+def test_epsilon_outside_open_half(epsilon):
+    with pytest.raises(ValueError, match="outside \\(0, 1/2\\)"):
+        optimal_r_alpha(1.0, 2.0, epsilon)
+
+
+@pytest.mark.parametrize("r", [0.0, 1.0, -0.5])
+def test_default_t_r_outside_unit_interval(r):
+    with pytest.raises(ValueError, match="outside"):
+        default_t(1.0, r)
+
+
+def test_beta_too_close_leaves_no_admissible_r():
+    # alpha 1, beta 1.01: 2 zeta / (1 + 2 zeta) is 0.0196, below epsilon 0.05
+    with pytest.raises(InvalidSecondOrder, match="too close to alpha="):
+        optimal_r_alpha(1.0, 1.01)
+    # alpha 1, beta 2.01: the radical formula gives 0.037, below epsilon 0.05
+    with pytest.raises(InvalidSecondOrder, match="too close to alpha\\+1"):
+        optimal_r_mass(1.0, 2.01)

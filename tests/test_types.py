@@ -239,3 +239,31 @@ def test_arrays_stay_read_only_after_unpickling():
             b = getattr(back, name)
             assert not b.flags.writeable, (type(obj).__name__, name)
             assert (b.dtype, b.shape, b.tobytes()) == (a.dtype, a.shape, a.tobytes())
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: DataMatrix(np.zeros((2, 2, 2))), InvalidModel, "ndim=3"),
+    (lambda: GroupScheme(r=1.0, n=2, m=2, discarded=0), InvalidModel, "r=1.0 outside"),
+    (lambda: GroupScheme(r=0.5, n=0, m=2, discarded=0), InvalidModel, "must be positive"),
+    (lambda: SpectralEstimate(np.zeros((0, 2))), EmptySample, "at least one atom"),
+    (lambda: Interval(0.0, 1.0, 1.0), InvalidModel, "level must be in"),
+    (lambda: ModelSpec(alpha=0.0, total_mass=1.0, density="uniform"), InvalidModel,
+     "alpha must be positive"),
+    (lambda: ModelSpec(alpha=1.0, total_mass=0.0, density="uniform"), InvalidModel,
+     "total_mass must be positive"),
+    (lambda: ModelSpec(alpha=1.0, total_mass=-1.0, density="uniform"), InvalidModel,
+     "total_mass must be positive"),
+    (lambda: ModelSpec(alpha=1.0, total_mass=1.0, atoms=[[2.0, 0.0]], weights=[1.0]),
+     InvalidModel, "unit vectors"),
+    (lambda: ModelSpec(alpha=1.0, total_mass=1.0, atoms=[[1.0, 0.0], [0.0, 1.0]],
+                       weights=[1.5, -0.5]), InvalidModel, "weights must be positive"),
+    (lambda: ModelSpec(alpha=1.0, total_mass=1.0, atoms=[[1.0, 0.0]], weights=[1.0]).rho,
+     DimensionMismatch, "d=1 atom models"),
+    (lambda: ModelSpec(alpha=1.0, total_mass=1.0, atoms=[[1.0]], weights=[1.0])
+     .spectral_cdf([1.0]), DimensionMismatch, "needs d=2"),
+], ids=["data-ndim-3", "scheme-r-1", "scheme-n-0", "spectral-empty", "interval-level-1",
+        "model-alpha-0", "model-mass-0", "model-mass-negative", "model-atom-not-unit",
+        "model-weight-negative", "model-rho-d2", "model-cdf-d1"])
+def test_input_checks(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
