@@ -35,6 +35,8 @@ from .numerics import gamma_fn, normal_quantile
 from .types import DataMatrix, GroupStats, Interval, Region, SpectralEstimate
 
 _CDF_GRID = 128  # angles of the d=2 cdf in an estimate report
+_PLUGIN_REASON = ("alpha is the plug-in alpha_hat, and an interval that treats it "
+                  "as known does not hold its level")
 
 
 def _wald(point: float, variance: float, n: int, level: float) -> tuple[float, float]:
@@ -76,7 +78,6 @@ def estimate_alpha(stats: GroupStats) -> AlphaEstimate:
             EstimationWarning,
             stacklevel=2,
         )
-        return AlphaEstimate(s_n=0.0, alpha_hat=0.0, kappa_var=kappa_var, n=n)
     return AlphaEstimate(s_n=s_n, alpha_hat=s_n / (n - s_n), kappa_var=kappa_var, n=n)
 
 
@@ -225,6 +226,22 @@ def total_mass_ci(est: TotalMassEstimate, level: float = 0.95) -> Interval:
     return Interval(lo=lo, hi=hi, level=level)
 
 
+def _interval(name: str, fn, est, level: float, reason: str | None = None) -> dict | None:
+    """``asdict(fn(est, level))``, or None with the EstimationWarning
+    ``"<name> ci is null: <reason>"``.  The reason is the undefined interval's
+    own message, else the one passed, else an end past the float64 range."""
+    try:
+        ci = asdict(fn(est, level))
+    except (ZeroVariance, EmptySample) as e:
+        reason = str(e)
+    except OverflowError:
+        reason = reason or "an end exceeds the float64 range"
+    if reason is None:
+        return ci
+    warnings.warn(f"{name} ci is null: {reason}", EstimationWarning, stacklevel=2)
+    return None
+
+
 def estimate_report(data: DataMatrix, r: float, alpha: float | None = None,
                     t: float | None = None, beta: float | None = None,
                     regions: Sequence[tuple[str, Region]] = (),
@@ -247,34 +264,11 @@ def estimate_report(data: DataMatrix, r: float, alpha: float | None = None,
         if t is None:
             t = tuning.auto_t(alpha_used, r, beta)
         mass_est = estimate_total_mass(stats, alpha_used, t)
-
-    def ci(name, interval, est):
-        try:
-            c = interval(est, level)
-        except (ZeroVariance, EmptySample) as e:
-            notes.append(f"{name} ci is null: {e}")
-            return None
-        return asdict(c)
-
-    alpha_doc = {"hat": alpha_est.alpha_hat, "s_n": alpha_est.s_n,
-                 "kappa_var": alpha_est.kappa_var, "ci": ci("alpha", alpha_ci, alpha_est)}
-    if alpha is None:
-        # the interval is dropped, so an end past float64 does not matter
-        try:
-            defined = ci("mass", total_mass_ci, mass_est) is not None
-        except OverflowError:
-            defined = True
-        if defined:
-            notes.append("mass ci is null: alpha is the plug-in alpha_hat, and an "
-                         "interval that treats it as known does not hold its level")
-        notes.append("mass estimate uses plug-in alpha_hat")
-        mass_ci = None
-    else:
-        try:
-            mass_ci = ci("mass", total_mass_ci, mass_est)
-        except OverflowError:
-            notes.append("mass ci is null: an end exceeds the float64 range")
-            mass_ci = None
+        alpha_ci_doc = _interval("alpha", alpha_ci, alpha_est, level)
+        mass_ci = _interval("mass", total_mass_ci, mass_est, level,
+                            _PLUGIN_REASON if alpha is None else None)
+        if alpha is None:
+            warnings.warn("mass estimate uses plug-in alpha_hat", EstimationWarning)
 
     entries = []
     for spec, region in regions:
@@ -290,7 +284,8 @@ def estimate_report(data: DataMatrix, r: float, alpha: float | None = None,
         spectral_doc["cdf"] = [[a, v] for a, v in spectral_cdf_2d(spectral, angles)]
     return {
         "scheme": {"r": r, "n": scheme.n, "m": scheme.m, "discarded": scheme.discarded},
-        "alpha": alpha_doc,
+        "alpha": {"hat": alpha_est.alpha_hat, "s_n": alpha_est.s_n,
+                  "kappa_var": alpha_est.kappa_var, "ci": alpha_ci_doc},
         "mass": {"hat": mass_est.mass_hat, "t": t, "alpha_used": alpha_used,
                  "alpha_mode": "plugin" if alpha is None else "fixed",
                  "mean_qt": mass_est.mean_qt, "ci": mass_ci},

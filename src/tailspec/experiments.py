@@ -81,8 +81,9 @@ class SweepResult:
 
 
 def _plan(N: int, r: float, target: str) -> GroupScheme:
-    """The grouping a sweep point uses: the rho target needs only each group's
-    maximum, so it keeps m = 1; the others need m >= 2.  n = 1 is not warned."""
+    """The grouping a sweep point or the ecdf comparison uses: the rho target
+    needs only each group's maximum, so it keeps m = 1; the others need
+    m >= 2.  n = 1 is not warned."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EstimationWarning)
         return grouping.plan_grouping(N, r, min_group=1 if target == "rho" else 2)
@@ -192,7 +193,7 @@ def run_ecdf_compare(model: ModelSpec, N: int, r: float, grid_size: int,
         raise DimensionMismatch("ecdf comparison needs a d=2 model")
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    scheme = grouping.plan_grouping(N, r)
+    scheme = _plan(N, r, "spectral")
     data = draw_sample(model, N, rng.split(_EXP_ECDF, 0), sampler, n_atoms)
     est = estimators.estimate_spectral(grouping.summarize_groups(data, scheme))
     angles = np.linspace(0.0, 2.0 * math.pi, grid_size + 1)[1:]

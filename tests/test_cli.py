@@ -912,6 +912,18 @@ class TestExperimentCommands:
         assert 0.0 <= summary["sup_distance"] <= 1.0
         capsys.readouterr()
 
+    def test_ecdf_single_group_raises_no_warning(self, capsys):
+        # N=5 at r=0.3 gives n=1: the document reports the one group, and
+        # like the sweeps, ecdf does not warn of it
+        model = json.dumps({"kind": "polar", "alpha": 1.0, "density": "uniform"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", tailspec.EstimationWarning)
+            assert main(["ecdf", "--model", model, "--n", "5", "--r", "0.3",
+                         "--seed", "1", "--grid-size", "4"]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["n_atoms_estimate"] == 1
+        assert err == ""
+
     def test_ecdf_auto_r_reads_model_beta(self, capsys):
         model = json.dumps({"kind": "polar", "alpha": 0.75, "density": "abscos2t",
                             "beta": 3.0})

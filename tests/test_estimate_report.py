@@ -214,3 +214,44 @@ def test_report_matches_paper_formulas(case):
     assert_close({k: got[k] for k in want}, want)
     nulls = [w for w in got["warnings"] if " ci is null: " in w]
     assert len(nulls) == [want["alpha"]["ci"], want["mass"]["ci"]].count(None)
+
+
+# the inputs of test_cli.py's null-interval cases: a Cauchy sample with
+# defined intervals, the same at 10^3 scale with alpha = 1000, and groups of
+# (2, 0) or (0, 2) over a half-size second row, whose ratios are all 1/2;
+# and one group of ten rows whose ratio is 1/2
+CAUCHY = np.random.default_rng(5).standard_cauchy((2000, 2))
+CAUCHY_1E3 = np.random.default_rng(6).standard_cauchy((400, 2)) * 1e3
+TIED = np.array([[2.0, 0], [1, 0], [0, 2], [0, 1]] * 100)
+ONE_GROUP = np.array([[2.0, 0], [0, 1]] + [[0.5, 0], [0, 0.25]] * 4)
+PLUGIN_NULL = ("mass ci is null: alpha is the plug-in alpha_hat, and an interval that "
+               "treats it as known does not hold its level")
+PLUGIN = "mass estimate uses plug-in alpha_hat"
+ALPHA_TIED = "alpha ci is null: all group ratios identical; interval undefined"
+MASS_TIED = "mass ci is null: q^t values are numerically constant"
+ONE_GROUP_NOTES = ["degenerate grouping: n=1 group for N=10, r=0.1",
+                   "t=0.0125 is outside the consistency range t < alpha*r/2 = 0 "
+                   "(r inferred from n, m)",
+                   "alpha ci is null: need n >= 2 groups for an interval",
+                   "mass ci is null: need n >= 2 groups for an interval"]
+
+
+@pytest.mark.parametrize("x, r, alpha, notes", [
+    pytest.param(CAUCHY, 0.5, 1.0, [], id="fixed-defined"),
+    pytest.param(CAUCHY_1E3, 0.5, 1000.0, [
+        "mass hat is inf: the estimate exceeds the float64 range (alpha=1000.0, t=0.5)",
+        "mass ci is null: an end exceeds the float64 range"], id="fixed-past-float64"),
+    pytest.param(TIED, 0.885, 1.0, [ALPHA_TIED, MASS_TIED], id="fixed-undefined"),
+    pytest.param(CAUCHY, 0.5, None, [PLUGIN_NULL, PLUGIN], id="plugin-defined"),
+    # an undefined interval gives its own reason, not the plug-in one
+    pytest.param(TIED, 0.885, None, [ALPHA_TIED, MASS_TIED, PLUGIN], id="plugin-undefined"),
+    pytest.param(ONE_GROUP, 0.1, None, [*ONE_GROUP_NOTES, PLUGIN], id="plugin-one-group"),
+    # the plug-in reason comes before an end past float64
+    pytest.param(NEAR_TIED_GROUPS, 0.3125, None, [PLUGIN_NULL, PLUGIN],
+                 id="plugin-past-float64"),
+])
+def test_null_interval_notes(x, r, alpha, notes):
+    doc = estimate_report(DataMatrix(x), r, alpha)
+    assert doc["warnings"] == notes
+    assert (doc["alpha"]["ci"] is None) == any(n.startswith("alpha ci") for n in notes)
+    assert (doc["mass"]["ci"] is None) == any(n.startswith("mass ci") for n in notes)
