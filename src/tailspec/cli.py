@@ -46,8 +46,10 @@ def read_csv(path: str | Path, skip_header: bool = False) -> DataMatrix:
     Every value is what float() gives for its field, bit for bit.  The file
     at ``path`` is opened once, and its three readers take turns on that
     one handle, each from the start.  Plain decimal text (see plaincsv)
-    goes to the exact vectorized reader plaincsv.read_plain_csv.  Other text
-    goes to numpy, which parses the open file in one pass.  Text numpy
+    goes to the exact vectorized reader plaincsv.read_plain_csv, which
+    parses a large regular file in one forked process per available CPU and
+    reaps them all before it returns.  Other text goes to numpy, which
+    parses the open file in one pass.  Text numpy
     rejects goes through the line reader, which either raises CsvParseError
     at the first bad line or parses what float() accepts and numpy does not
     (whitespace-only lines, ``1_0``, non-ASCII digits).  Whatever numpy

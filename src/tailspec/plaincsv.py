@@ -14,14 +14,27 @@ declines every file and format_rows formats every value with '%.17g'.
 
 from __future__ import annotations
 
+import mmap
+import os
+import stat
 import sys
-from typing import BinaryIO
+import threading
+from functools import partial
+from itertools import chain
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
+
+from .simulation import _available_cpus
 
 # bytes read at a time; 256 KB blocks parsed no faster and raised the peak
 # RSS of `estimate` by 0.2 MB
 _BLOCK = 1 << 17
+# bytes each range of a forked parse needs (see read_plain_csv): fork()
+# took about 0.6 ms and waiting for a child about 1.2 ms more; over two
+# ranges a 1 MiB file parsed in 9.3-12.9 ms against 9.9-13.5 ms serial, a
+# 2 MiB file in 14.9-21.2 ms against 19.3-28.6 ms (2-CPU x86 VM, medians of 25)
+_MIN_RANGE = 1 << 20
 _TOKENS = bytes.maketrans(b"eE\n", b",,,")  # an exponent is its own token
 # mantissas below 10**18 fit in int64, and 10**k for k <= 27 (5**27 < 2**64),
 # exactly in a 64-bit significand
@@ -51,28 +64,110 @@ def read_plain_csv(fh: BinaryIO, skip_header: bool) -> np.ndarray | None:
     twice and leaves open.  A first pass counts the lines, to size the
     output.  The second reads _BLOCK bytes at a time, cut after the last
     newline, and parses each block into the next rows of the output.
+
+    The second pass of a regular file of at least _MIN_RANGE bytes per
+    range, in a process that runs one Python thread and has two or more
+    CPUs available, is split into one byte range per CPU.  Each range ends
+    where a block of the one-process parse ends, so it parses the same
+    blocks; the first pass finds the cuts and the lines before each, so
+    every range knows its first row.  This process parses the first range,
+    and a forked child each other one, into a shared output.  Every child
+    is reaped before this returns, and a range whose fork failed or whose
+    child did not exit 0 is parsed here.  Values and declines are the
+    one-process parse's.
     """
     if not _EXACT_LONGDOUBLE:
         return None
-    lines, size, last = 0, 0, b"\n"
+    targets = _cut_targets(fh)
+    lines, size, last, cuts = 0, 0, b"\n", []  # cuts: (offset, lines before it)
     while chunk := fh.read(_BLOCK):
         lines += np.count_nonzero(np.frombuffer(chunk, np.uint8) == 10)
         size += len(chunk)
         last = chunk[-1:]
+        if targets and targets[-1] <= size and len(chunk) == _BLOCK:
+            while targets and targets[-1] <= size:
+                targets.pop()
+            # a cut ends a block of the one-process parse, after the last
+            # newline of a whole chunk, and leaves the first range a row
+            at = chunk.rfind(b"\n") + 1
+            if at and lines > skip_header:
+                cuts.append((size - len(chunk) + at, lines))
+    if cuts and cuts[-1][0] == size:
+        cuts.pop()
     rows = lines + (last != b"\n") - skip_header
     if rows < 1:
         return None
-    fh.seek(0)
-    out, width, filled, carry, header = None, 0, 0, b"", skip_header
+    if cuts:
+        texts = _range_texts(fh.fileno(), 0, cuts[0][0], skip_header)
+    else:
+        fh.seek(0)
+        texts = _texts(partial(fh.read, _BLOCK), skip_header)
+    first = next(texts, None)
+    if first is None:
+        return None
+    width = first.count(b",", 0, first.index(b"\n")) + 1
+    if 2 * rows * width > size + 1:  # a field takes 2 bytes
+        return None
+    texts = chain([first], texts)
+    if not cuts:
+        out = np.empty(rows * width)
+        return out.reshape(rows, width) if _fill(texts, out, width) else None
+    out = np.frombuffer(mmap.mmap(-1, 8 * rows * width), np.float64)
+    bounds = [0, *(width * (before - skip_header) for _, before in cuts), out.size]
+    views = [out[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    offsets = [c for c, _ in cuts] + [size]
+    ranges = list(zip(offsets, offsets[1:]))
+    if not _fill_ranges(fh.fileno(), texts, views, width, ranges):
+        return None
+    return out.reshape(rows, width)
+
+
+def _cut_targets(fh: BinaryIO) -> list[int]:
+    """Where read_plain_csv aims to cut fh, the last first: the ends of
+    one range per available CPU, each of at least _MIN_RANGE bytes, where
+    fh is a regular file and this process can fork and runs one Python
+    thread; else nowhere."""
+    try:
+        st = os.fstat(fh.fileno())
+    except OSError:  # no descriptor, e.g. the BytesIO that holds a pipe's bytes
+        return []
+    if not (stat.S_ISREG(st.st_mode) and hasattr(os, "fork")
+            and threading.active_count() == 1):
+        return []
+    parts = min(_available_cpus(), st.st_size // _MIN_RANGE)
+    return [st.st_size * i // parts for i in range(parts - 1, 0, -1)]
+
+
+def _range_texts(fd: int, start: int, stop: int, header: bool) -> Iterator[bytes | None]:
+    """_texts of bytes [start, stop) of fd, both ends of blocks of the
+    one-process parse: the same blocks, read with os.pread, which leaves
+    the file offset, shared with forked children, where it is."""
+    pos = -(-start // _BLOCK) * _BLOCK  # where that parse's next chunk starts
+
+    def read() -> bytes:
+        nonlocal pos
+        chunk = os.pread(fd, min(_BLOCK, stop - pos), pos)
+        pos += len(chunk)
+        return chunk
+    return _texts(read, header, os.pread(fd, pos - start, start))
+
+
+def _texts(read: Callable[[], bytes], header: bool,
+           carry: bytes = b"") -> Iterator[bytes | None]:
+    """The blocks of whole lines the second pass parses: carry and then
+    each read() cut after its last newline, '\\r\\n' made '\\n', the header
+    line dropped and a newline added after the last line; None and no more
+    blocks where a line is longer than a block or a '\\r' ends no line."""
     while True:
-        chunk = fh.read(_BLOCK)
+        chunk = read()
         text = carry + chunk
         if not text:
-            break
-        if len(chunk) == _BLOCK:  # not the end of the file
+            return
+        if len(chunk) == _BLOCK:  # not the end of the file or range
             cut = text.rfind(b"\n") + 1
             if not cut:  # a line longer than a block
-                return None
+                yield None
+                return
             text, carry = text[:cut], text[cut:]
         else:
             carry = b""
@@ -81,25 +176,62 @@ def read_plain_csv(fh: BinaryIO, skip_header: bool) -> np.ndarray | None:
         if b"\r" in text:
             # the other readers end a line at a lone '\r' too
             if text.count(b"\r") != text.count(b"\r\n"):
-                return None
+                yield None
+                return
             text = text.replace(b"\r\n", b"\n")
         if header:
             text, header = text[text.index(b"\n") + 1:], False
             if not text:
                 continue
-        if out is None:
-            width = text.count(b",", 0, text.index(b"\n")) + 1
-            if 2 * rows * width > size + 1:  # a field takes 2 bytes
-                return None
-            out = np.empty(rows * width)
-        values = _block_values(text, width)
+        yield text
+
+
+def _fill(texts: Iterable[bytes | None], out: np.ndarray, width: int) -> bool:
+    """Parse texts into out, block after block; whether they filled it
+    exactly, every block plain and `width` fields wide."""
+    filled = 0
+    for text in texts:
+        values = None if text is None else _block_values(text, width)
         if values is None or filled + values.size > out.size:
-            return None
+            return False
         out[filled:filled + values.size] = values
         filled += values.size
-    if filled != rows * width:
-        return None
-    return out.reshape(rows, width)
+    return filled == out.size
+
+
+def _fill_ranges(fd: int, texts: Iterable[bytes | None], views: list[np.ndarray],
+                 width: int, ranges: list[tuple[int, int]]) -> bool:
+    """_fill views[0] from texts here, and views[i] from bytes ranges[i - 1]
+    of fd in a forked child, or here where the fork or the child failed."""
+    children = {}
+    try:
+        for i, (start, stop) in enumerate(ranges, 1):
+            try:
+                pid = os.fork()
+            except OSError:  # e.g. no process left: the rest are parsed here
+                break
+            if pid == 0:
+                # the child: no return, no output, no atexit handler
+                filled = False
+                try:
+                    filled = _fill(_range_texts(fd, start, stop, False), views[i], width)
+                finally:
+                    os._exit(0 if filled else 1)
+            children[i] = pid
+        filled = _fill(texts, views[0], width)
+    finally:
+        exited = {i: _exited_0(pid) for i, pid in children.items()}
+    return filled and all(
+        exited.get(i) or _fill(_range_texts(fd, start, stop, False), views[i], width)
+        for i, (start, stop) in enumerate(ranges, 1))
+
+
+def _exited_0(pid: int) -> bool:
+    """Wait for the child pid to end; whether it exited 0."""
+    try:
+        return os.waitpid(pid, 0)[1] == 0
+    except ChildProcessError:  # reaped already, as where SIGCHLD is ignored
+        return False
 
 
 def _block_values(text: bytes, width: int) -> np.ndarray | None:

@@ -206,8 +206,9 @@ _ROWS_PER_THREAD = 8192
 
 
 def _available_cpus() -> int:
-    """CPUs the sampler may fill with threads, and the most processes a
-    replication pool starts.
+    """CPUs the sampler may fill with threads, the most processes a
+    replication pool starts, and the most ranges read_plain_csv parses a
+    file in, each in its own process.
 
     One inside a multiprocessing child, e.g. a run_r_sweep or
     run_ci_coverage pool worker: its sibling workers already use the other

@@ -80,23 +80,26 @@ _NORM_LO, _NORM_HI = 2.0 ** -500, 2.0 ** 500
 
 
 def _norms_kernel(b: np.ndarray, out: np.ndarray) -> None:
+    if b.shape[1] == 1:
+        # sqrt(x*x) rounds to |x| wherever x*x is a normal double
+        np.abs(b[:, 0], out=out)
+        return
     if b.shape[1] > 2:
         (b * b).sum(axis=1, out=out)
     else:
-        # numpy reduces a short axis one row at a time; a sum of one or two
-        # squares is one rounding in either order, so columns give the same
-        # bits at twice the speed or more
-        x = b[:, 0]
+        # numpy reduces a short axis one row at a time; a sum of two squares
+        # is one rounding in either order, so columns give the same bits at
+        # twice the speed or more
+        x, y = b[:, 0], b[:, 1]
         np.multiply(x, x, out=out)
-        if b.shape[1] == 2:
-            y = b[:, 1]
-            out += y * y
+        out += y * y
     np.sqrt(out, out=out)
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a 2-D float64 array,
-    ``sqrt((v*v).sum(axis=1))`` bit for bit, computed by blocks."""
+    ``sqrt((v*v).sum(axis=1))`` bit for bit, computed by blocks; |x| for a
+    row of one entry x, which is that wherever x*x is a normal double."""
     return _by_blocks(_norms_kernel, v, np.empty(v.shape[0]))
 
 

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -53,6 +53,18 @@ def test_norms_match_one_shot_formula(rows, d):
     want = np.array([reference_norm(row) for row in v.tolist()])
     np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
     np.testing.assert_array_equal(as_bits(got[~np.isnan(want)]), as_bits(want[~np.isnan(want)]))
+
+
+@given(x=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+@example(x=[5e-324, -2.0 ** -540, 1e-160, -0.0, 0.0, 1.0, -1e155, 2.0 ** 600,
+            -1.7976931348623157e308])
+@settings(max_examples=300, deadline=None)
+def test_one_column_norms_match_rescaled_formula(x):
+    # |x| for one column: floats() draws subnormals, values whose squares
+    # underflow or pass 1e308, and the largest doubles
+    v = np.array(x)[:, None]
+    want = np.array([reference_norm(row) for row in v.tolist()])
+    np.testing.assert_array_equal(as_bits(DataMatrix(v).norms), as_bits(want))
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])

@@ -4,8 +4,13 @@ Halfspace.mask against their rules written out, write_csv against the
 per-value f-string writer, and pickle round-trips of regions and densities."""
 
 import builtins
+import contextlib
+import io
 import math
+import os
 import pickle
+import signal
+import threading
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -385,6 +390,183 @@ def test_read_csv_opens_its_input_once(tmp_path, monkeypatch, text):
         got = outcome(read_csv, path, False)
     assert got == want and got[0] == "ok"
     assert len(opened) == 1
+
+
+# ------------------------------------------------- read_csv: forked ranges
+
+@contextlib.contextmanager
+def forking(cpus=3, block=32, fork=None):
+    """read_plain_csv reading `block` bytes at a time (its own where None)
+    and splitting any regular file into one range per CPU of `cpus` (the
+    machine's where None), each of a byte or more; yields the list of
+    os.fork calls made, and checks on leaving that no child is left."""
+    calls = []
+    fork = fork or os.fork
+
+    def counting_fork():
+        calls.append(len(calls))
+        return fork()
+
+    with contextlib.ExitStack() as patches:
+        patches.enter_context(mock.patch.object(plaincsv, "_MIN_RANGE", 1))
+        patches.enter_context(mock.patch.object(os, "fork", counting_fork))
+        if cpus is not None:
+            patches.enter_context(mock.patch.object(plaincsv, "_available_cpus", lambda: cpus))
+        if block is not None:
+            patches.enter_context(mock.patch.object(plaincsv, "_BLOCK", block))
+        yield calls
+    with pytest.raises(ChildProcessError):  # no child left, running or exited
+        os.waitpid(-1, os.WNOHANG)
+
+
+def assert_forked_parse_is_serial(path, skip_header, **kwargs):
+    """The forked parse of path gives the one-process parse's bits, or both
+    decline, and read_csv's outcome is the line reader's; returns the
+    number of forks."""
+    with forking(**kwargs) as forks, open(path, "rb") as fh:
+        serial = plaincsv.read_plain_csv(io.BytesIO(path.read_bytes()), skip_header)
+        assert not forks  # a BytesIO has no descriptor
+        forked = plaincsv.read_plain_csv(fh, skip_header)
+    assert (forked is None) == (serial is None)
+    if serial is not None:
+        assert forked.shape == serial.shape
+        assert forked.view(np.uint64).tolist() == serial.view(np.uint64).tolist()
+    with forking(**kwargs):
+        got = outcome(read_csv, path, skip_header)
+    assert got == outcome(reference_read_csv, path, skip_header)
+    return len(forks)
+
+
+@st.composite
+def plain_text(draw):
+    """Rows of decimal fields, '\\n' or '\\r\\n' throughout, a quarter
+    of them with one line of other text among them."""
+    width = draw(st.integers(1, 3))
+    field = st.one_of(decimal_field(), st.floats(-1e3, 1e3).map("{:.6g}".format),
+                      st.integers(-999, 999).map(str))
+    lines = draw(st.lists(st.lists(field, min_size=width, max_size=width).map(",".join),
+                          min_size=1, max_size=60))
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(LINE))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+@given(text=st.one_of(csv_text(), plain_text(), plain_text()), skip_header=st.booleans(),
+       cpus=st.integers(2, 5), block=st.sampled_from([16, 32, 64]),
+       slow_share=st.sampled_from([plaincsv._SLOW_SHARE, 1.0]))
+@settings(max_examples=300, deadline=None)
+def test_forked_parse_matches_serial(tmp_path_factory, text, skip_header, cpus, block,
+                                     slow_share):
+    path = tmp_path_factory.mktemp("forked") / "in.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(plaincsv, "_SLOW_SHARE", slow_share):
+        assert_forked_parse_is_serial(path, skip_header, cpus=cpus, block=block)
+
+
+def test_forked_parse_takes_one_child_per_spare_cpu(tmp_path):
+    # the machine's CPUs and blocks: no fork on one CPU, as under taskset -c 0
+    g = np.random.default_rng(12)
+    values = g.standard_normal((10**4, 3)) * 10.0 ** g.integers(-8, 15, (10**4, 3))
+    path = tmp_path / "in.csv"
+    path.write_bytes(plaincsv.format_rows(values))
+    assert path.stat().st_size > 4 * plaincsv._BLOCK
+    forks = assert_forked_parse_is_serial(path, False, cpus=None, block=None)
+    cpus = plaincsv._available_cpus()
+    assert (forks > 0) == (cpus > 1) and forks < cpus
+    with forking(cpus=None, block=None), open(path, "rb") as fh:
+        got = plaincsv.read_plain_csv(fh, False)
+    assert got.view(np.uint64).tolist() == values.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("final_newline", [False, True])
+def test_forked_parse_with_header_and_last_line(tmp_path, newline, final_newline):
+    rows = [["x", "y"]] + [[f"{k}.3", f"-{k}e-7"] for k in range(40)]
+    write_plain(tmp_path / "in.csv", rows, newline, final_newline)
+    assert assert_forked_parse_is_serial(tmp_path / "in.csv", True) == 2
+    with forking(), open(tmp_path / "in.csv", "rb") as fh:
+        got = plaincsv.read_plain_csv(fh, True)
+    assert got.view(np.uint64).tolist() == float_bits(rows[1:]).tolist()
+
+
+@pytest.mark.parametrize("final_newline", [False, True])
+def test_forked_parse_drops_cuts_past_the_last_newline(tmp_path, final_newline):
+    # two 8-byte lines a 16-byte block; the target at 3/4 of the file falls
+    # in its last block, whose last newline ends the file or is followed by
+    # the last line
+    write_plain(tmp_path / "in.csv", [["1.5", "2.5"]] * 6, final_newline=final_newline)
+    assert assert_forked_parse_is_serial(tmp_path / "in.csv", False, cpus=4, block=16) == 2
+
+
+@pytest.mark.parametrize("line", ["1.5,2x5", "1.5", "1.5,2,3", "1_0,2", "1.5, 2", "1.5\r2,3"])
+def test_forked_parse_of_other_text_in_a_childs_range(tmp_path, line):
+    # line 35 of 40 lies in the last of three ranges; the line reader's
+    # values or error line come out
+    rows = [["1.5", "2.5"]] * 40
+    rows[34] = [line]
+    write_plain(tmp_path / "in.csv", rows)
+    assert assert_forked_parse_is_serial(tmp_path / "in.csv", False) == 2
+    with forking(), open(tmp_path / "in.csv", "rb") as fh:
+        assert plaincsv.read_plain_csv(fh, False) is None
+
+
+@pytest.mark.parametrize("failure", ["raise", "exit", "kill"])
+def test_forked_parse_redoes_a_failed_childs_range(tmp_path, failure):
+    rows = [[f"{k}.3", f"{k}e3"] for k in range(40)]
+    write_plain(tmp_path / "in.csv", rows)
+    parent, fill, here = os.getpid(), plaincsv._fill, []
+
+    def failing_fill(texts, out, width):
+        if os.getpid() != parent:
+            out[:] = -1.0  # a half-written range is overwritten
+            if failure == "raise":
+                raise MemoryError
+            if failure == "exit":
+                os._exit(3)
+            os.kill(os.getpid(), signal.SIGKILL)
+        here.append(out.size)
+        return fill(texts, out, width)
+
+    with mock.patch.object(plaincsv, "_fill", failing_fill):
+        assert assert_forked_parse_is_serial(tmp_path / "in.csv", False) == 2
+        with forking(), open(tmp_path / "in.csv", "rb") as fh:
+            here.clear()
+            got = plaincsv.read_plain_csv(fh, False)
+    assert got.view(np.uint64).tolist() == float_bits(rows).tolist()
+    assert len(here) == 3 and sum(here) == 80  # every range, here
+
+
+@pytest.mark.parametrize("fails_at", [0, 1])
+def test_forked_parse_without_fork(tmp_path, fails_at):
+    rows = [[f"{k}.3", f"-{k}e-5"] for k in range(40)]
+    write_plain(tmp_path / "in.csv", rows)
+    real_fork = os.fork
+    calls = 0
+
+    def fork():
+        nonlocal calls
+        calls += 1
+        if calls > fails_at:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real_fork()
+
+    # no fork after the first that fails: its range and the rest are parsed here
+    assert assert_forked_parse_is_serial(tmp_path / "in.csv", False, fork=fork) == fails_at + 1
+
+
+def test_forked_parse_needs_one_thread(tmp_path):
+    rows = [[f"{k}.3", f"-{k}e-5"] for k in range(40)]
+    write_plain(tmp_path / "in.csv", rows)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(10,))
+    thread.start()
+    try:
+        assert assert_forked_parse_is_serial(tmp_path / "in.csv", False) == 0
+    finally:
+        release.set()
+        thread.join(10)
+    assert not thread.is_alive()
 
 
 # ---------------------------------------------------------------- write_csv
