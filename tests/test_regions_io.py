@@ -537,6 +537,24 @@ def test_forked_parse_redoes_a_failed_childs_range(tmp_path, failure):
     assert len(here) == 3 and sum(here) == 80  # every range, here
 
 
+def test_forked_parse_reaps_every_child_where_its_own_range_fails(tmp_path):
+    rows = [[f"{k}.3", f"{k}e3"] for k in range(40)]
+    write_plain(tmp_path / "in.csv", rows)
+    parent, fill = os.getpid(), plaincsv._fill
+
+    def failing_fill(texts, out, width):
+        if os.getpid() == parent:
+            raise MemoryError
+        return fill(texts, out, width)
+
+    # forking() checks on leaving that both children were reaped
+    with mock.patch.object(plaincsv, "_fill", failing_fill), forking() as forks, \
+            open(tmp_path / "in.csv", "rb") as fh:
+        with pytest.raises(MemoryError):
+            plaincsv.read_plain_csv(fh, False)
+    assert len(forks) == 2
+
+
 @pytest.mark.parametrize("fails_at", [0, 1])
 def test_forked_parse_without_fork(tmp_path, fails_at):
     rows = [[f"{k}.3", f"-{k}e-5"] for k in range(40)]
