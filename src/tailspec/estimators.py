@@ -183,7 +183,11 @@ def estimate_total_mass(stats: GroupStats, alpha: float, t: float) -> TotalMassE
     n, m = stats.norms.shape
     if m < 2:
         raise GroupTooSmall(f"total mass needs m >= 2, got {m}")
-    qt = stats.m1 / m ** (1.0 / alpha)  # q, raised to the power t in place
+    try:
+        scale = m ** (1.0 / alpha)
+    except OverflowError:  # the bare one names no operand
+        raise OverflowError(f"m^(1/alpha) overflows float64 at m={m}, alpha={alpha}") from None
+    qt = stats.m1 / scale  # q, raised to the power t in place
     qt **= t
     mean_qt = float(qt.mean())
     if not math.isfinite(mean_qt):

@@ -19,9 +19,8 @@ import os
 import stat
 import sys
 import threading
-from functools import partial
 from itertools import chain
-from typing import BinaryIO, Callable, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -62,19 +61,18 @@ def read_plain_csv(fh: BinaryIO, skip_header: bool) -> np.ndarray | None:
 
     ``fh`` is a seekable binary file at its start, which this reader reads
     twice and leaves open.  A first pass counts the lines, to size the
-    output.  The second reads _BLOCK bytes at a time, cut after the last
-    newline, and parses each block into the next rows of the output.
+    output, and cuts the file into byte ranges.  The second parses each
+    range _BLOCK bytes at a time, cut after the last newline, into its rows.
 
-    The second pass of a regular file of at least _MIN_RANGE bytes per
-    range, in a process that runs one Python thread and has two or more
-    CPUs available, is split into one byte range per CPU.  Each range ends
-    where a block of the one-process parse ends, so it parses the same
-    blocks; the first pass finds the cuts and the lines before each, so
-    every range knows its first row.  This process parses the first range,
-    and a forked child each other one, into a shared output.  Every child
-    is reaped before this returns, and a range whose fork failed or whose
-    child did not exit 0 is parsed here.  Values and declines are the
-    one-process parse's.
+    A regular file gets one range per available CPU where each has at least
+    _MIN_RANGE bytes and this process runs one Python thread; a pipe's
+    bytes, a smaller file, one CPU or a second thread give one range.  Each
+    cut ends a block of the one-range parse, so the blocks are the same,
+    and the first pass counts the lines before it, so each range knows its
+    first row.  This process parses the first range, and a forked child
+    each other one, into a shared output.  Every child is reaped before
+    this returns, and a range whose fork failed or whose child did not exit
+    0 is parsed here.  Values and declines do not depend on the cuts.
     """
     if not _EXACT_LONGDOUBLE:
         return None
@@ -87,7 +85,7 @@ def read_plain_csv(fh: BinaryIO, skip_header: bool) -> np.ndarray | None:
         if targets and targets[-1] <= size and len(chunk) == _BLOCK:
             while targets and targets[-1] <= size:
                 targets.pop()
-            # a cut ends a block of the one-process parse, after the last
+            # a cut ends a block of the one-range parse, after the last
             # newline of a whole chunk, and leaves the first range a row
             at = chunk.rfind(b"\n") + 1
             if at and lines > skip_header:
@@ -97,27 +95,25 @@ def read_plain_csv(fh: BinaryIO, skip_header: bool) -> np.ndarray | None:
     rows = lines + (last != b"\n") - skip_header
     if rows < 1:
         return None
-    if cuts:
-        texts = _range_texts(fh.fileno(), 0, cuts[0][0], skip_header)
-    else:
-        fh.seek(0)
-        texts = _texts(partial(fh.read, _BLOCK), skip_header)
+    offsets = [0, *(c for c, _ in cuts), size]
+    ranges = list(zip(offsets, offsets[1:]))
+    texts = _range_texts(fh, *ranges[0], skip_header)
     first = next(texts, None)
     if first is None:
         return None
     width = first.count(b",", 0, first.index(b"\n")) + 1
     if 2 * rows * width > size + 1:  # a field takes 2 bytes
         return None
-    texts = chain([first], texts)
-    if not cuts:
-        out = np.empty(rows * width)
-        return out.reshape(rows, width) if _fill(texts, out, width) else None
-    out = np.frombuffer(mmap.mmap(-1, 8 * rows * width), np.float64)
+    out = np.empty(rows * width)
+    if cuts:
+        # children write into shared memory.  Freeing the unused np.empty
+        # raises glibc's mmap and trim thresholds to its size (to 32 MB), so
+        # neither process returns the heap its blocks free, to fault it in
+        # again for the next block (1900 against 1150-1300 faults per read)
+        out = np.frombuffer(mmap.mmap(-1, out.nbytes), np.float64)
     bounds = [0, *(width * (before - skip_header) for _, before in cuts), out.size]
     views = [out[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    offsets = [c for c, _ in cuts] + [size]
-    ranges = list(zip(offsets, offsets[1:]))
-    if not _fill_ranges(fh.fileno(), texts, views, width, ranges):
+    if not _fill_ranges(fh, chain([first], texts), views, width, ranges):
         return None
     return out.reshape(rows, width)
 
@@ -138,32 +134,33 @@ def _cut_targets(fh: BinaryIO) -> list[int]:
     return [st.st_size * i // parts for i in range(parts - 1, 0, -1)]
 
 
-def _range_texts(fd: int, start: int, stop: int, header: bool) -> Iterator[bytes | None]:
-    """_texts of bytes [start, stop) of fd, both ends of blocks of the
-    one-process parse: the same blocks, read with os.pread, which leaves
-    the file offset, shared with forked children, where it is."""
-    pos = -(-start // _BLOCK) * _BLOCK  # where that parse's next chunk starts
-
-    def read() -> bytes:
-        nonlocal pos
-        chunk = os.pread(fd, min(_BLOCK, stop - pos), pos)
-        pos += len(chunk)
-        return chunk
-    return _texts(read, header, os.pread(fd, pos - start, start))
+def _read_at(fh: BinaryIO, n: int, pos: int) -> bytes:
+    """n bytes of fh from pos: with os.pread, which leaves the file offset,
+    shared with forked children, where it is, or by seek and read where fh
+    has no descriptor, as the BytesIO that holds a pipe's bytes."""
+    try:
+        fd = fh.fileno()
+    except OSError:  # io.UnsupportedOperation
+        fh.seek(pos)
+        return fh.read(n)
+    return os.pread(fd, n, pos)
 
 
-def _texts(read: Callable[[], bytes], header: bool,
-           carry: bytes = b"") -> Iterator[bytes | None]:
-    """The blocks of whole lines the second pass parses: carry and then
-    each read() cut after its last newline, '\\r\\n' made '\\n', the header
-    line dropped and a newline added after the last line; None and no more
+def _range_texts(fh: BinaryIO, start: int, stop: int, header: bool) -> Iterator[bytes | None]:
+    """The blocks of bytes [start, stop) of fh, both ends of blocks of the
+    one-range parse: each _BLOCK-aligned chunk after what the last left,
+    cut after its last newline, '\\r\\n' made '\\n', the header line
+    dropped and a newline added after the last line; None and no more
     blocks where a line is longer than a block or a '\\r' ends no line."""
+    pos = -(-start // _BLOCK) * _BLOCK  # where that parse's next chunk starts
+    carry = _read_at(fh, pos - start, start)
     while True:
-        chunk = read()
+        chunk = _read_at(fh, min(_BLOCK, stop - pos), pos)
+        pos += len(chunk)
         text = carry + chunk
         if not text:
             return
-        if len(chunk) == _BLOCK:  # not the end of the file or range
+        if len(chunk) == _BLOCK:  # not the end of the range
             cut = text.rfind(b"\n") + 1
             if not cut:  # a line longer than a block
                 yield None
@@ -199,13 +196,14 @@ def _fill(texts: Iterable[bytes | None], out: np.ndarray, width: int) -> bool:
     return filled == out.size
 
 
-def _fill_ranges(fd: int, texts: Iterable[bytes | None], views: list[np.ndarray],
+def _fill_ranges(fh: BinaryIO, texts: Iterable[bytes | None], views: list[np.ndarray],
                  width: int, ranges: list[tuple[int, int]]) -> bool:
-    """_fill views[0] from texts here, and views[i] from bytes ranges[i - 1]
-    of fd in a forked child, or here where the fork or the child failed."""
+    """_fill views[0] here from texts, the blocks of ranges[0], and views[i]
+    from bytes ranges[i] of fh in a forked child, or here where the fork or
+    the child failed; one range forks nothing."""
     children = {}
     try:
-        for i, (start, stop) in enumerate(ranges, 1):
+        for i, (start, stop) in enumerate(ranges[1:], 1):
             try:
                 pid = os.fork()
             except OSError:  # e.g. no process left: the rest are parsed here
@@ -214,7 +212,7 @@ def _fill_ranges(fd: int, texts: Iterable[bytes | None], views: list[np.ndarray]
                 # the child: no return, no output, no atexit handler
                 filled = False
                 try:
-                    filled = _fill(_range_texts(fd, start, stop, False), views[i], width)
+                    filled = _fill(_range_texts(fh, start, stop, False), views[i], width)
                 finally:
                     os._exit(0 if filled else 1)
             children[i] = pid
@@ -222,8 +220,8 @@ def _fill_ranges(fd: int, texts: Iterable[bytes | None], views: list[np.ndarray]
     finally:
         exited = {i: _exited_0(pid) for i, pid in children.items()}
     return filled and all(
-        exited.get(i) or _fill(_range_texts(fd, start, stop, False), views[i], width)
-        for i, (start, stop) in enumerate(ranges, 1))
+        exited.get(i) or _fill(_range_texts(fh, start, stop, False), views[i], width)
+        for i, (start, stop) in enumerate(ranges[1:], 1))
 
 
 def _exited_0(pid: int) -> bool:

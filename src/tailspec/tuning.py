@@ -24,12 +24,16 @@ def _check_eps(epsilon: float) -> None:
         raise ValueError(f"epsilon={epsilon} outside (0, 1/2)")
 
 
+def _check_beta(alpha: float, beta: float) -> None:
+    if not (alpha > 0.0 and beta > alpha):  # NaN fails too
+        raise InvalidSecondOrder(f"need beta > alpha > 0, got alpha={alpha}, beta={beta}")
+
+
 def _rate_r(alpha: float, beta: float, epsilon: float, zeta_cap: float) -> float:
     """r = 2*zeta/(1+2*zeta) - epsilon, at most 1 - epsilon, with
     zeta = min((beta-alpha)/alpha, zeta_cap); beta = inf gives zeta_cap."""
     _check_eps(epsilon)
-    if not (alpha > 0.0 and beta > alpha):  # NaN fails too
-        raise InvalidSecondOrder(f"need beta > alpha > 0, got alpha={alpha}, beta={beta}")
+    _check_beta(alpha, beta)
     zeta = min((beta - alpha) / alpha, zeta_cap)
     if math.isinf(2.0 * zeta):
         return 1.0 - epsilon  # the limit zeta -> inf, where inf/inf would give NaN
@@ -118,14 +122,18 @@ def default_t(alpha: float, r: float) -> float:
 def auto_t(alpha: float, r: float, beta: float | None = None) -> float:
     """The ``--t auto`` mass exponent, default_t(alpha, r).
 
-    beta=None means 2*alpha.  In the paper's case b, (11/8)alpha + 1 < beta
-    < (3/2)alpha + 1, the mass estimator is asymptotically normal only for
-    t < min((3*alpha + 2 - 2*beta)/2, 1); a t at or past that bound is kept
-    and an EstimationWarning coded ``t-outside-normality`` says so.
+    beta=None means 2*alpha; a given beta must exceed alpha, as for the r
+    rules, or InvalidSecondOrder is raised.  In the paper's case b,
+    (11/8)alpha + 1 < beta < (3/2)alpha + 1, the mass estimator is
+    asymptotically normal only for t < min((3*alpha + 2 - 2*beta)/2, 1); a
+    t at or past that bound is kept and an EstimationWarning coded
+    ``t-outside-normality`` says so.
     """
     t = default_t(alpha, r)
     if beta is None:
         beta = DEFAULT_BETA_FACTOR * alpha
+    else:
+        _check_beta(alpha, beta)
     if 11.0 / 8.0 * alpha + 1.0 < beta < 1.5 * alpha + 1.0:
         t_max = min((3.0 * alpha + 2.0 - 2.0 * beta) / 2.0, 1.0)
         if t >= t_max:

@@ -33,6 +33,10 @@ def run_py_output(workload, seed, values, failed=0):
 def parent(tmp_path):
     (tmp_path / "parent" / "perfbench").mkdir(parents=True)
     (tmp_path / "parent" / "perfbench" / "run.py").touch()
+    (tmp_path / "parent" / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "parent" / "src" / "pkg" / "__init__.py").write_text('"""pkg."""\n')
+    (tmp_path / "parent" / "src" / "pkg" / "mod.py").write_text("a = 1\nb = 2\n")
+    (tmp_path / "parent" / "src" / "pkg" / "notes.txt").write_text("not python\n")
     return tmp_path / "parent"
 
 
@@ -81,6 +85,13 @@ def test_recorder_pairs_sides_and_summarizes(parent):
     for side in ("change", "parent"):
         tier1 = doc["sides"][side]["tier1"]
         assert (tier1["passed"], tier1["failed"]) == (743, 1) and tier1["wall_s"] >= 0.0
+
+
+def test_recorder_counts_each_sides_src_lines(parent):
+    doc = bench_record.record("t", parent.resolve(), 1, 2.0, run=fake_runner([], parent))
+    assert doc["sides"]["parent"]["src_lines"] == 3
+    want = sum(len(p.read_text().splitlines()) for p in (ROOT / "src").rglob("*.py"))
+    assert doc["sides"]["change"]["src_lines"] == want > 1000
 
 
 def test_recorder_runs_tier1_once_for_one_checkout():

@@ -608,6 +608,12 @@ class TestBadInputsWithoutTraceback:
         (["--alpha", "1000", "--t", "100"], "error[InvalidT]: q^t overflows at t=100.0"),
         (["--r", "auto", "--alpha", "0.5", "--beta", "nan"],
          "error[InvalidSecondOrder]: need beta > alpha > 0, got alpha=0.5, beta=nan"),
+        (["--alpha", "1e-9"], "error[OverflowError]: m^(1/alpha) overflows float64 at "
+                              "m=20, alpha=1e-09"),
+        (["--t", "auto", "--alpha", "1", "--beta", "nan"],
+         "error[InvalidSecondOrder]: need beta > alpha > 0, got alpha=1.0, beta=nan"),
+        (["--t", "auto", "--alpha", "1", "--beta", "0.5"],
+         "error[InvalidSecondOrder]: need beta > alpha > 0, got alpha=1.0, beta=0.5"),
     ])
     def test_mass_overflow_exit_4(self, tmp_path, capsys, flags, message):
         p = tmp_path / "in.csv"

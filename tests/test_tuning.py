@@ -162,13 +162,23 @@ class TestAutoT:
         (2.0, 4.5, 0.49),                # case a, beta >= (3/2)alpha + 1
         (1.0, 11 / 8 + 1.0, 0.45),       # lower end of case b
         (1.0, 2.5, 0.45),                # upper end of case b
-        (1.0, 2.0, 0.9), (1.0, 1.5, 0.9), (1.0, 0.5, 0.9),  # beta <= alpha + 1
+        (1.0, 2.0, 0.9), (1.0, 1.5, 0.9),  # beta <= alpha + 1
         (1.0, None, 0.9), (1.5, None, 0.45),
     ])
     def test_no_warning_elsewhere(self, alpha, beta, r):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert auto_t(alpha, r, beta) == default_t(alpha, r)
+
+    @pytest.mark.parametrize("alpha, beta, r", [
+        (1.0, 0.5, 0.9), (1.0, 1.0, 0.5), (1.0, -5.0, 0.5), (1.0, math.nan, 0.5),
+        (2.0, math.nan, 0.45),
+    ])
+    def test_beta_not_above_alpha_raises(self, alpha, beta, r):
+        # as the r rules do; NaN fails too
+        with pytest.raises(InvalidSecondOrder,
+                           match=f"^need beta > alpha > 0, got alpha={alpha}, beta={beta}$"):
+            auto_t(alpha, r, beta)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.5, -0.1, math.nan])

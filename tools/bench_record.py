@@ -17,7 +17,8 @@ It writes BENCH_<label>.json at the root of this checkout:
 - per workload and side: failed and attempted ops over all runs, and the
   provenance line of each run.py run;
 - per side: the git commit of the checkout and whether it had uncommitted
-  changes, and the tier-1 counts and wall time.
+  changes, the tier-1 counts and wall time, and the lines of its src/
+  Python files (as wc -l counts them).
 
 It does not change how run.py measures, nor any bound of BENCHMARK.json.
 """
@@ -66,6 +67,11 @@ def parse_tier1(stdout: str) -> dict[str, int]:
                               summary):
         counts[word.rstrip("s") if word.startswith("error") else word] = int(n)
     return counts
+
+
+def src_lines(checkout: Path) -> int:
+    """The newlines of every .py file under checkout/src."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src").rglob("*.py"))
 
 
 def spread(values: list[float]) -> dict:
@@ -119,7 +125,7 @@ def record(label: str, parent: Path, pairs: int, seconds: float,
             tier1[path.resolve()] = {**parse_tier1(out), "wall_s": time.monotonic() - started}
         prov = runs[side][0][0]  # every run of a side names the same commit
         doc["sides"][side] = {"git_sha": prov["git_sha"], "git_dirty": prov["git_dirty"],
-                              "tier1": tier1[path.resolve()]}
+                              "tier1": tier1[path.resolve()], "src_lines": src_lines(path)}
     return doc
 
 
