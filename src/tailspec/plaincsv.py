@@ -109,7 +109,7 @@ def read_plain_csv(fh: BinaryIO, skip_header: bool) -> np.ndarray | None:
         # children write into shared memory.  Freeing the unused np.empty
         # raises glibc's mmap and trim thresholds to its size (to 32 MB), so
         # neither process returns the heap its blocks free, to fault it in
-        # again for the next block (1900 against 1150-1300 faults per read)
+        # again for the next block (1900 against 1150-1300 faults a 7.9 MB read)
         out = np.frombuffer(mmap.mmap(-1, out.nbytes), np.float64)
     bounds = [0, *(width * (before - skip_header) for _, before in cuts), out.size]
     views = [out[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
