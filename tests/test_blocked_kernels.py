@@ -92,7 +92,14 @@ def test_group_maxima_match_argmax_at_block_edges(n, m):
     assert np.isnan(stats.m2).any() and np.isinf(stats.m2).any()
 
 
-@pytest.mark.parametrize("m", [2, 3, B + 3])
+# group sizes whose groups also get NaN and +-inf rows: a block of B // m
+# groups holds at least m of them up to m = isqrt(B) and fewer past it, and
+# at m = isqrt(B) the last block of 3 * step + 5 groups holds fewer than m
+# while the others do not; m = 1000 gives blocks of 8 groups
+SPECIAL_M = [math.isqrt(B), math.isqrt(B) + 1, 1000]
+
+
+@pytest.mark.parametrize("m", [2, 3, B + 3] + SPECIAL_M)
 @pytest.mark.parametrize("edge", range(len(EDGES)))
 def test_second_maxima_match_one_shot_formula(edge, m):
     """Blocks of m2 hold whole groups, B // m of them (at least one), so the
@@ -102,11 +109,25 @@ def test_second_maxima_match_one_shot_formula(edge, m):
     rng = np.random.Generator(np.random.Philox(key=np.array([edge, m], np.uint64)))
     vals = rng.integers(-2, 3, size=(n * m, 2)).astype(float)
     vals[::m, 0] = 2.0  # every group has a nonzero row, and many a tied maximum
+    if m in SPECIAL_M:
+        # past group 0, about one entry in 4m of each kind, so some groups
+        # hold none, some one NaN (m1 NaN) and some two (m2 NaN)
+        special = rng.integers(0, 4 * m, size=(n * m - m, 2))
+        vals[m:][special == 0] = np.inf
+        vals[m:][special == 1] = -np.inf
+        vals[m:][special == 2] = np.nan
     vals[:2] = [3.0, 0.0]  # group 0 always does
-    stats = summarize_groups(DataMatrix(vals), GroupScheme(r=0.5, n=n, m=m, discarded=0))
+    with np.errstate(invalid="ignore"):
+        stats = summarize_groups(DataMatrix(vals), GroupScheme(r=0.5, n=n, m=m, discarded=0))
     rest = stats.norms.copy()
     rest[np.arange(n), stats.argmax] = -np.inf
-    np.testing.assert_array_equal(as_bits(stats.m2), as_bits(rest.max(axis=1)))
+    if m in SPECIAL_M:
+        ref = rest.max(axis=1)
+        np.testing.assert_array_equal(np.isnan(stats.m2), np.isnan(ref))
+        np.testing.assert_array_equal(as_bits(stats.m2[~np.isnan(ref)]),
+                                      as_bits(ref[~np.isnan(ref)]))
+    else:
+        np.testing.assert_array_equal(as_bits(stats.m2), as_bits(rest.max(axis=1)))
     assert (stats.m2 == stats.m1).any()
 
 
