@@ -10,10 +10,11 @@ its vectorized ``mask``, and a density model holds the name of a registered
 shape, which the registry below is the only code to evaluate.
 
 Kernels that read every row (row norms, the unit-norm checks, second maxima
-and region masks) run over blocks of _BLOCK_ROWS rows and write each block's
-result into its slice of the output: their scratch is a fixed number of
-rows, not a copy of the sample, and every row gets the same bits as the
-one-shot formula.
+and region masks) run over blocks of _BLOCK_ROWS rows (for second maxima, one
+kernel at every group size, whole groups of about as many norms) and write
+each block's result into its slice of the output: their scratch is a fixed
+number of rows, not a copy of the sample, and every row gets the same bits
+as the one-shot formula.
 """
 
 from __future__ import annotations
@@ -40,12 +41,6 @@ UNIT_NORM_TOL = 1e-12
 # and 10^5 rows take 13 blocks: the Python loop costs microseconds per call
 # while the scratch no longer grows with N.
 _BLOCK_ROWS = 8192
-
-# Groups of at most this many rows take their maxima column by column: numpy
-# reduces a short axis one row at a time, so for 2x10^5 norms in groups of
-# 2-24 rows the column loops ran 1.4-4x faster than the reductions, at 32-48
-# about as fast, and from 64 slower.
-_SHORT_GROUP = 16
 
 
 def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -259,25 +254,16 @@ class GroupStats(_ReadOnlyArrays):
         if m < 2:
             return None
         m2 = np.empty(n)
-        if m <= _SHORT_GROUP:
-            # column by column over blocks of _BLOCK_ROWS groups, each
-            # column's scratch one block long; maximum propagates NaN as
-            # max(axis=1) does
-            for lo in range(0, n, _BLOCK_ROWS):
-                norms, j1 = self.norms[lo:lo + _BLOCK_ROWS], self.argmax[lo:lo + _BLOCK_ROWS]
-                out = m2[lo:lo + _BLOCK_ROWS]
-                out.fill(-np.inf)
-                for j in range(m):
-                    np.maximum(out, np.where(j1 == j, -np.inf, norms[:, j]), out=out)
-            return _frozen(m2)
         # faster than np.partition(norms, m - 2, axis=1)[:, -2] at every m,
-        # 5-10x at m >= 100; both select the same value.  Each block copies
-        # the norms of whole groups, about _BLOCK_ROWS of them and at least m.
+        # and the same value.  Each block, whole groups of about _BLOCK_ROWS
+        # norms, is copied with its longer axis contiguous, so max(axis=0)
+        # loops along each column of m or more groups, else along each group.
         step = max(1, _BLOCK_ROWS // m)
         for lo in range(0, n, step):
-            rest = self.norms[lo:lo + step].copy()
-            rest[np.arange(len(rest)), self.argmax[lo:lo + step]] = -np.inf
-            rest.max(axis=1, out=m2[lo:lo + step])
+            block = self.norms[lo:lo + step]
+            cols = block.T.copy(order="C" if len(block) >= m else "F")
+            cols[self.argmax[lo:lo + step], np.arange(len(block))] = -np.inf
+            cols.max(axis=0, out=m2[lo:lo + step])
         return _frozen(m2)
 
     @cached_property
