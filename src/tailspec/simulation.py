@@ -136,6 +136,20 @@ def _finite_sample(x: np.ndarray, alpha: float) -> DataMatrix:
     return DataMatrix(x)
 
 
+def _tail_scale(w: float, c: float, alpha: float) -> float:
+    """(w/c)^(1/alpha), the scale whose variates put tail weight w on their
+    direction when c is their tail constant (C_alpha; 1 for a polar radius).
+    Past float64 it raises OverflowError naming w, c and alpha."""
+    try:
+        scale = (w / c) ** (1.0 / alpha)
+    except OverflowError:  # the bare one names no operand
+        scale = math.inf
+    if math.isinf(scale):
+        raise OverflowError(f"scale (w/C)^(1/alpha) overflows float64 at w={w}, C={c}, "
+                            f"alpha={alpha}")
+    return scale
+
+
 # grid resolution for inverse-cdf sampling from an angular density
 _DENSITY_SAMPLING_GRID = 4096
 
@@ -155,7 +169,7 @@ def sample_polar(model: ModelSpec, N: int, rng: SeededRng) -> DataMatrix:
     g = rng.generator()
     u_radius = g.random(N)
     u_dir = g.random(N)
-    x0 = model.total_mass ** (1.0 / model.alpha)
+    x0 = _tail_scale(model.total_mass, 1.0, model.alpha)
     radius = x0 * (1.0 - u_radius) ** (-1.0 / model.alpha)
     if model.atoms is not None:
         cum = np.cumsum(model.weights) / model.total_mass
@@ -189,7 +203,7 @@ def sample_stable_1d(alpha: float, rho: float, total_mass: float, N: int,
     g = rng.generator()
     u1 = g.random(N)
     u2 = g.random(N)
-    scale = (total_mass / stable_tail_constant(alpha)) ** (1.0 / alpha)
+    scale = _tail_scale(total_mass, stable_tail_constant(alpha), alpha)
     # not in place: a result allocated after the kernel's buffers leaves them
     # as a hole for the caller's next arrays.  Returning u1 lets malloc trim
     # the freed u2 and scratch off the heap top, and an r-sweep replication
@@ -270,7 +284,7 @@ def sample_stable_vector(alpha: float, atoms, weights, N: int,
         raise InvalidModel("atom weights must be positive")
     c_alpha = stable_tail_constant(alpha)
     # scalar ** per atom: np.power's AVX-512 kernel rounds some scales differently
-    scales = [(w / c_alpha) ** (1.0 / alpha) for w in weights.tolist()]
+    scales = [_tail_scale(w, c_alpha, alpha) for w in weights.tolist()]
     out = np.zeros((N, atoms.shape[1]))
     parts = max(1, min(_available_cpus(), N // _ROWS_PER_THREAD))
     if parts == 1:
@@ -294,13 +308,18 @@ def discretize_angular_density(model: ModelSpec,
 
     Cell masses come from a 128-point midpoint rule, one density call on the
     (K, 128) grid, and are rescaled to sum exactly to the model's total_mass.
+    A total_mass whose cell masses overflow float64 raises InvalidModel.
     """
     if K < 4:
         raise InvalidModel(f"need K >= 4 cells, got {K}")
     width = 2.0 * math.pi / K
     sub = (np.arange(128) + 0.5) / 128.0
-    vals = model.density_at(np.arange(K)[:, None] * width + sub * width)
-    weights = vals.mean(axis=1) * width
-    weights *= model.total_mass / weights.sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = model.density_at(np.arange(K)[:, None] * width + sub * width)
+        weights = vals.mean(axis=1) * width
+        weights *= model.total_mass / weights.sum()
+    if not np.isfinite(weights).all():
+        raise InvalidModel(f"total_mass={model.total_mass} is too large: the density's "
+                           f"cell weights overflow float64")
     mids = (np.arange(K) + 0.5) * width
     return np.c_[np.cos(mids), np.sin(mids)], weights
