@@ -47,8 +47,9 @@ def read_csv(path: str | Path, skip_header: bool = False) -> DataMatrix:
     at ``path`` is opened once, and its three readers take turns on that
     one handle, each from the start.  Plain decimal text (see plaincsv)
     goes to the exact vectorized reader plaincsv.read_plain_csv, which
-    parses a large regular file in one forked process per available CPU and
-    reaps them all before it returns.  Other text goes to numpy, which
+    splits a large regular file into byte ranges: the reading process parses
+    the first range and a forked child parses each further range, and it
+    reaps every child before it returns.  Other text goes to numpy, which
     parses the open file in one pass.  Text numpy
     rejects goes through the line reader, which either raises CsvParseError
     at the first bad line or parses what float() accepts and numpy does not
@@ -499,6 +500,8 @@ def main(argv=None) -> int:
                 raise CliUsage(f"{args.command} reads --epsilon only with --r auto")
             if not 0.0 < args.epsilon < 0.5:
                 raise CliUsage(f"--epsilon={args.epsilon} outside (0,1/2) with --r auto")
+            if 1.0 - args.epsilon == 1.0:  # the cap of the r rules
+                raise CliUsage(f"--epsilon={args.epsilon} too small: 1 - epsilon rounds to 1")
         if args.command in _MODEL_COMMANDS and args.seed is None:
             raise CliUsage(f"{args.command} needs --seed")
         doc = args.fn(args)

@@ -22,6 +22,8 @@ DEFAULT_BETA_FACTOR = 2.0  # beta = 2*alpha when the user gives no beta
 def _check_eps(epsilon: float) -> None:
     if not (0.0 < epsilon < 0.5):
         raise ValueError(f"epsilon={epsilon} outside (0, 1/2)")
+    if 1.0 - epsilon == 1.0:  # the cap 1 - epsilon of the r rules
+        raise ValueError(f"epsilon={epsilon} too small: 1 - epsilon rounds to 1")
 
 
 def _check_beta(alpha: float, beta: float) -> None:

@@ -23,7 +23,7 @@ from tailspec import estimators, experiments, grouping, numerics, tuning
 from tailspec.cli import (CliUsage, build_parser, main, parse_model, parse_region, read_csv,
                           write_csv)
 from tailspec.errors import CsvParseError
-from tailspec.simulation import SeededRng, sample_stable_1d
+from tailspec.simulation import SeededRng, sample_stable_1d, stable_tail_constant
 from tailspec.types import Halfspace
 
 SIX_ROWS = "3,4\n0,1\n-6,8\n1,0\n0,1\n0,0\n"
@@ -596,6 +596,9 @@ class TestBadInputsWithoutTraceback:
         (["coverage", "--model", STABLE_1D, "--n", "50", "--seed", "1", "--kind", "alpha",
           "--level", "0.9999999999999999"],
          "error[usage]: --level=0.9999999999999999 too close to 1"),
+        (["estimate", "--input", "six.csv", "--r", "auto", "--alpha", "1", "--beta", "inf",
+          "--epsilon", "1e-17"],
+         "error[usage]: --epsilon=1e-17 too small: 1 - epsilon rounds to 1"),
     ])
     def test_flag_out_of_range_exit_2(self, six_row_csv, capsys, argv, message):
         argv = [str(six_row_csv) if a == "six.csv" else a for a in argv]
@@ -663,6 +666,37 @@ class TestBadInputsWithoutTraceback:
         assert proc.returncode == 4, proc.stderr
         assert proc.stderr == ("error[UnsupportedAlpha]: alpha=0.01 is too small: "
                                "the sample overflows float64\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, w, c", [
+        (["simulate", "--model",
+          '{"alpha":0.5,"total_mass":1e300,"atoms":[[1,0,1e300]],"kind":"polar"}'],
+         "1e+300", 1.0),
+        (["simulate", "--model",
+          '{"alpha":0.5,"total_mass":1e300,"atoms":[[1,0,1e300]],"kind":"stable"}'],
+         "1e+300", stable_tail_constant(0.5)),
+        (["simulate", "--model", '{"alpha":0.5,"total_mass":1e300,"rho":0.2,"kind":"stable"}'],
+         "1e+300", stable_tail_constant(0.5)),
+        (["ecdf", "--model",
+          '{"alpha":0.5,"total_mass":1e308,"density":"abscos2t","kind":"polar"}'],
+         "1e+308", 1.0),
+    ])
+    def test_overflowing_scale_exit_4(self, tmp_path, argv, w, c):
+        out = tmp_path / "x.csv"
+        proc = run_cli(*argv, "--n", "10", "--seed", "1", "--out", str(out))
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr == ("error[OverflowError]: scale (w/C)^(1/alpha) overflows "
+                               f"float64 at w={w}, C={c}, alpha=0.5\n")
+        assert not out.exists()
+
+    def test_density_cell_weights_past_float64_exit_4(self, tmp_path):
+        out = tmp_path / "x.csv"
+        proc = run_cli("simulate", "--model",
+                       '{"alpha":0.5,"total_mass":1e307,"density":"abscos2t","kind":"stable"}',
+                       "--n", "10", "--seed", "1", "--out", str(out))
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr == ("error[InvalidModel]: total_mass=1e+307 is too large: the "
+                               "density's cell weights overflow float64\n")
         assert not out.exists()
 
     # 10**15 doubles lie past a 47-bit address space, so numpy refuses them

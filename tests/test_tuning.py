@@ -187,6 +187,15 @@ def test_epsilon_outside_open_half(epsilon):
         optimal_r_alpha(1.0, 2.0, epsilon)
 
 
+def test_epsilon_whose_cap_rounds_to_1():
+    # 1 - 2^-54 is halfway between 1 - 2^-53 and 1, and rounds to 1
+    with pytest.raises(ValueError, match="^epsilon=1e-17 too small: 1 - epsilon rounds to 1$"):
+        auto_r("alpha", 1.0, math.inf, 1e-17)
+    with pytest.raises(ValueError, match="too small"):
+        optimal_r_spectral(1.0, 2.0, 2.0 ** -54)
+    assert auto_r("alpha", 1.0, math.inf, 2.0 ** -53) == 1.0 - 2.0 ** -53
+
+
 @pytest.mark.parametrize("r", [0.0, 1.0, -0.5])
 def test_default_t_r_outside_unit_interval(r):
     with pytest.raises(ValueError, match="outside"):
