@@ -555,6 +555,22 @@ def test_forked_parse_reaps_every_child_where_its_own_range_fails(tmp_path):
     assert len(forks) == 2
 
 
+def test_forked_parse_where_children_are_reaped_already(tmp_path):
+    # with SIGCHLD ignored the kernel reaps each child, so waitpid raises
+    # ChildProcessError: every child's range is parsed again here
+    rows = [[f"{k}.3", f"{k}e3"] for k in range(40)]
+    write_plain(tmp_path / "in.csv", rows)
+    serial = plaincsv.read_plain_csv(io.BytesIO((tmp_path / "in.csv").read_bytes()), False)
+    handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        with forking() as forks, open(tmp_path / "in.csv", "rb") as fh:
+            got = plaincsv.read_plain_csv(fh, False)
+    finally:
+        signal.signal(signal.SIGCHLD, handler)
+    assert len(forks) == 2
+    assert got.view(np.uint64).tolist() == serial.view(np.uint64).tolist()
+
+
 @pytest.mark.parametrize("fails_at", [0, 1])
 def test_forked_parse_without_fork(tmp_path, fails_at):
     rows = [[f"{k}.3", f"-{k}e-5"] for k in range(40)]
