@@ -14,6 +14,7 @@ declines every file and format_rows formats every value with '%.17g'.
 
 from __future__ import annotations
 
+import contextlib
 import mmap
 import os
 import stat
@@ -70,9 +71,10 @@ def read_plain_csv(fh: BinaryIO, skip_header: bool) -> np.ndarray | None:
     cut ends a block of the one-range parse, so the blocks are the same,
     and the first pass counts the lines before it, so each range knows its
     first row.  This process parses the first range, and a forked child
-    each other one, into a shared output.  Every child is reaped before
-    this returns, and a range whose fork failed or whose child did not exit
-    0 is parsed here.  Values and declines do not depend on the cuts.
+    each other one, into a shared output; a child flags its range in
+    shared memory once it has filled it.  Every child is reaped before this
+    returns, and each range left unflagged is parsed here.  Values and
+    declines do not depend on the cuts.
     """
     if not _EXACT_LONGDOUBLE:
         return None
@@ -199,9 +201,12 @@ def _fill(texts: Iterable[bytes | None], out: np.ndarray, width: int) -> bool:
 def _fill_ranges(fh: BinaryIO, texts: Iterable[bytes | None], views: list[np.ndarray],
                  width: int, ranges: list[tuple[int, int]]) -> bool:
     """_fill views[0] here from texts, the blocks of ranges[0], and views[i]
-    from bytes ranges[i] of fh in a forked child, or here where the fork or
-    the child failed; one range forks nothing."""
-    children = {}
+    from bytes ranges[i] of fh in a forked child, which then sets done[i];
+    one range forks nothing.  Once every child is reaped, each range whose
+    flag is unset (a failed fork, or a child that declined, raised, exited
+    or was killed) is parsed here."""
+    done = mmap.mmap(-1, len(ranges))  # zero-filled, shared with the children
+    children = []
     try:
         for i, (start, stop) in enumerate(ranges[1:], 1):
             try:
@@ -210,26 +215,20 @@ def _fill_ranges(fh: BinaryIO, texts: Iterable[bytes | None], views: list[np.nda
                 break
             if pid == 0:
                 # the child: no return, no output, no atexit handler
-                filled = False
                 try:
-                    filled = _fill(_range_texts(fh, start, stop, False), views[i], width)
+                    done[i] = _fill(_range_texts(fh, start, stop, False), views[i], width)
                 finally:
-                    os._exit(0 if filled else 1)
-            children[i] = pid
+                    os._exit(0)
+            children.append(pid)
         filled = _fill(texts, views[0], width)
     finally:
-        exited = {i: _exited_0(pid) for i, pid in children.items()}
+        for pid in children:
+            # where SIGCHLD is ignored the kernel has reaped it already
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
     return filled and all(
-        exited.get(i) or _fill(_range_texts(fh, start, stop, False), views[i], width)
+        done[i] or _fill(_range_texts(fh, start, stop, False), views[i], width)
         for i, (start, stop) in enumerate(ranges[1:], 1))
-
-
-def _exited_0(pid: int) -> bool:
-    """Wait for the child pid to end; whether it exited 0."""
-    try:
-        return os.waitpid(pid, 0)[1] == 0
-    except ChildProcessError:  # reaped already, as where SIGCHLD is ignored
-        return False
 
 
 def _block_values(text: bytes, width: int) -> np.ndarray | None:

@@ -557,18 +557,28 @@ def test_forked_parse_reaps_every_child_where_its_own_range_fails(tmp_path):
 
 def test_forked_parse_where_children_are_reaped_already(tmp_path):
     # with SIGCHLD ignored the kernel reaps each child, so waitpid raises
-    # ChildProcessError: every child's range is parsed again here
+    # ChildProcessError; each child's range is flagged done in shared
+    # memory all the same, so only the first range is parsed here
     rows = [[f"{k}.3", f"{k}e3"] for k in range(40)]
     write_plain(tmp_path / "in.csv", rows)
     serial = plaincsv.read_plain_csv(io.BytesIO((tmp_path / "in.csv").read_bytes()), False)
+    parent, fill, here = os.getpid(), plaincsv._fill, []
+
+    def spying_fill(texts, out, width):
+        if os.getpid() == parent:
+            here.append(out.size)
+        return fill(texts, out, width)
+
     handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
-        with forking() as forks, open(tmp_path / "in.csv", "rb") as fh:
+        with mock.patch.object(plaincsv, "_fill", spying_fill), forking() as forks, \
+                open(tmp_path / "in.csv", "rb") as fh:
             got = plaincsv.read_plain_csv(fh, False)
     finally:
         signal.signal(signal.SIGCHLD, handler)
     assert len(forks) == 2
     assert got.view(np.uint64).tolist() == serial.view(np.uint64).tolist()
+    assert here == [28]  # the first range's 14 rows, here only
 
 
 @pytest.mark.parametrize("fails_at", [0, 1])
