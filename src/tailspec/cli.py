@@ -196,7 +196,8 @@ def parse_model(text: str) -> tuple[ModelSpec, str, int]:
             raise CliUsage(f"rho={rho} outside [-1,1]")
         keep = [rho > -1.0, rho < 1.0]  # the atoms +1 and -1 that carry mass
         atoms = np.array([[1.0], [-1.0]])[keep]
-        weights = np.array([total * (1.0 + rho) / 2.0, total * (1.0 - rho) / 2.0])[keep]
+        # halved first, so a total near the float64 maximum does not overflow
+        weights = np.array([total / 2.0 * (1.0 + rho), total / 2.0 * (1.0 - rho)])[keep]
     else:
         try:
             density_shape(density)

@@ -178,7 +178,11 @@ def sample_polar(model: ModelSpec, N: int, rng: SeededRng) -> DataMatrix:
     else:
         edges = np.linspace(0.0, 2.0 * math.pi, _DENSITY_SAMPLING_GRID + 1)
         mids = (edges[:-1] + edges[1:]) / 2.0
-        cdf = np.concatenate([[0.0], np.cumsum(model.density_at(mids))])
+        with np.errstate(over="ignore"):
+            cdf = np.concatenate([[0.0], np.cumsum(model.density_at(mids))])
+        if not np.isfinite(cdf[-1]):
+            raise InvalidModel(f"total_mass={model.total_mass} is too large: the density's "
+                               f"cdf overflows float64")
         cdf /= cdf[-1]
         angles = np.interp(u_dir, cdf, edges)
         theta = np.c_[np.cos(angles), np.sin(angles)]

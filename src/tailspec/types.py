@@ -511,7 +511,12 @@ class ModelSpec(_ReadOnlyArrays):
         mids, step = _density_grid()
         vals = self.density_at(mids)
         inside = region.mask(np.c_[np.cos(mids), np.sin(mids)])
-        return float((vals * inside).sum() * step / self.total_mass)
+        with np.errstate(over="ignore"):
+            mass = (vals * inside).sum()
+        if not np.isfinite(mass):
+            raise InvalidModel(f"total_mass={self.total_mass} is too large: the density's "
+                               f"mass in the region overflows float64")
+        return float(mass * step / self.total_mass)
 
     def spectral_cdf(self, angles: Sequence[float]) -> np.ndarray:
         """Exact normalized spectral cdf at the given angles (d=2 only).

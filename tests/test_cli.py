@@ -12,6 +12,7 @@ import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -699,6 +700,45 @@ class TestBadInputsWithoutTraceback:
                                "density's cell weights overflow float64\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--model",
+          '{"alpha":1.5,"total_mass":3e305,"density":"abscos2t","kind":"polar"}'],
+         "total_mass=3e+305 is too large: the density's cdf overflows float64"),
+        (["simulate", "--model",
+          '{"alpha":1.5,"total_mass":1e308,"density":"abscos2t","kind":"polar"}'],
+         "total_mass=1e+308 is too large: the density's cdf overflows float64"),
+        *((["coverage", "--kind", "spectral", "--region", "arc:0:1.5", "--n", "1000",
+            "--reps", "2", "--r", "0.5", "--model",
+            f'{{"alpha":1.5,"total_mass":1e308,"density":"abscos2t","kind":"{kind}"}}'],
+           "total_mass=1e+308 is too large: the density's mass in the region overflows "
+           "float64") for kind in ("polar", "stable")),
+    ], ids=["simulate-3e305", "simulate-1e308", "coverage-polar", "coverage-stable"])
+    def test_density_sums_past_float64_exit_4(self, tmp_path, argv, message):
+        # the sampling cdf and the true mass of a region sum the density's
+        # values; no numpy warning comes before the one error line
+        out = tmp_path / "x.csv"
+        args = [*argv, "--seed", "1"] + (["--n", "10", "--out", str(out)]
+                                        if argv[0] == "simulate" else [])
+        proc = run_cli(*args)
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr == f"error[InvalidModel]: {message}\n"
+        assert not out.exists()
+
+    def test_rho_weights_near_the_float64_maximum(self, tmp_path):
+        # total * (1 + rho) passes float64 here, total / 2 * (1 + rho) does not
+        out = tmp_path / "x.csv"
+        proc = run_cli("simulate", "--model",
+                       '{"alpha":1.5,"total_mass":1.7e308,"rho":0.3,"kind":"polar"}',
+                       "--n", "10", "--seed", "1", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert np.isfinite(np.loadtxt(out, delimiter=",")).all()
+        proc = run_cli("simulate", "--model",
+                       '{"alpha":0.5,"total_mass":1.7e308,"rho":0.2,"kind":"stable"}',
+                       "--n", "10", "--seed", "1", "--out", str(out))
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr == ("error[OverflowError]: scale (w/C)^(1/alpha) overflows float64 "
+                               f"at w=1.7e+308, C={stable_tail_constant(0.5)}, alpha=0.5\n")
+
     # 10**15 doubles lie past a 47-bit address space, so numpy refuses them
     # at once and touches no memory; a size the system could grant would be
     # allocated, so none is tried
@@ -924,6 +964,21 @@ def test_model_numeric_strings_accepted():
     assert model.alpha == 0.5 and model.beta == math.inf
     assert n_atoms == 8 and type(n_atoms) is int
     assert parse_model('{"alpha": 0.5, "density": "uniform", "n_atoms": 8.0}')[2] == 8
+
+
+def test_rho_weights_keep_their_bits(monkeypatch):
+    # halving the total first is exact and commutes with the rounding of the
+    # product wherever both are normal, so the weights are total*(1 +- rho)/2's.
+    # The weights are read before ModelSpec checks their sum, whose absolute
+    # tolerance of 1e-9 a sum one ulp off a large total fails.
+    monkeypatch.setattr("tailspec.cli.ModelSpec", SimpleNamespace)
+    rhos = [-1.0, *np.linspace(-0.9, 0.9, 19).tolist(), 1.0]
+    for total in (10.0 ** k for k in range(-300, 301, 10)):
+        for rho in rhos:
+            model = parse_model(json.dumps({"alpha": 1.0, "total_mass": total, "rho": rho}))[0]
+            want = np.array([total * (1.0 + rho) / 2.0,
+                             total * (1.0 - rho) / 2.0])[[rho > -1.0, rho < 1.0]]
+            assert model.weights.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 class TestExperimentCommands:
     def test_sweep_csv_schema(self, tmp_path, capsys):
