@@ -346,7 +346,7 @@ def _summary_path(out: str) -> Path:
 
 def cmd_sweep(args) -> dict:
     model, kind, n_atoms = parse_model(args.model)
-    if args.grid:
+    if args.grid is not None:
         try:
             r_grid = [float(x) for x in args.grid.split(",")]
         except ValueError:

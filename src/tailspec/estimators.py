@@ -109,9 +109,9 @@ def spectral_mass(est: SpectralEstimate, region: Region) -> float:
     return int(np.count_nonzero(region.mask(est.atoms))) / est.n
 
 
-def spectral_cdf_2d(est: SpectralEstimate,
-                    angles: Sequence[float]) -> list[tuple[float, float]]:
-    """Normalized cdf of the planar angle at the given ascending grid.
+def spectral_cdf_2d(est: SpectralEstimate, angles: Sequence[float]) -> np.ndarray:
+    """Normalized cdf of the planar angle at the given ascending grid, as a
+    (k, 2) float64 array of (angle, cdf) rows.
 
     An atom at exactly the query angle is counted (closed interval [0, a]).
     """
@@ -121,11 +121,12 @@ def spectral_cdf_2d(est: SpectralEstimate,
     atom_angles = est.angles_2d()
     atom_angles.sort()
     cdf = np.searchsorted(atom_angles, grid, side="right") / est.n
-    return list(zip(grid.tolist(), cdf.tolist()))
+    return np.column_stack((grid, cdf))
 
 
-def spectral_ci(est: SpectralEstimate, region: Region, level: float = 0.95) -> Interval:
-    """CI for the normalized spectral mass of a region.
+def spectral_ci(est: SpectralEstimate, mass: float, level: float = 0.95) -> Interval:
+    """CI for the normalized spectral mass of a region, given its empirical
+    mass ``spectral_mass(est, region)``.
 
     Uses the binomial plug-in variance p(1-p), which is exactly the empirical
     variance of the 0/1 atom indicators; degenerate proportions (0 or 1) have
@@ -133,13 +134,9 @@ def spectral_ci(est: SpectralEstimate, region: Region, level: float = 0.95) -> I
     """
     if est.n < 2:
         raise EmptySample("need n >= 2 atoms for an interval")
-    return _proportion_ci(spectral_mass(est, region), est.n, level)
-
-
-def _proportion_ci(p: float, n: int, level: float) -> Interval:
-    if p <= 0.0 or p >= 1.0:
-        raise DegenerateProportion(f"empirical mass {p} admits no interval")
-    lo, hi = _wald(p, p * (1.0 - p), n, level)
+    if mass <= 0.0 or mass >= 1.0:
+        raise DegenerateProportion(f"empirical mass {mass} admits no interval")
+    lo, hi = _wald(mass, mass * (1.0 - mass), est.n, level)
     return Interval(lo=max(lo, 0.0), hi=min(hi, 1.0), level=level)
 
 
@@ -278,14 +275,14 @@ def estimate_report(data: DataMatrix, r: float, alpha: float | None = None,
     for spec, region in regions:
         entry = {"spec": spec, "mass": spectral_mass(spectral, region)}
         if 0.0 < entry["mass"] < 1.0:
-            entry["ci"] = asdict(_proportion_ci(entry["mass"], spectral.n, level))
+            entry["ci"] = asdict(spectral_ci(spectral, entry["mass"], level))
         entries.append(entry)
     spectral_doc = {"regions": entries}
     if data.dim == 1:
         spectral_doc["rho"] = rho_1d(spectral)
     if data.dim == 2:
         angles = np.linspace(0.0, 2.0 * math.pi, _CDF_GRID + 1)[1:]
-        spectral_doc["cdf"] = [[a, v] for a, v in spectral_cdf_2d(spectral, angles)]
+        spectral_doc["cdf"] = spectral_cdf_2d(spectral, angles).tolist()
     return {
         "scheme": {"r": r, "n": scheme.n, "m": scheme.m, "discarded": scheme.discarded},
         "alpha": {"hat": alpha_est.alpha_hat, "s_n": alpha_est.s_n,

@@ -197,7 +197,7 @@ def run_ecdf_compare(model: ModelSpec, N: int, r: float, grid_size: int,
     data = draw_sample(model, N, rng.split(_EXP_ECDF, 0), sampler, n_atoms)
     est = estimators.estimate_spectral(grouping.summarize_groups(data, scheme))
     angles = np.linspace(0.0, 2.0 * math.pi, grid_size + 1)[1:]
-    est_cdf = np.array([v for _, v in estimators.spectral_cdf_2d(est, angles)])
+    est_cdf = estimators.spectral_cdf_2d(est, angles)[:, 1]
     exact_cdf = model.spectral_cdf(angles)
     sup = float(np.abs(est_cdf - exact_cdf).max())
     return EcdfComparison(angles=angles, estimated=est_cdf, exact=exact_cdf,

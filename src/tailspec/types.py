@@ -344,8 +344,17 @@ def _planar_angles(v: np.ndarray) -> np.ndarray:
     return np.add(a, 0.0, out=a)
 
 
+class _BlockedMask:
+    """A region whose ``mask`` runs its ``_mask_rows`` kernel block by block."""
+
+    def mask(self, atoms: np.ndarray) -> np.ndarray:
+        """Membership of each row of (n, d) atoms as a bool array."""
+        atoms = np.asarray(atoms, dtype=np.float64)
+        return _by_blocks(self._mask_rows, atoms, np.empty(atoms.shape[0], bool))
+
+
 @dataclass(frozen=True)
-class Arc:
+class Arc(_BlockedMask):
     """Directions whose planar angle lies in [start, end) within [0, 2*pi),
     wrapping through 0 when start > end (d=2).  Both ends are reduced mod
     2*pi at construction; an angle exactly on start is inside, on end out.
@@ -359,11 +368,6 @@ class Arc:
         object.__setattr__(self, "start", float(self.start) % _TWO_PI)
         object.__setattr__(self, "end", float(self.end) % _TWO_PI)
 
-    def mask(self, atoms: np.ndarray) -> np.ndarray:
-        """Membership of each row of (n, 2) atoms as a bool array."""
-        atoms = np.asarray(atoms, dtype=np.float64)
-        return _by_blocks(self._mask_rows, atoms, np.empty(atoms.shape[0], bool))
-
     def _mask_rows(self, atoms: np.ndarray, inside: np.ndarray) -> None:
         a = _planar_angles(atoms)
         if self.start <= self.end:
@@ -373,7 +377,7 @@ class Arc:
 
 
 @dataclass(frozen=True)
-class Halfspace:
+class Halfspace(_BlockedMask):
     """Directions v with <v, u> > c, the sum v_1 u_1 + ... + v_d u_d taken
     left to right with one rounding per multiply and per add, so its bits
     do not depend on a BLAS summation order or fused multiply-adds."""
@@ -384,11 +388,6 @@ class Halfspace:
     def __post_init__(self):
         object.__setattr__(self, "u", tuple(float(x) for x in self.u))
         object.__setattr__(self, "c", float(self.c))
-
-    def mask(self, atoms: np.ndarray) -> np.ndarray:
-        """Membership of each row of (n, d) atoms as a bool array."""
-        atoms = np.asarray(atoms, dtype=np.float64)
-        return _by_blocks(self._mask_rows, atoms, np.empty(atoms.shape[0], bool))
 
     def _mask_rows(self, atoms: np.ndarray, inside: np.ndarray) -> None:
         # rows of another dimension raise ValueError, as atoms @ u would
@@ -474,7 +473,7 @@ class ModelSpec(_ReadOnlyArrays):
             if (weights <= 0.0).any():
                 raise InvalidModel("atom weights must be positive")
             total = sum(weights.tolist())
-            if abs(total - self.total_mass) > 1e-9:
+            if abs(total - self.total_mass) > 1e-9 * self.total_mass:
                 raise InvalidModel(
                     f"atom weights sum to {total}, expected {self.total_mass}"
                 )

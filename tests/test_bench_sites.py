@@ -29,9 +29,9 @@ MUST_CALL = {
                      "grouping.plan_grouping", "grouping.summarize_groups",
                      "estimators.estimate_alpha", "estimators.alpha_ci",
                      "estimators.estimate_spectral", "estimators.spectral_mass",
-                     "estimators.spectral_cdf_2d", "estimators.estimate_total_mass",
-                     "estimators.total_mass_ci", "numerics.gamma_fn",
-                     "numerics.normal_quantile", "tuning.default_t"},
+                     "estimators.spectral_ci", "estimators.spectral_cdf_2d",
+                     "estimators.estimate_total_mass", "estimators.total_mass_ci",
+                     "numerics.gamma_fn", "numerics.normal_quantile", "tuning.default_t"},
     "r_sweep": {"experiments.run_r_sweep", "experiments.draw_sample",
                 "simulation.sample_stable_1d", "grouping.plan_grouping",
                 "grouping.summarize_groups", "estimators.estimate_spectral",

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from tailspec.estimators import (
     AlphaEstimate,
     alpha_ci,
     estimate_alpha,
+    estimate_report,
     estimate_spectral,
     estimate_total_mass,
     rho_1d,
@@ -34,7 +36,7 @@ from tailspec.estimators import (
 from tailspec.grouping import plan_grouping, summarize_groups
 from tailspec.numerics import gamma_fn
 from tailspec.simulation import SeededRng, sample_polar
-from tailspec.types import DataMatrix, GroupStats, Halfspace, ModelSpec, SpectralEstimate
+from tailspec.types import Arc, DataMatrix, GroupStats, Halfspace, ModelSpec, SpectralEstimate
 
 
 def summaries_from_kappas(kappas, theta=None):
@@ -173,14 +175,15 @@ class TestSpectral:
 
     def test_ci_frozen_oracle(self):
         atoms = np.array([[1.0, 0.0]] * 50 + [[-1.0, 0.0]] * 50)
-        ci = spectral_ci(SpectralEstimate(atoms), Halfspace((1.0, 0.0), 0.0), 0.95)
+        est = SpectralEstimate(atoms)
+        ci = spectral_ci(est, spectral_mass(est, Halfspace((1.0, 0.0), 0.0)), 0.95)
         assert ci.lo == pytest.approx(0.4020018007729973, abs=1e-8)
         assert ci.hi == pytest.approx(0.5979981992270027, abs=1e-8)
 
     def test_ci_degenerate(self):
         est = SpectralEstimate(np.array([[1.0, 0.0], [1.0, 0.0]]))
         with pytest.raises(DegenerateProportion):
-            spectral_ci(est, Halfspace((1.0, 0.0), 0.0))
+            spectral_ci(est, spectral_mass(est, Halfspace((1.0, 0.0), 0.0)))
 
     def test_rho_examples(self):
         all_pos = SpectralEstimate(np.ones((5, 1)))
@@ -300,5 +303,32 @@ class TestPipelineStatistics:
 
 
 def test_spectral_ci_needs_two_atoms():
+    est = SpectralEstimate([[1.0, 0.0]])
     with pytest.raises(EmptySample, match="n >= 2 atoms"):
-        spectral_ci(SpectralEstimate([[1.0, 0.0]]), Halfspace((1.0, 0.0), 0.0))
+        spectral_ci(est, spectral_mass(est, Halfspace((1.0, 0.0), 0.0)))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_report_regions_and_cdf_come_from_the_public_functions(d):
+    # a region of mass in (0, 1) carries spectral_ci's interval; one of mass
+    # 0 or 1 carries none and adds no warning
+    data = DataMatrix(np.random.default_rng(5).standard_cauchy((2000, d)))
+    regions = [("half", Halfspace((1.0,) * d, 0.0)), ("all", Halfspace((1.0,) * d, -2.0))]
+    if d == 2:
+        regions += [("arc", Arc(1.0, 2.5)), ("none", Arc(0.0, 2.0 * math.pi))]
+    doc = estimate_report(data, 0.5, 1.0, regions=regions, level=0.9)
+    assert doc["warnings"] == estimate_report(data, 0.5, 1.0)["warnings"]
+    spectral = estimate_spectral(summarize_groups(data, plan_grouping(2000, 0.5)))
+    masses = [e["mass"] for e in doc["spectral"]["regions"]]
+    assert 0.0 < masses[0] < 1.0 and masses[1] == 1.0
+    if d == 2:
+        assert 0.0 < masses[2] < 1.0 and masses[3] == 0.0
+    for entry in doc["spectral"]["regions"]:
+        if 0.0 < entry["mass"] < 1.0:
+            assert entry["ci"] == asdict(spectral_ci(spectral, entry["mass"], 0.9))
+        else:
+            assert "ci" not in entry
+    if d == 2:
+        cdf = spectral_cdf_2d(spectral, np.linspace(0.0, 2.0 * math.pi, 129)[1:])
+        assert cdf.dtype == np.float64 and cdf.shape == (128, 2)
+        assert cdf.tolist() == doc["spectral"]["cdf"]

@@ -128,6 +128,16 @@ class TestModelSpec:
             ModelSpec(alpha=1.0, total_mass=2.0,
                       atoms=[[1.0, 0.0]], weights=[0.5])
 
+    def test_weight_sum_tolerance_is_relative(self):
+        # a sum one ulp below a total of 1e22 passes, 2^21 away from it
+        weights = [1e22 / 2.0 * (1.0 + 0.9), 1e22 / 2.0 * (1.0 - 0.9)]
+        assert sum(weights) == 9.999999999999998e+21
+        ModelSpec(alpha=1.0, total_mass=1e22, atoms=[[1.0], [-1.0]], weights=weights)
+        # a sum within 1e-9 of a total of 1e-300, but 2e290 times it, fails
+        with pytest.raises(InvalidModel, match="atom weights sum to 2e-10"):
+            ModelSpec(alpha=1.0, total_mass=1e-300, atoms=[[1.0], [-1.0]],
+                      weights=[1e-10, 1e-10])
+
     def test_need_atoms_or_density(self):
         with pytest.raises(InvalidModel):
             ModelSpec(alpha=1.0, total_mass=1.0)
