@@ -173,6 +173,25 @@ class TestStable1d:
         for alpha in (0.3, 0.75, 1.5, 1.9):
             assert stable_tail_constant(alpha) > 0.0
 
+    def test_golden_digest(self):
+        env = digest_key()
+        if env not in _GOLDEN_STABLE_1D:
+            pytest.skip(f"no digest recorded for numpy {env[0]} on {env[1]} "
+                        f"(AVX-512 dispatch: {env[2]}); the one-expression test "
+                        "still checks the draw against the serial formula")
+        v = sample_stable_1d(1.75, 0.5, 1.0, 50001, SeededRng(3, 17)).values
+        assert hashlib.sha256(v.tobytes()).hexdigest() == _GOLDEN_STABLE_1D[env]
+
+
+# SHA-256 of sample_stable_1d's output above (the r_sweep workload's model),
+# recorded with the serial draw: keyed as _GOLDEN_ABSCOS2T below
+_GOLDEN_STABLE_1D = {
+    ("2.4.6", "x86_64", True):
+        "91f1a090f72bb524df2f353cbdfc344425982bb7da6943e564a4da47f13c1ec1",
+    ("2.4.6", "x86_64", False):
+        "03ba295a45d7bea4ab4cf1c03c6909663ecbd2581c7b6dd121a4d622cebb3bdb",
+}
+
 
 class TestStableVector:
     def test_single_atom_ray(self):
