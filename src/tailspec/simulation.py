@@ -11,10 +11,12 @@ and power, which round differently under numpy's AVX-512 dispatch than in
 its libm fallback, so their samples are bit-identical only between machines
 on which numpy takes the same path.
 
-`sample_stable_vector` splits its rows across up to one thread per available
-CPU (one thread inside a process-pool worker).  Each thread reads the fixed positions of the Philox stream that the
-serial draw order assigns to its rows, by setting the generator's counter
-(`SeededRng.uniforms`), so the output does not depend on the thread count.
+`sample_stable_1d` and `sample_stable_vector` split their rows across up to
+one thread per available CPU (one thread inside a process-pool worker), the
+calling thread filling the first range.  Each thread reads the fixed
+positions of the Philox stream that the serial draw order assigns to its
+rows, by setting the generator's counter (`SeededRng.uniforms`), so the
+output does not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -125,7 +127,8 @@ def _cms(alpha: float, skew: float, u1: np.ndarray, u2: np.ndarray) -> np.ndarra
 
 # a tiny alpha overflows float64 in the draws: the samplers draw without
 # float warnings and check their output with _finite_sample.  errstate holds
-# per thread, so _add_atom_terms sets its own.
+# per thread, so each row filler sets its own, as a decorator: one errstate
+# entered as a context manager by two threads at once cannot be left.
 _overflow_checked_below = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
@@ -189,42 +192,16 @@ def sample_polar(model: ModelSpec, N: int, rng: SeededRng) -> DataMatrix:
     return _finite_sample(radius[:, None] * theta, model.alpha)
 
 
-@_overflow_checked_below
-def sample_stable_1d(alpha: float, rho: float, total_mass: float, N: int,
-                     rng: SeededRng) -> DataMatrix:
-    """Strictly stable scalars whose tails realize the spectral weights.
-
-    P(X > x) ~ sigma(+1) x^(-alpha) with sigma(+1) = total_mass*(1+rho)/2,
-    achieved by CMS with skewness rho and scale (total_mass/C_alpha)^(1/alpha).
-    alpha = 1 is out of scope.
-    """
-    if not (0.0 < alpha < 2.0) or alpha == 1.0:
-        raise UnsupportedAlpha(f"alpha={alpha} outside (0,2)\\{{1}}")
-    if not (-1.0 <= rho <= 1.0):
-        raise InvalidModel(f"rho={rho} outside [-1,1]")
-    if total_mass <= 0.0:
-        raise InvalidModel("total_mass must be positive")
-    g = rng.generator()
-    u1 = g.random(N)
-    u2 = g.random(N)
-    scale = _tail_scale(total_mass, stable_tail_constant(alpha), alpha)
-    # not in place: a result allocated after the kernel's buffers leaves them
-    # as a hole for the caller's next arrays.  Returning u1 lets malloc trim
-    # the freed u2 and scratch off the heap top, and an r-sweep replication
-    # (N=1e5) takes about 1830 minor page faults instead of 1210, refaulting
-    # them for the row norms and group statistics (8000 and 1.4x the time
-    # while summarize_groups recomputed the norms at every r).
-    return _finite_sample(scale * _cms(alpha, rho, u1, u2), alpha)
-
-
-# rows a thread needs before splitting pays: 2 threads on 16384 rows took
+# rows a thread needs before splitting pays, in both stable samplers (2-CPU
+# x86 VM).  sample_stable_vector, 100 atoms: 2 threads on 16384 rows took
 # 0.13-0.14 s against 0.18-0.23 s serial, on 8192 rows 0.079-0.098 s against
-# 0.075-0.094 s (100 atoms, 2-CPU x86 VM)
+# 0.075-0.094 s.  sample_stable_1d, medians: 1.04 against 1.01 ms serial on
+# 16384 rows, 4.1 against 6.5 ms on 10^5 rows (7.2 against 6.5 ms of CPU).
 _ROWS_PER_THREAD = 8192
 
 
 def _available_cpus() -> int:
-    """CPUs the sampler may fill with threads, the most processes a
+    """CPUs the stable samplers may fill with threads, the most processes a
     replication pool starts, and the most ranges read_plain_csv parses a
     file in, each in its own process.
 
@@ -239,6 +216,68 @@ def _available_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _fill_rows(fill, N: int) -> None:
+    """Call fill(lo, hi) on row ranges that cover [0, N) exactly once.
+
+    [0, N) is cut into one range per available CPU, with at least
+    _ROWS_PER_THREAD rows each.  The calling thread fills the first range
+    and a pool of this call fills the others; every thread has ended when
+    this returns, so none outlives it into a later fork (read_plain_csv
+    forks only while one thread runs).  The first range's exception, else
+    the first failed range's, propagates.
+    """
+    parts = max(1, min(_available_cpus(), N // _ROWS_PER_THREAD))
+    if parts == 1:
+        fill(0, N)
+        return
+    cuts = [N * i // parts for i in range(parts + 1)]
+    # imported here: concurrent.futures loads multiprocessing, socket and
+    # logging, which a serial run never uses
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=parts - 1) as pool:
+        rest = [pool.submit(fill, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+        fill(0, cuts[1])
+    for f in rest:
+        f.result()
+
+
+def sample_stable_1d(alpha: float, rho: float, total_mass: float, N: int,
+                     rng: SeededRng) -> DataMatrix:
+    """Strictly stable scalars whose tails realize the spectral weights.
+
+    P(X > x) ~ sigma(+1) x^(-alpha) with sigma(+1) = total_mass*(1+rho)/2,
+    achieved by CMS with skewness rho and scale (total_mass/C_alpha)^(1/alpha).
+    alpha = 1 is out of scope.
+
+    Draw order: N uniforms u1, then N uniforms u2.  Threads fill row ranges
+    from their rows' positions of that order, so the result does not depend
+    on the thread count.
+    """
+    if not (0.0 < alpha < 2.0) or alpha == 1.0:
+        raise UnsupportedAlpha(f"alpha={alpha} outside (0,2)\\{{1}}")
+    if not (-1.0 <= rho <= 1.0):
+        raise InvalidModel(f"rho={rho} outside [-1,1]")
+    if total_mass <= 0.0:
+        raise InvalidModel("total_mass must be positive")
+    scale = _tail_scale(total_mass, stable_tail_constant(alpha), alpha)
+    # the one array the caller keeps, allocated before the ranges' kernel
+    # buffers, which their fills free on return (an r-sweep replication,
+    # N=1e5, takes 689 minor page faults on a 2-CPU x86 VM)
+    out = np.empty(N)
+    _fill_rows(partial(_fill_stable_1d, out, alpha, rho, scale, rng), N)
+    return _finite_sample(out, alpha)
+
+
+@_overflow_checked_below
+def _fill_stable_1d(out: np.ndarray, alpha: float, rho: float, scale: float,
+                    rng: SeededRng, lo: int, hi: int) -> None:
+    """Fill rows [lo, hi) of out: row lo's u1 sits at lo of the serial draw
+    order and its u2 at N + lo."""
+    u1 = rng.uniforms(lo, hi - lo)
+    u2 = rng.uniforms(out.shape[0] + lo, hi - lo)
+    np.multiply(_cms(alpha, rho, u1, u2), scale, out=out[lo:hi])
 
 
 @_overflow_checked_below
@@ -290,18 +329,7 @@ def sample_stable_vector(alpha: float, atoms, weights, N: int,
     # scalar ** per atom: np.power's AVX-512 kernel rounds some scales differently
     scales = [_tail_scale(w, c_alpha, alpha) for w in weights.tolist()]
     out = np.zeros((N, atoms.shape[1]))
-    parts = max(1, min(_available_cpus(), N // _ROWS_PER_THREAD))
-    if parts == 1:
-        _add_atom_terms(out, alpha, atoms, scales, rng, 0, N)
-    else:
-        cuts = [N * i // parts for i in range(parts + 1)]
-        # a pool per call, so no thread outlives it into a later fork;
-        # imported here, as concurrent.futures loads multiprocessing,
-        # socket and logging, which a serial run never uses
-        from concurrent.futures import ThreadPoolExecutor
-        fill = partial(_add_atom_terms, out, alpha, atoms, scales, rng)
-        with ThreadPoolExecutor(max_workers=parts) as pool:
-            list(pool.map(fill, cuts[:-1], cuts[1:]))
+    _fill_rows(partial(_add_atom_terms, out, alpha, atoms, scales, rng), N)
     return _finite_sample(out, alpha)
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 
@@ -173,6 +174,19 @@ class TestStable1d:
         for alpha in (0.3, 0.75, 1.5, 1.9):
             assert stable_tail_constant(alpha) > 0.0
 
+    @pytest.mark.parametrize("rho", [-1.0, 0.5, 1.0])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    def test_output_independent_of_cpu_count(self, monkeypatch, cpus, rho):
+        alpha, total = 1.75, 1.3
+        N = 5 * simulation._ROWS_PER_THREAD + 5  # up to 5 threads on any machine
+        rng = SeededRng(5, 9)
+        g = rng.generator()
+        scale = (total / stable_tail_constant(alpha)) ** (1.0 / alpha)
+        want = scale * reference_cms(alpha, rho, g.random(N), g.random(N))
+        monkeypatch.setattr(simulation, "_available_cpus", lambda: cpus)
+        got = sample_stable_1d(alpha, rho, total, N, rng).values[:, 0]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_golden_digest(self):
         env = digest_key()
         if env not in _GOLDEN_STABLE_1D:
@@ -310,6 +324,27 @@ def test_overflowing_sample_raises_unsupported_alpha(monkeypatch, draw, N):
         warnings.simplefilter("error")  # no RuntimeWarning, from a sampler thread either
         with pytest.raises(UnsupportedAlpha, match="alpha=0.01 is too small"):
             draw(N)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda N: sample_stable_1d(1.5, 0.5, 1.0, N, SeededRng(1)),
+    lambda N: sample_stable_vector(0.5, [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], N,
+                                   SeededRng(1)),
+], ids=["stable_1d", "stable_vector"])
+def test_pool_thread_exception_reaches_the_caller(monkeypatch, draw):
+    cms = simulation._cms
+
+    def cms_failing_off_the_main_thread(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("pool thread")
+        return cms(*args)
+
+    monkeypatch.setattr(simulation, "_cms", cms_failing_off_the_main_thread)
+    monkeypatch.setattr(simulation, "_available_cpus", lambda: 3)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="pool thread"):
+        draw(3 * simulation._ROWS_PER_THREAD)
+    assert threading.active_count() == before  # every pool thread joined
 
 
 # uniforms where the formula's edges sit: 0 and doubles below 1e-300, where
