@@ -8,6 +8,7 @@ whether they run serially or on a process pool.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -44,6 +45,14 @@ _COVERAGE_KIND_IDS = {"alpha": 1, "spectral": 2, "mass": 3}
 DEFAULT_STABLE_ATOMS = 100  # cells when a density model feeds the stable sampler
 
 
+def _refuse_past_address_space(*shape: int) -> None:
+    """MemoryError naming the shape if a float64 array of it would pass
+    sys.maxsize bytes: numpy raises a bare ValueError or IndexError there."""
+    if math.prod(shape) * 8 > sys.maxsize:
+        raise MemoryError(f"Unable to allocate an array with shape {shape} and data type "
+                          f"float64: more than {sys.maxsize} bytes")
+
+
 def draw_sample(model: ModelSpec, N: int, rng: SeededRng, sampler: str = "polar",
                 n_atoms: int = DEFAULT_STABLE_ATOMS) -> DataMatrix:
     """One sample from the model using the requested generator.
@@ -52,6 +61,7 @@ def draw_sample(model: ModelSpec, N: int, rng: SeededRng, sampler: str = "polar"
     ``stable`` gives strictly stable data (CMS for d=1, positive-stable atom
     sums for d >= 2, discretizing a density model into ``n_atoms`` cells).
     """
+    _refuse_past_address_space(N, model.dim)
     if sampler == "polar":
         return sample_polar(model, N, rng)
     if sampler == "stable":
@@ -193,6 +203,7 @@ def run_ecdf_compare(model: ModelSpec, N: int, r: float, grid_size: int,
         raise DimensionMismatch("ecdf comparison needs a d=2 model")
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
+    _refuse_past_address_space(grid_size + 1)  # np.linspace's array
     scheme = _plan(N, r, "spectral")
     data = draw_sample(model, N, rng.split(_EXP_ECDF, 0), sampler, n_atoms)
     est = estimators.estimate_spectral(grouping.summarize_groups(data, scheme))

@@ -740,12 +740,28 @@ class TestBadInputsWithoutTraceback:
 
     # 10**15 doubles lie past a 47-bit address space, so numpy refuses them
     # at once and touches no memory; a size the system could grant would be
-    # allocated, so none is tried
+    # allocated, so none is tried.  Past sys.maxsize bytes numpy raised a bare
+    # ValueError or IndexError, so tailspec refuses such sizes itself.
     @pytest.mark.parametrize("argv", [
         ["simulate", "--model", STABLE_1D, "--n", str(10**15), "--seed", "1",
          "--out", "x.csv"],
         ["ecdf", "--model", STABLE_2D, "--n", "200", "--seed", "1",
          "--grid-size", str(10**15)],
+        ["simulate", "--model", '{"kind":"polar","alpha":1.5,"rho":0.5}', "--n",
+         str(sys.maxsize), "--seed", "1", "--out", "x.csv"],
+        ["simulate", "--model", STABLE_1D, "--n", str(sys.maxsize), "--seed", "1",
+         "--out", "x.csv"],
+        ["simulate", "--model", STABLE_2D, "--n", str(sys.maxsize), "--seed", "1",
+         "--out", "x.csv"],
+        ["simulate", "--model", STABLE_1D, "--n", str(sys.maxsize + 1), "--seed", "1",
+         "--out", "x.csv"],
+        ["sweep", "--model", STABLE_1D, "--n", str(sys.maxsize), "--seed", "1",
+         "--target", "rho", "--reps", "1"],
+        ["ecdf", "--model", STABLE_2D, "--n", str(sys.maxsize), "--seed", "1"],
+        ["coverage", "--model", STABLE_1D, "--n", str(sys.maxsize), "--seed", "1",
+         "--kind", "alpha", "--reps", "1", "--r", "0.5"],
+        ["ecdf", "--model", STABLE_2D, "--n", "200", "--seed", "1",
+         "--grid-size", str(sys.maxsize)],
     ])
     def test_allocation_failure_exit_4(self, tmp_path, capsys, argv):
         argv = [str(tmp_path / a) if a == "x.csv" else a for a in argv]
